@@ -47,10 +47,6 @@ class ScriptEntry:
     params: dict[str, Any] = field(default_factory=dict)
     sessions: frozenset[int] | None = None  # None: every session
 
-    @property
-    def phase(self) -> str:
-        return CATALOG[self.kind]
-
     def active(self, session: int) -> bool:
         return self.sessions is None or session in self.sessions
 
@@ -84,18 +80,17 @@ class Adversary:
     def begin_session(self, session: int) -> None:
         self.session = session
 
-    def action(self, node: NodeId, phase: str, kind: str) -> ScriptEntry | None:
+    def action(self, node: NodeId, kind: str) -> ScriptEntry | None:
         if node not in self.faulty:
             return None
         for entry in self.scripts:
             if entry.node == node and entry.kind == kind and entry.active(self.session):
-                assert entry.phase == phase
                 return entry
         return None
 
-    def fire(self, node: NodeId, phase: str, kind: str) -> None:
+    def fire(self, node: NodeId, kind: str) -> None:
         assert kind != "own_value_forge", "own-value forgery is legal, never traced"
-        self.trace.append(TraceEvent(self.session, node, phase, kind))
+        self.trace.append(TraceEvent(self.session, node, CATALOG[kind], kind))
 
     def misbehaved(self, session: int) -> set[NodeId]:
         """Ground truth: nodes that actually deviated in `session`."""
@@ -107,3 +102,8 @@ class Adversary:
 
 def honest() -> Adversary:
     return Adversary(faulty=())
+
+
+def garble(data: bytes) -> bytes:
+    """Flip one bit of `data`; an empty blob becomes one junk byte."""
+    return bytes([data[0] ^ 0x01]) + data[1:] if data else b"\xff"

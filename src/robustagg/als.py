@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import crypto, wire
+from .adversary import garble
 from .crypto import BS_ID, KeyStore, NodeId
 from .errors import FrameError
 from .netmodel import AggregationTree, Network, schedule_epochs
@@ -49,24 +50,19 @@ class MarkSet:
 
 
 def _wrap(key: bytes, payload: bytes) -> bytes:
-    return _ENV + wire.frame(payload, crypto.mac(key, payload))
+    return _ENV + crypto.auth_wrap(key, payload).to_bytes()
 
 
-def _open(key: bytes, data: bytes) -> bytes | None:
-    """Envelope payload if the blob verifies under `key`, else None."""
-    if not data or data[0:1] != _ENV:
+def _open(key: bytes, data: bytes | None) -> bytes | None:
+    """Envelope payload if the blob verifies under `key`, else None (an
+    absent blob or the NR placeholder never verifies)."""
+    if data is None or data[0:1] != _ENV:
         return None
     try:
-        payload, tag = wire.unframe(data[1:])
+        env = crypto.AuthEnvelope.from_bytes(data[1:])
     except (FrameError, ValueError):
         return None
-    if tag != crypto.mac(key, payload):
-        return None
-    return payload
-
-
-def _garble(data: bytes) -> bytes:
-    return bytes([data[0] ^ 0x01]) + data[1:] if data else b"\xff"
+    return env.payload if crypto.auth_verify(key, env) else None
 
 
 def als1_collect(
@@ -94,14 +90,14 @@ def als1_collect(
                 msg = _wrap(key, wire.frame(nonce))
             else:
                 slots = [inbox[node].get(c, NR) for c in kids]
-                tamper = adv.action(node, "als1", "confirm_tamper")
+                tamper = adv.action(node, "confirm_tamper")
                 if tamper is not None:
                     idx = tamper.params.get("slot", len(slots) - 1) % len(slots)
-                    slots[idx] = _garble(slots[idx])
-                    adv.fire(node, "als1", "confirm_tamper")
+                    slots[idx] = garble(slots[idx])
+                    adv.fire(node, "confirm_tamper")
                 msg = _wrap(key, wire.frame(nonce, *slots))
-            if adv.action(node, "als1", "confirm_drop") is not None:
-                adv.fire(node, "als1", "confirm_drop")
+            if adv.action(node, "confirm_drop") is not None:
+                adv.fire(node, "confirm_drop")
                 continue
             delivered = net.send_link(node, tree.parent[node], msg)
             if delivered is not None:
@@ -113,8 +109,6 @@ def _extract1(
     keys: KeyStore, tree: AggregationTree, node: NodeId, data: bytes | None, nonce: bytes
 ) -> list[bytes] | None:
     """Child slots of a legitimate confirmation, or None (incl. the NR case)."""
-    if data is None or data[0:1] == NR:
-        return None
     payload = _open(keys.bs_key(node), data)
     if payload is None:
         return None
@@ -189,13 +183,13 @@ def als2_collect(
                 continue
             reports = [inbox[node].get(c, NR) for c in kids if not tree.is_leaf(c)]
             acks = [child_acks.get(node, {}).get(c, crypto.ZERO_ACK) for c in kids]
-            forge = adv.action(node, "als2", "ack_report_forge")
+            forge = adv.action(node, "ack_report_forge")
             if forge is not None:
                 idx = forge.params.get("slot", 0) % len(acks)
-                acks[idx] = _garble(acks[idx])
-                adv.fire(node, "als2", "ack_report_forge")
-            if adv.action(node, "als2", "report_drop") is not None:
-                adv.fire(node, "als2", "report_drop")
+                acks[idx] = garble(acks[idx])
+                adv.fire(node, "ack_report_forge")
+            if adv.action(node, "report_drop") is not None:
+                adv.fire(node, "report_drop")
                 continue
             msg = _wrap(net.keys.bs_key(node), wire.frame(nonce, *reports, *acks))
             delivered = net.send_link(node, tree.parent[node], msg)
@@ -208,8 +202,6 @@ def _extract2(
     keys: KeyStore, tree: AggregationTree, node: NodeId, data: bytes | None, nonce: bytes
 ) -> tuple[dict[NodeId, bytes], dict[NodeId, bytes]] | None:
     """(nested reports by non-leaf child, reported acks by child), or None."""
-    if data is None or data[0:1] == NR:
-        return None
     payload = _open(keys.bs_key(node), data)
     if payload is None:
         return None

@@ -34,6 +34,7 @@ def build_initial_tree(graph: NetworkGraph, blacklist: frozenset[NodeId] = froze
     b = usable[0]
     parent: dict[NodeId, NodeId] = {b: BS_ID}
     frontier = [b]
+    # Levels expand in discovery order (unsorted); the pinned reports depend on it.
     while frontier:
         nxt = []
         for u in frontier:
@@ -90,13 +91,14 @@ def atr_basic(
 
     # Flood: each reached node rebroadcasts the TE once to all neighbors;
     # the first fresh sender becomes the parent, ties broken by id order.
+    # Each level is sorted by id; the pinned reports depend on it.
     parent: dict[NodeId, NodeId] = {b: BS_ID}
     frontier = [b]
     while frontier:
         nxt = []
         for u in frontier:
-            if adv.action(u, "atr", "te_suppress") is not None:
-                adv.fire(u, "atr", "te_suppress")
+            if adv.action(u, "te_suppress") is not None:
+                adv.fire(u, "te_suppress")
                 continue
             for w in graph.neighbors(u):
                 if w == BS_ID:
@@ -108,31 +110,24 @@ def atr_basic(
                 nxt.append(w)
         frontier = sorted(nxt)
 
-    children: dict[NodeId, list[NodeId]] = {}
+    flood = AggregationTree(parent)
     for c, p in sorted(parent.items()):
-        children.setdefault(p, []).append(c)
         if p != BS_ID:
             # childhood confirmation back to the chosen parent
             net.send_link(c, p, wire.frame(nonce, wire.u16(c)))
 
     # Upward response relay, deepest levels first, at most n forwarded per node.
-    depth: dict[NodeId, int] = {b: 1}
-    order = [b]
-    for u in order:
-        for c in children.get(u, []):
-            depth[c] = depth[u] + 1
-            order.append(c)
     relay_cap = graph.n
     upward: dict[NodeId, list[bytes]] = {u: [] for u in parent}
-    for u in sorted(parent, key=lambda x: (-depth[x], x)):
-        kid_ids = children.get(u, [])
+    for u in sorted(parent, key=lambda x: (-flood.depth(x), x)):
+        kid_ids = flood.children[u]
         resp = crypto.auth_wrap(
             net.keys.bs_key(u),
             wire.frame(nonce, wire.u16(u), *[wire.u16(c) for c in kid_ids]),
         ).to_bytes()
         batch = [resp] + upward[u][:relay_cap]
-        if adv.action(u, "atr", "response_drop") is not None:
-            adv.fire(u, "atr", "response_drop")
+        if adv.action(u, "response_drop") is not None:
+            adv.fire(u, "response_drop")
             continue
         p = parent[u]
         for msg in batch:
@@ -184,19 +179,18 @@ def atr_resilient_init(
     """
     net.phase = "nl"
     graph = net.graph
-    flood_edges = graph.bfs_spanning_edges()
     announced: dict[NodeId, set[NodeId]] = {}
     for s in sorted(graph.sensors):
         nbrs = list(graph.neighbors(s))
-        fake = adv.action(s, "nl", "nl_fake")
+        fake = adv.action(s, "nl_fake")
         if fake is not None:
-            adv.fire(s, "nl", "nl_fake")
+            adv.fire(s, "nl_fake")
             nbrs = sorted(
                 (set(nbrs) | set(fake.params.get("add", ())))
                 - set(fake.params.get("remove", ()))
             )
         blob = oracle.sign(s, wire.frame(b"nl", *[wire.u16(v) for v in nbrs]))
-        for a, c in flood_edges:
+        for a, c in graph.flood_edges:
             net.ledger.charge(a, c, blob.size, net.phase)
         if oracle.verify(s, blob):
             fields = wire.unframe(blob.payload)
@@ -233,6 +227,7 @@ def atr_resilient_build(
     b = usable[0]
     parent: dict[NodeId, NodeId] = {b: BS_ID}
     frontier = [b]
+    # Each level is sorted by id; the pinned reports depend on it.
     while frontier:
         nxt = []
         for u in frontier:

@@ -27,13 +27,21 @@ def render_report(result: orchestrator.RunResult) -> str:
 
 def _apply_overrides(scenario_dict: dict, args: argparse.Namespace) -> dict:
     out = copy.deepcopy(scenario_dict)
-    if getattr(args, "seed_override", None) is not None:
+    if args.seed_override is not None:
         out["seed"] = args.seed_override
-    if getattr(args, "atr", None):
+    if args.atr:
         out["atr"] = args.atr
-    if getattr(args, "accept_on_als2", False):
+    if args.accept_on_als2:
         out["accept_on_als2"] = True
     return out
+
+
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -45,12 +53,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     result = orchestrator.run_sessions(scenario)
-    text = render_report(result)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(render_report(result), args.out)
     if result.disconnected:
         print("run truncated: exclusions disconnected the network", file=sys.stderr)
         return EXIT_DISCONNECTED
@@ -60,7 +63,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         template = Scenario.from_file(args.template).config
+        if template["topology"]["kind"] not in ("chain", "geometric"):
+            raise ConfigError("sweep needs a topology sized by n (chain or geometric)")
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        if len(set(sizes)) < len(sizes):
+            raise ValueError("duplicate network size")
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -93,12 +100,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     audit = orchestrator.cost_audit(points) if len(points) >= 2 else {"pass": True}
     table = {"schema": SCHEMA, "points": points, "cost_audit": audit}
-    text = json.dumps(table, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(table, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK if audit["pass"] else EXIT_AUDIT_FAIL
 
 
@@ -143,21 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one scenario and emit a report")
+    # Options shared by run and sweep.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out")
+    common.add_argument("--seed-override", type=int, dest="seed_override")
+    common.add_argument("--atr", choices=["basic", "resilient"])
+    common.add_argument("--accept-on-als2", action="store_true", dest="accept_on_als2")
+
+    p_run = sub.add_parser("run", parents=[common], help="execute one scenario and emit a report")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out")
-    p_run.add_argument("--seed-override", type=int, dest="seed_override")
-    p_run.add_argument("--atr", choices=["basic", "resilient"])
-    p_run.add_argument("--accept-on-als2", action="store_true", dest="accept_on_als2")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a template across network sizes")
+    p_sweep = sub.add_parser("sweep", parents=[common], help="run a template across network sizes")
     p_sweep.add_argument("--template", required=True)
     p_sweep.add_argument("--sizes", required=True, help="comma-separated sizes")
-    p_sweep.add_argument("--out")
-    p_sweep.add_argument("--seed-override", type=int, dest="seed_override")
-    p_sweep.add_argument("--atr", choices=["basic", "resilient"])
-    p_sweep.add_argument("--accept-on-als2", action="store_true", dest="accept_on_als2")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_replay = sub.add_parser("replay", help="re-execute a report and compare bytes")

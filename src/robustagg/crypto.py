@@ -115,13 +115,6 @@ class KeyStore:
         except KeyError:
             raise ConfigError(f"no link key for edge ({a}, {b})") from None
 
-    def has_node(self, node: NodeId) -> bool:
-        return node in self._bs_keys
-
-    @property
-    def nodes(self) -> set[NodeId]:
-        return set(self._bs_keys)
-
 
 @dataclass(frozen=True)
 class SignedBlob:

@@ -23,7 +23,3 @@ class UnlocalizableFailure(RobustAggError):
     The localization analysis guarantees this cannot happen; reaching it
     means a bug in the protocol engine, so it is raised rather than handled.
     """
-
-
-class DisconnectedNetwork(RobustAggError):
-    """Exclusions left the base station without a usable tree."""

@@ -43,19 +43,11 @@ class NetworkGraph:
                 raise ConfigError(f"node {n} exceeds degree bound {d_max}")
         if not self._adj[BS_ID]:
             raise ConfigError("BS has no neighbors")
-        if not self._connected():
+        # The flood backbone of every broadcast; it spans all sensors iff
+        # the graph is connected.
+        self.flood_edges = self.bfs_spanning_edges()
+        if len(self.flood_edges) != len(self.sensors):
             raise ConfigError("graph is not connected")
-
-    def _connected(self) -> bool:
-        seen = {BS_ID}
-        q = deque([BS_ID])
-        while q:
-            u = q.popleft()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return len(seen) == len(self.sensors) + 1
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
         return self._adj[node]
@@ -196,9 +188,6 @@ class Network:
     ledger: CongestionLedger = field(default_factory=CongestionLedger)
     phase: str = "idle"
 
-    def __post_init__(self) -> None:
-        self._flood_edges = self.graph.bfs_spanning_edges()
-
     def send_link(self, frm: NodeId, to: NodeId, payload: bytes) -> bytes | None:
         """Authenticated neighbor send; returns the payload the receiver accepts.
 
@@ -229,6 +218,6 @@ class Network:
         """
         if sender != BS_ID:
             raise ProtocolViolation("only the BS can issue authenticated broadcasts")
-        for a, b in self._flood_edges:
+        for a, b in self.graph.flood_edges:
             self.ledger.charge(a, b, len(payload), self.phase)
         return payload

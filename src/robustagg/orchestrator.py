@@ -9,9 +9,8 @@ congestion envelopes.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import als, atr, crypto, shia, wire
 from .adversary import Adversary
@@ -271,35 +270,34 @@ def cost_audit(points: list[dict]) -> dict:
     grow at most linearly in n (every point within 30% of a least-squares
     line, no super-linear jumps).
     """
-    if len(points) < 2:
-        raise ValueError("cost audit needs at least two network sizes")
+    sizes = {p["n"] for p in points}
+    if len(sizes) < 2 or len(sizes) < len(points):
+        raise ValueError("cost audit needs at least two network sizes, each given once")
     success_ok = all(
         success_cost_ok(p["success_cost"], p["height"], p["degree"])
         for p in points
         if p.get("success_cost") is not None
     )
-    fail_pts = [(p["n"], p["failure_cost"]) for p in points if p.get("failure_cost")]
+    fail_pts = sorted((p["n"], p["failure_cost"]) for p in points if p.get("failure_cost"))
     failure_ok = True
     slope = intercept = None
     if len(fail_pts) >= 2:
-        xs = np.array([p[0] for p in fail_pts], dtype=float)
-        ys = np.array([p[1] for p in fail_pts], dtype=float)
-        slope, intercept = np.polyfit(xs, ys, 1)
-        pred = slope * xs + intercept
-        failure_ok = bool(np.all(np.abs(ys - pred) <= 0.3 * np.abs(pred)))
-        # Super-linear check: cost ratios may not outgrow size ratios by >30%.
-        order = np.argsort(xs)
-        xs, ys = xs[order], ys[order]
-        for i in range(1, len(xs)):
-            if ys[i] / ys[0] > 1.3 * (xs[i] / xs[0]):
-                failure_ok = False
-        failure_ok = failure_ok and all(failure_cost_ok(int(y), int(x)) for x, y in fail_pts)
+        slope, intercept = statistics.linear_regression(*zip(*fail_pts))
+        # Each point within 30% of the fit, no cost ratio outgrowing its size
+        # ratio by more than 30% (super-linear), and inside the envelope.
+        n0, cost0 = fail_pts[0]
+        failure_ok = all(
+            abs(y - (slope * x + intercept)) <= 0.3 * abs(slope * x + intercept)
+            and y / cost0 <= 1.3 * (x / n0)
+            and failure_cost_ok(y, x)
+            for x, y in fail_pts
+        )
     return {
         "success_ok": success_ok,
         "failure_ok": failure_ok,
         "pass": success_ok and failure_ok,
-        "slope": None if slope is None else float(slope),
-        "intercept": None if intercept is None else float(intercept),
+        "slope": slope,
+        "intercept": intercept,
         "c1": SUCCESS_COST_C1,
         "c2": FAILURE_COST_C2,
         "unit_bytes": UNIT_BYTES,

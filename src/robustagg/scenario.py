@@ -58,6 +58,8 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
     A nearest-neighbor backbone guarantees connectivity without retries;
     extra short links are added while both endpoints stay under the bound.
     """
+    if n < 1:
+        raise ConfigError("geometric topology needs n >= 1")
     if d_max < 2:
         raise ConfigError("geometric topology needs d_max >= 2")
     rng = random.Random(f"topo:{seed}:{n}:{d_max}")

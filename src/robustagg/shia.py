@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import crypto, wire
+from .adversary import garble
 from .crypto import BS_ID, NodeId
 from .errors import FrameError
 from .netmodel import AggregationTree, Network, schedule_epochs
@@ -71,14 +72,6 @@ def internal_label(nonce: bytes, inputs: list[Label]) -> Label:
     return Label(count, value, digest, leaf=False)
 
 
-def combine_labels(
-    node: NodeId, child_labels: list[Label], own_value: int, nonce: bytes
-) -> Label:
-    """Parent label from child labels (ascending by child id) plus the node's
-    own contribution, appended last in leaf format."""
-    return internal_label(nonce, child_labels + [leaf_label(node, own_value)])
-
-
 # Off-path data: one step per ancestor level, bottom-up.  `slot` is where the
 # recomputing node's current label goes among the ancestor's inputs.
 @dataclass(frozen=True)
@@ -130,10 +123,6 @@ class ShiaResult:
         return self.root_label.value if self.root_label else None
 
 
-def _garble(data: bytes) -> bytes:
-    return bytes([data[0] ^ 0x01]) + data[1:]
-
-
 def run_shia(
     net: Network,
     tree: AggregationTree,
@@ -166,7 +155,7 @@ def run_shia(
     for epoch in epochs:
         for node in epoch:
             own_val = values[node]
-            forge_val = adv.action(node, "commit", "own_value_forge")
+            forge_val = adv.action(node, "own_value_forge")
             if forge_val is not None:
                 own_val = forge_val.params["value"]  # legal, never traced
 
@@ -189,7 +178,7 @@ def run_shia(
             inputs_used[node] = inputs
             accepted_children[node] = kept
 
-            act = adv.action(node, "commit", "label_forge")
+            act = adv.action(node, "label_forge")
             if act is not None:
                 p = act.params
                 forged_value = p.get("value", label.value + p.get("value_add", 0))
@@ -199,12 +188,12 @@ def run_shia(
                     p.get("commit", crypto.hash_bytes(b"forged" + nonce + wire.u16(node))),
                     leaf=False,
                 )
-                adv.fire(node, "commit", "label_forge")
-            if adv.action(node, "commit", "label_drop") is not None:
-                adv.fire(node, "commit", "label_drop")
+                adv.fire(node, "label_forge")
+            if adv.action(node, "label_drop") is not None:
+                adv.fire(node, "label_drop")
                 sent_labels[node] = None
                 continue
-            switch = adv.action(node, "commit", "parent_switch")
+            switch = adv.action(node, "parent_switch")
             if switch is not None:
                 # Covert handoff between colluding faulty nodes; the real
                 # parent sees silence, the target folds the label in.  If
@@ -212,7 +201,7 @@ def run_shia(
                 target = switch.params["target"]
                 if target in extra_inputs:
                     extra_inputs[target].append(label)
-                adv.fire(node, "commit", "parent_switch")
+                adv.fire(node, "parent_switch")
                 sent_labels[node] = label
                 continue
             sent_labels[node] = label
@@ -256,14 +245,14 @@ def run_shia(
             if above is None:
                 continue  # node got nothing, so it has nothing to forward
             inputs = inputs_used.get(node, [])
-            corrupt = adv.action(node, "offpath", "offpath_corrupt")
+            corrupt = adv.action(node, "offpath_corrupt")
             for idx, child in enumerate(accepted_children.get(node, [])):
                 others = tuple(inputs[:idx] + inputs[idx + 1 :])
                 steps = [PathStep(idx, others)] + above
                 msg = offpath_to_bytes(steps)
                 if corrupt is not None:
-                    msg = _garble(msg)
-                    adv.fire(node, "offpath", "offpath_corrupt")
+                    msg = garble(msg)
+                    adv.fire(node, "offpath_corrupt")
                 delivered = net.send_link(node, child, msg)
                 if delivered is not None:
                     try:
@@ -290,22 +279,22 @@ def run_shia(
             out_ack: bytes | None = (
                 crypto.node_ack(net.keys.bs_key(node), nonce) if match else None
             )
-            if out_ack is not None and adv.action(node, "ack", "ack_drop") is not None:
-                adv.fire(node, "ack", "ack_drop")
+            if out_ack is not None and adv.action(node, "ack_drop") is not None:
+                adv.fire(node, "ack_drop")
                 out_ack = None
                 acked[node] = False
-            if out_ack is not None and adv.action(node, "ack", "ack_garble") is not None:
-                adv.fire(node, "ack", "ack_garble")
-                out_ack = _garble(out_ack)
+            if out_ack is not None and adv.action(node, "ack_garble") is not None:
+                adv.fire(node, "ack_garble")
+                out_ack = garble(out_ack)
             released[node] = out_ack
 
             parts = [ack_inbox[node][c] for c in sorted(ack_inbox[node])]
             if out_ack is not None:
                 parts.append(out_ack)
             up = crypto.xor_acks(parts) if parts else None
-            if adv.action(node, "ack", "agg_ack_garble") is not None:
-                adv.fire(node, "ack", "agg_ack_garble")
-                up = _garble(up) if up is not None else _garble(crypto.ZERO_ACK)
+            if adv.action(node, "agg_ack_garble") is not None:
+                adv.fire(node, "agg_ack_garble")
+                up = garble(crypto.ZERO_ACK if up is None else up)
             if up is not None:
                 delivered = net.send_link(node, tree.parent[node], up)
                 if delivered is not None and len(delivered) == wire.ACK_LEN:

@@ -38,18 +38,18 @@ def test_action_only_fires_for_faulty_nodes_in_active_sessions():
     e = ScriptEntry(node=3, kind="label_drop", sessions=frozenset({1, 2}))
     adv = Adversary(faulty={3}, scripts=[e])
     adv.begin_session(0)
-    assert adv.action(3, "commit", "label_drop") is None
+    assert adv.action(3, "label_drop") is None
     adv.begin_session(1)
-    assert adv.action(3, "commit", "label_drop") is e
-    assert adv.action(4, "commit", "label_drop") is None  # not faulty
-    assert adv.action(3, "commit", "label_forge") is None  # different kind
+    assert adv.action(3, "label_drop") is e
+    assert adv.action(4, "label_drop") is None  # not faulty
+    assert adv.action(3, "label_forge") is None  # different kind
 
 
 def test_trace_records_only_fired_events():
     adv = Adversary(faulty={3}, scripts=[entry(3, "label_drop")])
     adv.begin_session(0)
     assert adv.misbehaved(0) == set()
-    adv.fire(3, "commit", "label_drop")
+    adv.fire(3, "label_drop")
     assert adv.misbehaved(0) == {3}
     assert adv.misbehaved(1) == set()
     (ev,) = adv.events(0)
@@ -60,11 +60,11 @@ def test_own_value_forge_is_never_traced():
     adv = Adversary(faulty={3}, scripts=[entry(3, "own_value_forge", value=9)])
     adv.begin_session(0)
     with pytest.raises(AssertionError):
-        adv.fire(3, "commit", "own_value_forge")
+        adv.fire(3, "own_value_forge")
 
 
 def test_honest_adversary_is_inert():
     adv = honest()
     adv.begin_session(0)
     assert adv.faulty == frozenset()
-    assert adv.action(1, "commit", "label_drop") is None
+    assert adv.action(1, "label_drop") is None

@@ -188,6 +188,8 @@ class TestCostModel:
     def test_needs_at_least_two_points(self):
         with pytest.raises(ValueError):
             cost_audit([{"n": 50}])
+        with pytest.raises(ValueError):  # one size twice is still one size
+            cost_audit([{"n": 50, "failure_cost": 8000}, {"n": 50, "failure_cost": 7900}])
 
 
 def test_report_dict_is_json_ready_and_complete():

@@ -190,3 +190,30 @@ class TestCli:
         table = json.loads(open(out_path).read())
         assert [p["n"] for p in table["points"]] == [24, 40]
         assert table["cost_audit"]["pass"]
+
+    def test_sweep_rejects_duplicate_sizes(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(sessions=2))
+        code = cli.main(["sweep", "--template", cfg_path, "--sizes", "24,24"])
+        assert code == cli.EXIT_PARSE_ERROR
+        assert "duplicate network size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            {"kind": "grid", "rows": 4, "cols": 5},
+            {"kind": "edges", "n": 3, "edges": [[0, 1], [1, 2], [2, 3]]},
+        ],
+        ids=["grid", "edges"],
+    )
+    def test_sweep_rejects_topology_not_sized_by_n(self, tmp_path, capsys, topology):
+        cfg_path = write_config(tmp_path, base_config(sessions=2, topology=topology))
+        code = cli.main(["sweep", "--template", cfg_path, "--sizes", "50,100"])
+        assert code == cli.EXIT_PARSE_ERROR
+        assert "sized by n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_geometric_without_sensors_is_a_config_error(self, tmp_path, capsys, n):
+        topology = {"kind": "geometric", "n": n, "d_max": 6}
+        cfg_path = write_config(tmp_path, base_config(topology=topology))
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
+        assert "n >= 1" in capsys.readouterr().err
