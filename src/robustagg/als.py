@@ -132,15 +132,16 @@ def als1_process(
         marks.add(b, BS_ID, "absent")
         return marks
 
-    def walk(node: NodeId, parent: NodeId, data: bytes | None) -> None:
+    # Pre-order walk, children in tree order: the stack holds them reversed.
+    stack: list[tuple[NodeId, NodeId, bytes | None]] = [(b, BS_ID, m_b)]
+    while stack:
+        node, parent, data = stack.pop()
         slots = _extract1(keys, tree, node, data, nonce)
         if slots is None:
             marks.add(node, parent, "structural")
-            return
-        for child, slot in zip(tree.children.get(node, []), slots):
-            walk(child, node, slot)
-
-    walk(b, BS_ID, m_b)
+            continue
+        kids = list(zip(tree.children.get(node, []), slots))
+        stack.extend((child, node, slot) for child, slot in reversed(kids))
     return marks
 
 
@@ -240,25 +241,30 @@ def als2_process(
     marks = MarkSet()
     expect = expected_acks(keys, tree, nonce)
 
-    def walk(node: NodeId, parent: NodeId, data: bytes | None, reported: bytes) -> None:
+    # Pre-order walk, children in tree order: the stack holds them reversed.
+    stack: list[tuple[NodeId, NodeId, bytes | None, bytes]] = [
+        (tree.bs_child, BS_ID, m_b, agg_ack)
+    ]
+    while stack:
+        node, parent, data, reported = stack.pop()
         if reported == expect[node]:
-            return  # consistent subtree: not processed further
+            continue  # consistent subtree: not processed further
         if tree.is_leaf(node):
             if reported != crypto.node_ack(keys.bs_key(node), nonce):
                 marks.add(node, parent, "type_i")
-            return
+            continue
         extracted = _extract2(keys, tree, node, data, nonce)
         if extracted is None:
             marks.add(node, parent, "structural")
-            return
+            continue
         reports, acks = extracted
         recombined = crypto.xor_acks(
             [crypto.node_ack(keys.bs_key(node), nonce)] + list(acks.values())
         )
         if reported != recombined:
             marks.add(node, parent, "type_ii")
-        for child in tree.children.get(node, []):
-            walk(child, node, reports.get(child), acks[child])
-
-    walk(tree.bs_child, BS_ID, m_b, agg_ack)
+        stack.extend(
+            (child, node, reports.get(child), acks[child])
+            for child in reversed(tree.children.get(node, []))
+        )
     return marks

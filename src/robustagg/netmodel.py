@@ -89,15 +89,6 @@ class AggregationTree:
             kids.sort()
         if len(self.children[BS_ID]) != 1:
             raise ConfigError("BS must have exactly one child")
-        # Reject cycles / orphans: every node must reach the BS.
-        for c in self.parent:
-            seen = set()
-            cur = c
-            while cur != BS_ID:
-                if cur in seen or cur not in self.parent:
-                    raise ConfigError(f"node {c} does not reach the BS")
-                seen.add(cur)
-                cur = self.parent[cur]
         self._depth: dict[NodeId, int] = {BS_ID: 0}
         stack = [BS_ID]
         while stack:
@@ -105,6 +96,11 @@ class AggregationTree:
             for v in self.children.get(u, []):
                 self._depth[v] = self._depth[u] + 1
                 stack.append(v)
+        # Reject cycles / orphans: every node must reach the BS, i.e. be
+        # reached by the walk down from it.
+        for c in self.parent:
+            if c not in self._depth:
+                raise ConfigError(f"node {c} does not reach the BS")
 
     @property
     def bs_child(self) -> NodeId:

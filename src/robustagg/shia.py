@@ -45,7 +45,10 @@ class Label:
     def from_bytes(cls, data: bytes) -> "Label":
         if not data or data[0:1] not in (_LEAF_TAG, _INTERNAL_TAG):
             raise FrameError("bad label tag")
-        count_b, value_b, commit = wire.unframe(data[1:])
+        fields = wire.unframe(data[1:])
+        if len(fields) != 3:
+            raise FrameError("label needs count, value and commitment")
+        count_b, value_b, commit = fields
         leaf = data[0:1] == _LEAF_TAG
         expect = wire.NODE_ID_LEN if leaf else wire.DIGEST_LEN
         if len(commit) != expect:
@@ -72,36 +75,76 @@ def internal_label(nonce: bytes, inputs: list[Label]) -> Label:
     return Label(count, value, digest, leaf=False)
 
 
-# Off-path data: one step per ancestor level, bottom-up.  `slot` is where the
-# recomputing node's current label goes among the ancestor's inputs.
-@dataclass(frozen=True)
-class PathStep:
-    slot: int
-    others: tuple[Label, ...]
+# Off-path data: one framed step per ancestor level, bottom-up.  A step is a
+# u16 `slot`, where the recomputing node's current label goes among the
+# ancestor's inputs, then the serialized other inputs.
+@dataclass(frozen=True, eq=False)
+class Offpath:
+    """A parsed off-path blob; a session keeps one per distinct blob.
+
+    `raw` is the blob as received, forwarded verbatim.  A non-empty blob is
+    its first step (`slot`, `others`) framed ahead of the blob `above`; the
+    empty blob, which the BS child gets, has no step and `above` None.
+    """
+
+    raw: bytes
+    slot: int = 0
+    others: tuple[Label, ...] = ()
+    above: "Offpath | None" = None
 
 
-def offpath_to_bytes(steps: list[PathStep]) -> bytes:
-    return wire.frame(
-        *[wire.frame(wire.u16(s.slot), *[l.to_bytes() for l in s.others]) for s in steps]
-    )
+def offpath_to_bytes(slot: int, others: list[bytes], above: bytes) -> bytes:
+    """The blob for the child whose label sits at `slot`: one step framed
+    ahead of the blob the node received (`frame` concatenates)."""
+    return wire.frame(wire.frame(wire.u16(slot), *others)) + above
 
 
-def offpath_from_bytes(data: bytes) -> list[PathStep]:
-    steps = []
-    for raw in wire.unframe(data):
-        fields = wire.unframe(raw)
+def offpath_from_bytes(data: bytes, parsed: dict[bytes, Offpath]) -> Offpath:
+    """Parse an off-path blob, reusing this session's parses of its suffixes.
+
+    `parsed` maps every blob accepted this session to its one `Offpath`, so
+    a blob whose suffix is there parses a single step.  Raises FrameError
+    on junk.
+    """
+    if b"" not in parsed:
+        parsed[b""] = Offpath(b"")
+    walked: list[tuple[bytes, int, tuple[Label, ...]]] = []
+    rest = data
+    while rest not in parsed:
+        step, tail = wire.split_field(rest)
+        fields = wire.unframe(step)
         if not fields:
             raise FrameError("empty off-path step")
         slot = wire.read_u16(fields[0])
-        steps.append(PathStep(slot, tuple(Label.from_bytes(f) for f in fields[1:])))
-    return steps
+        walked.append((rest, slot, tuple(Label.from_bytes(f) for f in fields[1:])))
+        rest = tail
+    path = parsed[rest]
+    for raw, slot, others in reversed(walked):
+        path = parsed[raw] = Offpath(raw, slot, others, path)
+    return path
 
 
-def recompute_root(own: Label, steps: list[PathStep], nonce: bytes) -> Label:
+def recompute_root(
+    own: Label, path: Offpath, nonce: bytes, roots: dict[tuple[Label, Offpath], Label]
+) -> Label:
+    """Fold `own` up the steps of `path` into the root label they imply.
+
+    `roots` memoizes this session's (label, path) pairs; the walk stops at
+    the first pair already resolved.  Paths come from one `parsed` memo, so
+    equal blobs are one object and the pairs key by identity.
+    """
+    walked: list[tuple[Label, Offpath]] = []
     cur = own
-    for step in steps:
-        inputs = list(step.others[: step.slot]) + [cur] + list(step.others[step.slot :])
-        cur = internal_label(nonce, inputs)
+    while path.above is not None:
+        hit = roots.get((cur, path))
+        if hit is not None:
+            cur = hit
+            break
+        walked.append((cur, path))
+        cur = internal_label(nonce, [*path.others[: path.slot], cur, *path.others[path.slot :]])
+        path = path.above
+    for key in walked:
+        roots[key] = cur
     return cur
 
 
@@ -237,26 +280,26 @@ def run_shia(
     # --- result checking: off-path dissemination ---
     net.phase = "check"
     net.bs_broadcast(BS_ID, wire.frame(nonce, root_label.to_bytes()))
-    offpath: dict[NodeId, list[PathStep] | None] = {n: None for n in tree.members}
-    offpath[b] = []
+    parsed: dict[bytes, Offpath] = {}
+    offpath: dict[NodeId, Offpath | None] = {n: None for n in tree.members}
+    offpath[b] = offpath_from_bytes(b"", parsed)
     for epoch in reversed(epochs):
         for node in epoch:
             above = offpath[node]
             if above is None:
                 continue  # node got nothing, so it has nothing to forward
-            inputs = inputs_used.get(node, [])
+            kids = accepted_children.get(node, [])
+            inputs = [l.to_bytes() for l in inputs_used[node]] if kids else []
             corrupt = adv.action(node, "offpath_corrupt")
-            for idx, child in enumerate(accepted_children.get(node, [])):
-                others = tuple(inputs[:idx] + inputs[idx + 1 :])
-                steps = [PathStep(idx, others)] + above
-                msg = offpath_to_bytes(steps)
+            for idx, child in enumerate(kids):
+                msg = offpath_to_bytes(idx, inputs[:idx] + inputs[idx + 1 :], above.raw)
                 if corrupt is not None:
                     msg = garble(msg)
                     adv.fire(node, "offpath_corrupt")
                 delivered = net.send_link(node, child, msg)
                 if delivered is not None:
                     try:
-                        offpath[child] = offpath_from_bytes(delivered)
+                        offpath[child] = offpath_from_bytes(delivered, parsed)
                     except FrameError:
                         offpath[child] = None
 
@@ -266,14 +309,15 @@ def run_shia(
     released: dict[NodeId, bytes | None] = {}
     ack_inbox: dict[NodeId, dict[NodeId, bytes]] = {n: {} for n in tree.members}
     ack_inbox[BS_ID] = {}
+    roots: dict[tuple[Label, Offpath], Label] = {}
     for epoch in epochs:
         for node in epoch:
             own = sent_labels.get(node)
-            steps = offpath[node]
-            if own is None or steps is None:
+            path = offpath[node]
+            if own is None or path is None:
                 match = False
             else:
-                match = recompute_root(own, steps, nonce) == root_label
+                match = recompute_root(own, path, nonce, roots) == root_label
             acked[node] = match
 
             out_ack: bytes | None = (

@@ -70,6 +70,17 @@ def unframe(data: bytes) -> list[bytes]:
     return fields
 
 
+def split_field(data: bytes) -> tuple[bytes, bytes]:
+    """Split the first field off a frame: (that field, the frame of the rest)."""
+    if len(data) < LEN_PREFIX:
+        raise FrameError("truncated length prefix")
+    (length,) = _U32.unpack_from(data)
+    end = LEN_PREFIX + length
+    if end > len(data):
+        raise FrameError("field overruns buffer")
+    return data[LEN_PREFIX:end], data[end:]
+
+
 def framed_size(*field_lengths: int) -> int:
     """Size of a frame built from fields of the given lengths."""
     return sum(LEN_PREFIX + l for l in field_lengths)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from dataclasses import dataclass
 from itertools import product
 
-from robustagg import als, shia
+from robustagg import als, shia, wire
 from robustagg.adversary import Adversary, ScriptEntry
 from robustagg.crypto import BS_ID, KeyStore
+from robustagg.errors import FrameError
 from robustagg.netmodel import AggregationTree, Network, NetworkGraph, edge_key
 
 
@@ -170,6 +172,42 @@ def oracle_root(nonce: bytes, tree: AggregationTree, values: dict[int, int]):
 
     c, v, raw = label_of(tree.bs_child)
     return c, v, raw
+
+
+# --- off-path reference: parse every step of every blob, hash every level ---
+
+
+@dataclass(frozen=True)
+class PathStep:
+    """One ancestor level: where the current label goes, and the other inputs."""
+
+    slot: int
+    others: tuple[shia.Label, ...]
+
+
+def oracle_offpath_to_bytes(steps: list[PathStep]) -> bytes:
+    return oracle_frame(
+        *[oracle_frame(struct.pack(">H", s.slot), *[l.to_bytes() for l in s.others]) for s in steps]
+    )
+
+
+def oracle_offpath_from_bytes(data: bytes) -> list[PathStep]:
+    steps = []
+    for raw in wire.unframe(data):
+        fields = wire.unframe(raw)
+        if not fields:
+            raise FrameError("empty off-path step")
+        slot = wire.read_u16(fields[0])
+        steps.append(PathStep(slot, tuple(shia.Label.from_bytes(f) for f in fields[1:])))
+    return steps
+
+
+def oracle_recompute_root(own: shia.Label, steps: list[PathStep], nonce: bytes) -> shia.Label:
+    cur = own
+    for step in steps:
+        inputs = list(step.others[: step.slot]) + [cur] + list(step.others[step.slot :])
+        cur = shia.internal_label(nonce, inputs)
+    return cur
 
 
 def oracle_ack(key: bytes, nonce: bytes) -> bytes:

@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from robustagg import als, crypto, shia
+from robustagg.adversary import Adversary, garble
 from robustagg.crypto import BS_ID
 
 from helpers import entry, net_for_tree, oracle_xor, run_session
@@ -183,7 +185,7 @@ class TestAckReportAnalysis:
         net, tree = net_for_tree(TWO_BRANCH)
         values = {s: 10 for s in tree.members}
         adv_scripts = [entry(6, "agg_ack_garble")]
-        from robustagg.adversary import Adversary
+        from robustagg.adversary import Adversary, garble
 
         adv = Adversary(frozenset({6}), adv_scripts)
         adv.begin_session(0)
@@ -191,3 +193,24 @@ class TestAckReportAnalysis:
         assert not sres.accepted
         marks1 = run_als1_only(net, tree, sres, adv)
         assert not marks1
+
+
+def test_processing_walks_chains_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 50
+    net, tree = net_for_tree({s: s - 1 if s > 1 else BS_ID for s in range(1, n + 1)})
+    adv = Adversary(frozenset(), [])
+    adv.begin_session(0)
+    # Phase I: the bottom node stays silent, so the walk reaches it via an NR slot.
+    participates = {s: s != n for s in tree.members}
+    m_b = als.als1_collect(net, tree, participates, adv, NONCE)
+    marks = als.als1_process(net.keys, tree, m_b, NONCE)
+    assert [(m.node, m.partner, m.rule) for m in marks.marks] == [(n, n - 1, "structural")]
+    # Phase II: the bottom node's ack is garbled, so every aggregate above it
+    # is off and the walk descends the whole chain to a type (i) mark.
+    agg = {n: garble(crypto.node_ack(net.keys.bs_key(n), NONCE))}
+    for s in range(n - 1, 0, -1):
+        agg[s] = crypto.xor_acks([crypto.node_ack(net.keys.bs_key(s), NONCE), agg[s + 1]])
+    child_acks = {s: ({s + 1: agg[s + 1]} if s < n else {}) for s in tree.members}
+    m_b = als.als2_collect(net, tree, child_acks, adv, NONCE)
+    marks = als.als2_process(net.keys, tree, m_b, agg[1], NONCE)
+    assert [(m.node, m.partner, m.rule) for m in marks.marks] == [(n, n - 1, "type_i")]

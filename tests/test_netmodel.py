@@ -69,6 +69,10 @@ class TestAggregationTree:
         with pytest.raises(ConfigError):
             AggregationTree({1: BS_ID, 2: 9})
 
+    def test_first_unreached_node_in_parent_map_order_is_named(self):
+        with pytest.raises(ConfigError, match="node 5 does not reach"):
+            AggregationTree({1: BS_ID, 5: 6, 6: 5, 2: 9})
+
     def test_metrics_against_bfs_oracle(self):
         rng = random.Random(7)
         for _ in range(100):

@@ -1,17 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustagg import crypto, shia, wire
+from robustagg import crypto, orchestrator, shia, wire
 from robustagg.crypto import BS_ID
 from robustagg.errors import FrameError
 from robustagg.netmodel import AggregationTree
+from robustagg.scenario import Scenario
 
 from helpers import (
+    PathStep,
     entry,
     net_for_tree,
     oracle_combine,
     oracle_leaf_bytes,
+    oracle_offpath_from_bytes,
+    oracle_offpath_to_bytes,
+    oracle_recompute_root,
     oracle_root,
     run_session,
 )
@@ -71,15 +78,33 @@ class TestLabels:
             # leaf tag but digest-sized commitment
             shia.Label.from_bytes(b"\x00" + wire.frame(wire.u16(1), wire.i64(1), b"x" * 32))
         assert shia.Label.from_bytes(good)  # sanity: the original parses
+        # a label frame needs exactly count, value and commitment
+        for fields in ([wire.u16(1), wire.i64(1)], [wire.u16(1), wire.i64(1), wire.u16(1), b"x"]):
+            bad = b"\x00" + wire.frame(*fields)
+            with pytest.raises(FrameError):
+                shia.Label.from_bytes(bad)
+            with pytest.raises(FrameError):
+                shia.offpath_from_bytes(wire.frame(wire.frame(wire.u16(0), bad)), {})
 
     def test_recompute_root_walks_sibling_steps(self):
         a, b, c = shia.leaf_label(1, 1), shia.leaf_label(2, 2), shia.leaf_label(3, 3)
         mid = shia.internal_label(NONCE, [a, b])
         root = shia.internal_label(NONCE, [mid, c])
-        steps = [shia.PathStep(0, (b,)), shia.PathStep(0, (c,))]
-        assert shia.recompute_root(a, steps, NONCE) == root
-        back = shia.offpath_from_bytes(shia.offpath_to_bytes(steps))
-        assert back == steps
+        steps = [PathStep(0, (b,)), PathStep(0, (c,))]
+        assert oracle_recompute_root(a, steps, NONCE) == root
+        # The BS child gets the empty blob; each node prepends one step.
+        top = shia.offpath_to_bytes(0, [c.to_bytes()], b"")
+        blob = shia.offpath_to_bytes(0, [b.to_bytes()], top)
+        assert blob == oracle_offpath_to_bytes(steps)
+        assert oracle_offpath_from_bytes(blob) == steps
+        parsed: dict = {}
+        path = shia.offpath_from_bytes(blob, parsed)
+        assert (path.raw, path.slot, path.others) == (blob, 0, (b,))
+        assert path.above is parsed[top] and path.above.above is parsed[b""]
+        assert shia.offpath_from_bytes(bytes(bytearray(blob)), parsed) is path  # one per blob
+        roots: dict = {}
+        assert shia.recompute_root(a, path, NONCE, roots) == root
+        assert roots[(mid, path.above)] == root  # the walk memoizes every level
 
 
 class TestHonestRuns:
@@ -217,3 +242,100 @@ def test_parent_switch_routes_label_through_accomplice():
     assert sres.value == 70
     assert not sres.acked[4]
     assert marks.nodes() == {4, 2}
+
+
+# --- memoized off-path parsing and root recomputation against the oracle ---
+
+small_labels = st.one_of(
+    st.builds(shia.leaf_label, st.integers(1, 9), st.integers(-50, 50)),
+    st.builds(
+        lambda c, v, d: shia.Label(c, v, d, leaf=False),
+        st.integers(1, 40),
+        st.integers(-500, 500),
+        st.binary(min_size=32, max_size=32),
+    ),
+)
+
+
+@st.composite
+def offpath_cases(draw):
+    """(blob, own label) pairs over one random tree, plus damaged blobs.
+
+    Blobs follow the honest layout, so they share suffixes and a child's
+    first step folds its honest label into its parent's.  Own labels are
+    honest, another node's, or random, so memo entries meet many labels.
+    """
+    n = draw(st.integers(1, 9))
+    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    kids = {i: [c for c in range(n) if parent[c] == i] for i in range(n)}
+    values = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    labels: dict[int, shia.Label] = {}
+    inputs: dict[int, list[shia.Label]] = {}
+    for i in reversed(range(n)):  # children have larger ids than parents
+        inputs[i] = [labels[c] for c in kids[i]] + [shia.leaf_label(i + 1, values[i])]
+        labels[i] = inputs[i][0] if len(inputs[i]) == 1 else shia.internal_label(NONCE, inputs[i])
+    chains: dict[int, list[PathStep]] = {0: []}
+    for i in range(1, n):
+        p = parent[i]
+        idx = kids[p].index(i)
+        chains[i] = [PathStep(idx, tuple(inputs[p][:idx] + inputs[p][idx + 1 :]))] + chains[p]
+    blobs = [oracle_offpath_to_bytes(chains[i]) for i in range(n)]
+    own_choices = st.one_of(st.sampled_from(list(labels.values())), small_labels)
+    cases = [(blob, draw(st.one_of(st.just(labels[i]), own_choices))) for i, blob in enumerate(blobs)]
+    for blob in draw(st.lists(st.sampled_from(blobs), max_size=6)):
+        kind = draw(st.sampled_from(["garble", "truncate", "forged", "short", "long"]))
+        if kind in ("garble", "truncate") and not blob:
+            continue
+        if kind == "garble":
+            pos = draw(st.integers(0, len(blob) - 1))
+            mask = draw(st.integers(1, 255))
+            damaged = blob[:pos] + bytes([blob[pos] ^ mask]) + blob[pos + 1 :]
+        elif kind == "truncate":
+            damaged = blob[: draw(st.integers(0, len(blob) - 1))]
+        elif kind == "forged":
+            step = PathStep(draw(st.integers(0, 3)), (draw(small_labels),))
+            damaged = oracle_offpath_to_bytes([step]) + blob
+        else:  # a label frame with 2 or 4 fields in an otherwise valid step
+            fields = [wire.u16(1), wire.i64(7)] + ([] if kind == "short" else [wire.u16(3), b"z"])
+            bad = b"\x00" + wire.frame(*fields)
+            damaged = wire.frame(wire.frame(wire.u16(0), bad)) + blob
+        cases.append((damaged, draw(own_choices)))
+    return draw(st.permutations(cases))
+
+
+@settings(max_examples=150, deadline=None)
+@given(offpath_cases())
+def test_memoized_offpath_matches_oracle(cases):
+    parsed: dict = {}
+    roots: dict = {}
+    for blob, own in cases:
+        try:
+            ref = oracle_offpath_from_bytes(blob)
+        except FrameError:
+            ref = None
+        try:
+            path = shia.offpath_from_bytes(blob, parsed)
+        except FrameError:
+            path = None
+        assert (path is None) == (ref is None)
+        if path is not None:
+            assert path.raw == blob
+            assert shia.recompute_root(own, path, NONCE, roots) == oracle_recompute_root(own, ref, NONCE)
+
+
+def test_honest_grid_session_hashes_linearly(monkeypatch):
+    # Each (label, blob) pair is resolved once, so the check costs O(n)
+    # hashes rather than one per ancestor level per node.
+    calls = []
+    real = shia.internal_label
+
+    def counting(nonce, inputs):
+        calls.append(1)
+        return real(nonce, inputs)
+
+    monkeypatch.setattr(shia, "internal_label", counting)
+    config = {"seed": 3, "sessions": 1, "topology": {"kind": "grid", "rows": 30, "cols": 30}}
+    result = orchestrator.run_sessions(Scenario.from_dict(config))
+    assert [r.verdict for r in result.records] == ["success"]
+    assert result.records[0].tree_height == 59
+    assert len(calls) <= 3 * 900

@@ -25,6 +25,8 @@ def test_frame_roundtrip(fields):
     data = wire.frame(*fields)
     assert wire.unframe(data) == fields
     assert len(data) == wire.framed_size(*[len(f) for f in fields])
+    if fields:
+        assert wire.split_field(data) == (fields[0], wire.frame(*fields[1:]))
 
 
 def test_frame_layout_matches_independent_packing():
@@ -34,13 +36,15 @@ def test_frame_layout_matches_independent_packing():
 
 
 def test_unframe_rejects_truncated_prefix():
-    with pytest.raises(FrameError):
-        wire.unframe(b"\x00\x00\x01")
+    for parse in (wire.unframe, wire.split_field):
+        with pytest.raises(FrameError):
+            parse(b"\x00\x00\x01")
 
 
 def test_unframe_rejects_overrunning_field():
-    with pytest.raises(FrameError):
-        wire.unframe(struct.pack(">I", 10) + b"short")
+    for parse in (wire.unframe, wire.split_field):
+        with pytest.raises(FrameError):
+            parse(struct.pack(">I", 10) + b"short")
 
 
 def test_read_u16_rejects_wrong_length():
