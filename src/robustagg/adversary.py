@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .crypto import BS_ID, NodeId
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolViolation
 
 # Catalog of scriptable deviations, keyed by the phase hook that consults them.
 CATALOG: dict[str, str] = {
@@ -89,7 +89,8 @@ class Adversary:
         return None
 
     def fire(self, node: NodeId, kind: str) -> None:
-        assert kind != "own_value_forge", "own-value forgery is legal, never traced"
+        if kind == "own_value_forge":
+            raise ProtocolViolation("own-value forgery is legal, never traced")
         self.trace.append(TraceEvent(self.session, node, CATALOG[kind], kind))
 
     def misbehaved(self, session: int) -> set[NodeId]:

@@ -15,7 +15,7 @@ from . import crypto, wire
 from .adversary import garble
 from .crypto import BS_ID, KeyStore, NodeId
 from .errors import FrameError
-from .netmodel import AggregationTree, Network, schedule_epochs
+from .netmodel import AggregationTree, Network
 
 # Wire tags for confirmation slots.
 NR = b"\x00"  # "no message received from this child"; always illegitimate
@@ -80,7 +80,7 @@ def als1_collect(
     net.phase = "als1"
     inbox: dict[NodeId, dict[NodeId, bytes]] = {n: {} for n in tree.members}
     inbox[BS_ID] = {}
-    for epoch in schedule_epochs(tree):
+    for epoch in tree.epochs:
         for node in epoch:
             if not participates.get(node, False):
                 continue
@@ -148,7 +148,7 @@ def als1_process(
 def expected_acks(keys: KeyStore, tree: AggregationTree, nonce: bytes) -> dict[NodeId, bytes]:
     """Per-node expected aggregated ack: XOR of acks over the node's subtree."""
     out: dict[NodeId, bytes] = {}
-    for epoch in schedule_epochs(tree):
+    for epoch in tree.epochs:
         for node in epoch:
             parts = [crypto.node_ack(keys.bs_key(node), nonce)]
             parts.extend(out[c] for c in tree.children.get(node, []))
@@ -177,7 +177,7 @@ def als2_collect(
     net.phase = "als2"
     inbox: dict[NodeId, dict[NodeId, bytes]] = {n: {} for n in tree.members}
     inbox[BS_ID] = {}
-    for epoch in schedule_epochs(tree):
+    for epoch in tree.epochs:
         for node in epoch:
             kids = tree.children.get(node, [])
             if not kids:

@@ -9,6 +9,7 @@ single authenticated broadcast so every node's view matches the BS's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import crypto, wire
 from .crypto import BS_ID, NodeId, SignatureOracle
@@ -119,7 +120,7 @@ def atr_basic(
     # Upward response relay, deepest levels first, at most n forwarded per node.
     relay_cap = graph.n
     upward: dict[NodeId, list[bytes]] = {u: [] for u in parent}
-    for u in sorted(parent, key=lambda x: (-flood.depth(x), x)):
+    for u in chain.from_iterable(flood.epochs):
         kid_ids = flood.children[u]
         resp = crypto.auth_wrap(
             net.keys.bs_key(u),
@@ -180,6 +181,8 @@ def atr_resilient_init(
     net.phase = "nl"
     graph = net.graph
     announced: dict[NodeId, set[NodeId]] = {}
+    # Every list crosses every backbone edge, so each edge carries the sum.
+    list_bytes = 0
     for s in sorted(graph.sensors):
         nbrs = list(graph.neighbors(s))
         fake = adv.action(s, "nl_fake")
@@ -190,11 +193,12 @@ def atr_resilient_init(
                 - set(fake.params.get("remove", ()))
             )
         blob = oracle.sign(s, wire.frame(b"nl", *[wire.u16(v) for v in nbrs]))
-        for a, c in graph.flood_edges:
-            net.ledger.charge(a, c, blob.size, net.phase)
+        list_bytes += blob.size
         if oracle.verify(s, blob):
             fields = wire.unframe(blob.payload)
             announced[s] = {wire.read_u16(f) for f in fields[1:]}
+    for a, c in graph.flood_edges:
+        net.ledger.charge(a, c, list_bytes, net.phase)
     edges: set[tuple[NodeId, NodeId]] = set()
     bs_nbrs = set(graph.neighbors(BS_ID))
     for s, nbrs in announced.items():

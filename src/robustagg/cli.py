@@ -13,7 +13,7 @@ import sys
 
 from . import orchestrator
 from .errors import ConfigError
-from .scenario import SCHEMA, Scenario
+from .scenario import SCHEMA, Scenario, load_config
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -46,9 +46,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        scenario = Scenario.from_dict(
-            _apply_overrides(Scenario.from_file(args.config).config, args)
-        )
+        scenario = Scenario.from_dict(_apply_overrides(load_config(args.config), args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

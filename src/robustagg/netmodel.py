@@ -77,9 +77,8 @@ class NetworkGraph:
 class AggregationTree:
     """Rooted tree over node ids; the BS always has exactly one child."""
 
-    def __init__(self, parent: dict[NodeId, NodeId], session: int = 0):
+    def __init__(self, parent: dict[NodeId, NodeId]):
         self.parent = dict(parent)
-        self.session = session
         self.children: dict[NodeId, list[NodeId]] = {BS_ID: []}
         for c in self.parent:
             self.children.setdefault(c, [])
@@ -89,17 +88,20 @@ class AggregationTree:
             kids.sort()
         if len(self.children[BS_ID]) != 1:
             raise ConfigError("BS must have exactly one child")
-        self._depth: dict[NodeId, int] = {BS_ID: 0}
-        stack = [BS_ID]
-        while stack:
-            u = stack.pop()
-            for v in self.children.get(u, []):
-                self._depth[v] = self._depth[u] + 1
-                stack.append(v)
+        # Leaves-first epochs from a level walk down from the BS: deepest
+        # level first, ids sorted within a level.  Every node acts after all
+        # its children because a child is always strictly deeper.
+        self.epochs: list[list[NodeId]] = []
+        level = list(self.children[BS_ID])
+        while level:
+            self.epochs.append(level)
+            level = sorted(v for u in level for v in self.children[u])
+        self.epochs.reverse()
         # Reject cycles / orphans: every node must reach the BS, i.e. be
         # reached by the walk down from it.
+        reached = {v for epoch in self.epochs for v in epoch}
         for c in self.parent:
-            if c not in self._depth:
+            if c not in reached:
                 raise ConfigError(f"node {c} does not reach the BS")
 
     @property
@@ -110,9 +112,6 @@ class AggregationTree:
     def members(self) -> set[NodeId]:
         """Sensor nodes in the tree (BS excluded)."""
         return set(self.parent)
-
-    def depth(self, node: NodeId) -> int:
-        return self._depth[node]
 
     def is_leaf(self, node: NodeId) -> bool:
         return not self.children.get(node)
@@ -128,7 +127,7 @@ class AggregationTree:
 
     def height(self) -> int:
         """Longest root-to-leaf path, in edges."""
-        return max(self._depth.values())
+        return len(self.epochs)
 
     def max_degree(self) -> int:
         """Max tree degree over non-root nodes (children + parent link)."""
@@ -136,18 +135,6 @@ class AggregationTree:
 
     def metrics(self) -> tuple[int, int]:
         return self.height(), self.max_degree()
-
-
-def schedule_epochs(tree: AggregationTree) -> list[list[NodeId]]:
-    """Leaves-first epoch sets: every node acts after all its children.
-
-    Grouping by depth (deepest first) satisfies the ordering because a
-    child is always strictly deeper than its parent.
-    """
-    by_depth: dict[int, list[NodeId]] = {}
-    for node in tree.parent:
-        by_depth.setdefault(tree.depth(node), []).append(node)
-    return [sorted(by_depth[d]) for d in sorted(by_depth, reverse=True)]
 
 
 class CongestionLedger:

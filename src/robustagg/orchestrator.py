@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import als, atr, crypto, shia, wire
 from .adversary import Adversary
 from .crypto import BS_ID, KeyStore, NodeId, SignatureOracle
-from .errors import UnlocalizableFailure
+from .errors import ProtocolViolation, UnlocalizableFailure
 from .netmodel import AggregationTree, CongestionLedger, Network
 from .scenario import Scenario
 
@@ -151,7 +151,7 @@ def security_audit(rec: SessionRecord, gt: SessionGroundTruth, faulty: frozenset
 
 
 def run_sessions(scenario: Scenario) -> RunResult:
-    graph = scenario.build_graph()
+    graph = scenario.graph
     adv = scenario.build_adversary()
     seed_bytes = str(scenario.seed).encode()
     keys = KeyStore(seed_bytes)
@@ -198,7 +198,8 @@ def run_sessions(scenario: Scenario) -> RunResult:
             marks = als.als1_process(keys, tree, m_b, nonce)
             if not marks:
                 als2_ran = True
-                assert sres.agg_ack is not None, "ALS.II requires an aggregated ack"
+                if sres.agg_ack is None:
+                    raise ProtocolViolation(f"session {i}: ALS.II requires an aggregated ack")
                 m_b2 = als.als2_collect(net, tree, sres.child_acks, adv, nonce)
                 marks = als.als2_process(keys, tree, m_b2, sres.agg_ack, nonce)
             if not marks:

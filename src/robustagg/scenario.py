@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .adversary import Adversary, ScriptEntry
@@ -131,9 +131,25 @@ def build_graph(topology: dict, seed: int) -> NetworkGraph:
     raise ConfigError(f"unknown topology kind {kind!r}")
 
 
+def load_config(path: str) -> dict:
+    """Read a scenario file; failing to get a JSON object is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top-level JSON value must be an object")
+    return data
+
+
 @dataclass
 class Scenario:
     config: dict
+    # Built once by validate(); every run of this scenario shares it read-only.
+    graph: NetworkGraph = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, config: dict) -> "Scenario":
@@ -143,12 +159,7 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path: str) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(load_config(path))
 
     def validate(self) -> None:
         c = self.config
@@ -158,7 +169,7 @@ class Scenario:
         lo, hi = self.value_range
         if lo > hi:
             raise ConfigError("value range is empty")
-        graph = self.build_graph()
+        graph = self.graph = build_graph(c["topology"], self.seed)
         adv = c.get("adversary", {})
         faulty = set(adv.get("faulty", ()))
         if not faulty <= graph.sensors:
@@ -201,9 +212,6 @@ class Scenario:
     @property
     def accept_on_als2(self) -> bool:
         return bool(self.config.get("accept_on_als2", False))
-
-    def build_graph(self) -> NetworkGraph:
-        return build_graph(self.config["topology"], self.seed)
 
     def build_adversary(self) -> Adversary:
         adv = self.config.get("adversary", {})

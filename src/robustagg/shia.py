@@ -14,7 +14,7 @@ from . import crypto, wire
 from .adversary import garble
 from .crypto import BS_ID, NodeId
 from .errors import FrameError
-from .netmodel import AggregationTree, Network, schedule_epochs
+from .netmodel import AggregationTree, Network
 
 _LEAF_TAG = b"\x00"
 _INTERNAL_TAG = b"\x01"
@@ -180,7 +180,6 @@ def run_shia(
     no-op adversary yields the honest run.
     """
     m_lo, m_hi = value_range
-    epochs = schedule_epochs(tree)
 
     # --- query dissemination ---
     net.phase = "query"
@@ -195,7 +194,7 @@ def run_shia(
     accepted_children: dict[NodeId, list[NodeId]] = {}
     sent_labels: dict[NodeId, Label | None] = {}
 
-    for epoch in epochs:
+    for epoch in tree.epochs:
         for node in epoch:
             own_val = values[node]
             forge_val = adv.action(node, "own_value_forge")
@@ -283,7 +282,7 @@ def run_shia(
     parsed: dict[bytes, Offpath] = {}
     offpath: dict[NodeId, Offpath | None] = {n: None for n in tree.members}
     offpath[b] = offpath_from_bytes(b"", parsed)
-    for epoch in reversed(epochs):
+    for epoch in reversed(tree.epochs):
         for node in epoch:
             above = offpath[node]
             if above is None:
@@ -310,7 +309,7 @@ def run_shia(
     ack_inbox: dict[NodeId, dict[NodeId, bytes]] = {n: {} for n in tree.members}
     ack_inbox[BS_ID] = {}
     roots: dict[tuple[Label, Offpath], Label] = {}
-    for epoch in epochs:
+    for epoch in tree.epochs:
         for node in epoch:
             own = sent_labels.get(node)
             path = offpath[node]

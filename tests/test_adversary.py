@@ -1,7 +1,7 @@
 import pytest
 
 from robustagg.adversary import CATALOG, Adversary, ScriptEntry, catalog, honest
-from robustagg.errors import ConfigError
+from robustagg.errors import ConfigError, ProtocolViolation
 
 from helpers import entry
 
@@ -59,8 +59,9 @@ def test_trace_records_only_fired_events():
 def test_own_value_forge_is_never_traced():
     adv = Adversary(faulty={3}, scripts=[entry(3, "own_value_forge", value=9)])
     adv.begin_session(0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ProtocolViolation):
         adv.fire(3, "own_value_forge")
+    assert adv.trace == []
 
 
 def test_honest_adversary_is_inert():

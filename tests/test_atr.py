@@ -138,17 +138,29 @@ class TestResilientRebuild:
             )
 
     def test_collection_cost_is_every_list_on_every_backbone_edge(self):
-        net = ring_net(6)
-        oracle = SignatureOracle(b"atr-test")
-        atr.atr_resilient_init(net, oracle, Adversary(()))
-        blob_total = sum(
-            oracle.sign(
-                s,
-                wire.frame(b"nl", *[wire.u16(v) for v in net.graph.neighbors(s)]),
-            ).size
-            for s in sorted(net.graph.sensors)
+        # Honest lists, then 3 announcing two fabricated links and 5 hiding a
+        # real one: each faked list changes its signed blob's size.
+        faking = Adversary(
+            {3, 5}, [entry(3, "nl_fake", add=[5, 6]), entry(5, "nl_fake", remove=[4])]
         )
-        assert net.ledger.per_phase["nl"] == blob_total * len(
-            net.graph.bfs_spanning_edges()
-        )
-        assert net.ledger.max_congestion() == blob_total
+        totals = []
+        for adv, fakes in [(Adversary(()), {}), (faking, {3: [2, 4, 5, 6], 5: [6]})]:
+            net = ring_net(6)
+            oracle = SignatureOracle(b"atr-test")
+            adv.begin_session(-1)
+            atr.atr_resilient_init(net, oracle, adv)
+            blob_total = sum(
+                oracle.sign(
+                    s,
+                    wire.frame(
+                        b"nl", *[wire.u16(v) for v in fakes.get(s, net.graph.neighbors(s))]
+                    ),
+                ).size
+                for s in sorted(net.graph.sensors)
+            )
+            backbone = net.graph.bfs_spanning_edges()
+            assert net.ledger.per_edge == {e: blob_total for e in backbone}
+            assert net.ledger.per_phase == {"nl": blob_total * len(backbone)}
+            assert net.ledger.max_congestion() == blob_total
+            totals.append(blob_total)
+        assert totals[0] != totals[1]

@@ -19,9 +19,13 @@ SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
-def test_report_matches_golden(path):
+def test_report_matches_golden(path, tmp_path):
+    golden = (GOLDEN / path.name).read_text(encoding="utf-8")
     report = cli.render_report(orchestrator.run_sessions(Scenario.from_file(str(path))))
-    assert report == (GOLDEN / path.name).read_text(encoding="utf-8")
+    assert report == golden
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_text(encoding="utf-8") == golden
 
 
 def test_sweep_matches_golden(tmp_path):

@@ -11,7 +11,6 @@ from robustagg.netmodel import (
     Network,
     NetworkGraph,
     edge_key,
-    schedule_epochs,
 )
 
 from helpers import net_for_tree
@@ -108,9 +107,14 @@ def test_schedule_children_always_before_parents():
         n = rng.randint(1, 30)
         parent = random_parent_map(rng, n)
         tree = AggregationTree(parent)
-        epochs = schedule_epochs(tree)
+        # Reference: one epoch per depth, deepest first, ids sorted.
+        depth = {BS_ID: 0}
+        for s in sorted(parent):  # a parent's id is always below its child's
+            depth[s] = depth[parent[s]] + 1
+        levels = range(max(depth.values()), 0, -1)
+        assert tree.epochs == [sorted(s for s in parent if depth[s] == d) for d in levels]
         seen_at = {}
-        for i, epoch in enumerate(epochs):
+        for i, epoch in enumerate(tree.epochs):
             for node in epoch:
                 seen_at[node] = i
         assert set(seen_at) == tree.members

@@ -36,7 +36,7 @@ class TestHonestRuns:
         assert [r.verdict for r in result.records] == ["success"] * 4
         assert result.blacklist == set()
         for i, rec in enumerate(result.records):
-            values = scenario.values_for(i, scenario.build_graph().sensors)
+            values = scenario.values_for(i, scenario.graph.sensors)
             assert rec.value == sum(values.values())
         assert result.audits()["all_pass"]
 

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from robustagg import cli, orchestrator
+from robustagg import cli, orchestrator, scenario
 from robustagg.errors import ConfigError
 from robustagg.scenario import Scenario, build_graph, canonical_json, config_hash
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def base_config(**overrides) -> dict:
@@ -83,7 +86,7 @@ class TestValidation:
 class TestGeneration:
     def test_values_deterministic_and_in_range(self):
         sc = Scenario.from_dict(base_config())
-        sensors = sc.build_graph().sensors
+        sensors = sc.graph.sensors
         one = sc.values_for(0, sensors)
         two = sc.values_for(0, sensors)
         assert one == two
@@ -93,7 +96,7 @@ class TestGeneration:
 
     def test_fixed_values_override_draws(self):
         sc = Scenario.from_dict(base_config(fixed_values={"3": 77}))
-        assert sc.values_for(0, sc.build_graph().sensors)[3] == 77
+        assert sc.values_for(0, sc.graph.sensors)[3] == 77
 
     def test_geometric_topology_deterministic_per_seed(self):
         g1 = build_graph({"kind": "geometric", "n": 30, "d_max": 6}, 5)
@@ -123,6 +126,41 @@ class TestCli:
         del cfg["sessions"]
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("content", [None, "[1, 2]"], ids=["missing_file", "non_object"])
+    def test_unloadable_config_is_a_config_error(self, tmp_path, capsys, command, content):
+        path = tmp_path / "scenario.json"
+        if content is not None:
+            path.write_text(content)
+        argv = ["run", "--config", str(path)]
+        if command == "sweep":
+            argv = ["sweep", "--template", str(path), "--sizes", "24,40"]
+        assert cli.main(argv) == cli.EXIT_PARSE_ERROR
+        assert "config error" in capsys.readouterr().err
+
+    def test_run_builds_the_graph_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = scenario.build_graph
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scenario, "build_graph", counting)
+        # An override must not cost a second validation.
+        cfg_path = write_config(tmp_path, base_config(atr="resilient"))
+        assert cli.main(["run", "--config", cfg_path, "--atr", "basic"]) == cli.EXIT_OK
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("atr", ["basic", "resilient"])
+    def test_rerunning_one_scenario_reproduces_its_report(self, atr):
+        # Runs share the scenario's validated graph, so none may change it.
+        cfg = json.loads((SCENARIOS / "geometric_forger.json").read_text())
+        sc = Scenario.from_dict({**cfg, "atr": atr})
+        first = cli.render_report(orchestrator.run_sessions(sc))
+        assert json.loads(first)["totals"]["failures"] > 0
+        assert cli.render_report(orchestrator.run_sessions(sc)) == first
 
     def test_seed_override_changes_report(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
