@@ -60,8 +60,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        template = Scenario.from_file(args.template).config
-        if template["topology"]["kind"] not in ("chain", "geometric"):
+        # Each point validates its own config; the template's n is never built.
+        template = load_config(args.template)
+        topology = template.get("topology")
+        if not isinstance(topology, dict) or topology.get("kind") not in ("chain", "geometric"):
             raise ConfigError("sweep needs a topology sized by n (chain or geometric)")
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         if len(set(sizes)) < len(sizes):
@@ -109,6 +111,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         data = json.loads(original)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    if not isinstance(data, dict):
+        print("refusing replay: report is not a JSON object", file=sys.stderr)
         return EXIT_PARSE_ERROR
     if data.get("schema") != SCHEMA:
         print(

@@ -67,10 +67,6 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
     for s in range(1, n + 1):
         pos[s] = (rng.random(), rng.random())
 
-    def dist(a: int, b: int) -> float:
-        (x1, y1), (x2, y2) = pos[a], pos[b]
-        return math.hypot(x1 - x2, y1 - y2)
-
     deg: dict[int, int] = {v: 0 for v in pos}
     edges: set[tuple[int, int]] = set()
 
@@ -80,39 +76,34 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
         deg[b] += 1
 
     # Backbone over sensors only: tree floods never route through the BS,
-    # so the sensor subgraph itself must be connected.
-    placed = [1]
+    # so the sensor subgraph itself must be connected.  Each sensor pair's
+    # distance is computed once, when the later sensor is placed; the same
+    # list picks the backbone target and keeps the pairs inside the radius.
+    radius = math.sqrt(3.0 / n)
+    short: list[tuple[float, int, int]] = []
+    sensors = list(pos.items())[1:]  # in id order
     for s in range(2, n + 1):
-        candidates = sorted(placed, key=lambda v: (dist(s, v), v))
-        target = next((v for v in candidates if deg[v] < d_max - 1), candidates[0])
-        add(s, target)
-        placed.append(s)
+        xs, ys = pos[s]
+        near = [(math.hypot(x - xs, y - ys), v) for v, (x, y) in sensors[: s - 1]]
+        free = [p for p in near if deg[p[1]] < d_max - 1]
+        add(s, min(free or near)[1])
+        short.extend((d, v, s) for d, v in near if d <= radius)
 
-    radius = math.sqrt(3.0 / max(n, 1))
-    all_pairs = sorted(
-        (
-            (dist(a, b), a, b)
-            for i, a in enumerate(placed)
-            for b in placed[i + 1 :]
-            if edge_key(a, b) not in edges
-        ),
-    )
-    for d, a, b in all_pairs:
-        if d > radius:
-            break
-        if deg[a] < d_max and deg[b] < d_max:
+    # Extra short links, nearest first, while both ends stay under the bound.
+    short.sort()
+    for d, a, b in short:
+        if edge_key(a, b) not in edges and deg[a] < d_max and deg[b] < d_max:
             add(a, b)
 
-    # The BS hears its nearest sensors (always at least one).
-    by_dist = sorted(range(1, n + 1), key=lambda v: (dist(BS_ID, v), v))
+    # The BS hears its nearest sensors that still have a free slot.
+    bx, by = pos[BS_ID]
+    by_dist = sorted((math.hypot(bx - x, by - y), v) for v, (x, y) in sensors)
     want = max(1, min(3, d_max - 1, n))
-    for v in by_dist:
+    for _, v in by_dist:
         if deg[BS_ID] >= want:
             break
         if deg[v] < d_max:
             add(BS_ID, v)
-    if deg[BS_ID] == 0:
-        add(BS_ID, next(v for v in by_dist if deg[v] < d_max))
     return NetworkGraph(set(range(1, n + 1)), edges, d_max)
 
 
@@ -153,6 +144,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, config: dict) -> "Scenario":
+        if not isinstance(config, dict):
+            raise ConfigError("scenario config must be a JSON object")
         sc = cls(dict(config))
         sc.validate()
         return sc

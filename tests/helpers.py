@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import random
 import struct
 from dataclasses import dataclass
 from itertools import product
@@ -10,7 +12,7 @@ from itertools import product
 from robustagg import als, shia, wire
 from robustagg.adversary import Adversary, ScriptEntry
 from robustagg.crypto import BS_ID, KeyStore
-from robustagg.errors import FrameError
+from robustagg.errors import ConfigError, FrameError
 from robustagg.netmodel import AggregationTree, Network, NetworkGraph, edge_key
 
 
@@ -220,3 +222,71 @@ def oracle_xor(parts: list[bytes]) -> bytes:
         for i, b in enumerate(p):
             out[i] ^= b
     return bytes(out)
+
+
+# --- geometric generator reference: sorts every placed sensor per insertion
+# and every sensor pair; raises StopIteration when no sensor can take the BS ---
+
+
+def oracle_geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
+    """Connected degree-bounded graph over random positions.
+
+    A nearest-neighbor backbone guarantees connectivity without retries;
+    extra short links are added while both endpoints stay under the bound.
+    """
+    if n < 1:
+        raise ConfigError("geometric topology needs n >= 1")
+    if d_max < 2:
+        raise ConfigError("geometric topology needs d_max >= 2")
+    rng = random.Random(f"topo:{seed}:{n}:{d_max}")
+    pos = {BS_ID: (0.5, 0.5)}
+    for s in range(1, n + 1):
+        pos[s] = (rng.random(), rng.random())
+
+    def dist(a: int, b: int) -> float:
+        (x1, y1), (x2, y2) = pos[a], pos[b]
+        return math.hypot(x1 - x2, y1 - y2)
+
+    deg: dict[int, int] = {v: 0 for v in pos}
+    edges: set[tuple[int, int]] = set()
+
+    def add(a: int, b: int) -> None:
+        edges.add(edge_key(a, b))
+        deg[a] += 1
+        deg[b] += 1
+
+    # Backbone over sensors only: tree floods never route through the BS,
+    # so the sensor subgraph itself must be connected.
+    placed = [1]
+    for s in range(2, n + 1):
+        candidates = sorted(placed, key=lambda v: (dist(s, v), v))
+        target = next((v for v in candidates if deg[v] < d_max - 1), candidates[0])
+        add(s, target)
+        placed.append(s)
+
+    radius = math.sqrt(3.0 / max(n, 1))
+    all_pairs = sorted(
+        (
+            (dist(a, b), a, b)
+            for i, a in enumerate(placed)
+            for b in placed[i + 1 :]
+            if edge_key(a, b) not in edges
+        ),
+    )
+    for d, a, b in all_pairs:
+        if d > radius:
+            break
+        if deg[a] < d_max and deg[b] < d_max:
+            add(a, b)
+
+    # The BS hears its nearest sensors (always at least one).
+    by_dist = sorted(range(1, n + 1), key=lambda v: (dist(BS_ID, v), v))
+    want = max(1, min(3, d_max - 1, n))
+    for v in by_dist:
+        if deg[BS_ID] >= want:
+            break
+        if deg[v] < d_max:
+            add(BS_ID, v)
+    if deg[BS_ID] == 0:
+        add(BS_ID, next(v for v in by_dist if deg[v] < d_max))
+    return NetworkGraph(set(range(1, n + 1)), edges, d_max)

@@ -2,10 +2,21 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import oracle_geometric_graph
 from robustagg import cli, orchestrator, scenario
+from robustagg.crypto import BS_ID
 from robustagg.errors import ConfigError
-from robustagg.scenario import Scenario, build_graph, canonical_json, config_hash
+from robustagg.scenario import (
+    SCHEMA,
+    Scenario,
+    _geometric_graph,
+    build_graph,
+    canonical_json,
+    config_hash,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -25,6 +36,20 @@ def write_config(tmp_path, cfg, name="scenario.json") -> str:
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return str(p)
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The (topology, seed) of every scenario.build_graph call."""
+    calls = []
+    real = scenario.build_graph
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scenario, "build_graph", counting)
+    return calls
 
 
 class TestValidation:
@@ -105,6 +130,22 @@ class TestGeneration:
         assert g1.edges == g2.edges
         assert g1.edges != g3.edges
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 200), st.integers(2, 9), st.integers())
+    def test_geometric_graph_matches_oracle(self, n, d_max, seed):
+        try:
+            want = oracle_geometric_graph(n, d_max, seed)
+        except (ConfigError, StopIteration) as exc:
+            # The oracle's StopIteration meant no sensor could take the BS.
+            with pytest.raises(ConfigError) as got:
+                _geometric_graph(n, d_max, seed)
+            if isinstance(exc, ConfigError):
+                assert str(got.value) == str(exc)
+            return
+        got = _geometric_graph(n, d_max, seed)
+        assert got.edges == want.edges
+        assert got.neighbors(BS_ID) == want.neighbors(BS_ID)
+
     def test_config_hash_ignores_key_order(self):
         a = {"seed": 1, "sessions": 2}
         b = {"sessions": 2, "seed": 1}
@@ -139,19 +180,17 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_PARSE_ERROR
         assert "config error" in capsys.readouterr().err
 
-    def test_run_builds_the_graph_once(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        real = scenario.build_graph
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(scenario, "build_graph", counting)
+    def test_run_builds_the_graph_once(self, tmp_path, capsys, graph_builds):
         # An override must not cost a second validation.
         cfg_path = write_config(tmp_path, base_config(atr="resilient"))
         assert cli.main(["run", "--config", cfg_path, "--atr", "basic"]) == cli.EXIT_OK
-        assert len(calls) == 1
+        assert len(graph_builds) == 1
+
+    def test_sweep_builds_one_graph_per_size(self, tmp_path, capsys, graph_builds):
+        # The template's own n (24) is no sweep point and is never built.
+        cfg_path = write_config(tmp_path, base_config(sessions=2))
+        assert cli.main(["sweep", "--template", cfg_path, "--sizes", "30,40"]) == cli.EXIT_OK
+        assert [topology["n"] for topology, _ in graph_builds] == [30, 40]
 
     @pytest.mark.parametrize("atr", ["basic", "resilient"])
     def test_rerunning_one_scenario_reproduces_its_report(self, atr):
@@ -204,6 +243,17 @@ class TestCli:
         assert cli.main(["replay", "--report", str(foreign)]) == cli.EXIT_PARSE_ERROR
         assert "refusing replay" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "report",
+        [[1], {"schema": SCHEMA, "config": [1, 2], "config_hash": "0" * 64}],
+        ids=["non_object_report", "non_object_config"],
+    )
+    def test_replay_rejects_non_object_input(self, tmp_path, capsys, report):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert cli.main(["replay", "--report", str(path)]) == cli.EXIT_PARSE_ERROR
+        assert "JSON object" in capsys.readouterr().err
+
     def test_replay_refuses_mismatched_config_hash(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         out_path = str(tmp_path / "report.json")
@@ -255,3 +305,11 @@ class TestCli:
         cfg_path = write_config(tmp_path, base_config(topology=topology))
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
         assert "n >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_geometric_bs_without_a_free_sensor_is_a_config_error(self, tmp_path, capsys, seed):
+        # Three sensors at d_max 2 close a triangle: no sensor has a slot for the BS.
+        topology = {"kind": "geometric", "n": 3, "d_max": 2}
+        cfg_path = write_config(tmp_path, {"seed": seed, "sessions": 1, "topology": topology})
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
+        assert "config error: BS has no neighbors" in capsys.readouterr().err
