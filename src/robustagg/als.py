@@ -99,9 +99,7 @@ def als1_collect(
             if adv.action(node, "confirm_drop") is not None:
                 adv.fire(node, "confirm_drop")
                 continue
-            delivered = net.send_link(node, tree.parent[node], msg)
-            if delivered is not None:
-                inbox[tree.parent[node]][node] = delivered
+            inbox[tree.parent[node]][node] = net.send_link(node, tree.parent[node], msg)
     return inbox[BS_ID].get(tree.bs_child)
 
 
@@ -193,9 +191,7 @@ def als2_collect(
                 adv.fire(node, "report_drop")
                 continue
             msg = _wrap(net.keys.bs_key(node), wire.frame(nonce, *reports, *acks))
-            delivered = net.send_link(node, tree.parent[node], msg)
-            if delivered is not None:
-                inbox[tree.parent[node]][node] = delivered
+            inbox[tree.parent[node]][node] = net.send_link(node, tree.parent[node], msg)
     return inbox[BS_ID].get(tree.bs_child)
 
 

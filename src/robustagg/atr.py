@@ -117,32 +117,29 @@ def atr_basic(
             # childhood confirmation back to the chosen parent
             net.send_link(c, p, wire.frame(nonce, wire.u16(c)))
 
-    # Upward response relay, deepest levels first, at most n forwarded per node.
-    relay_cap = graph.n
-    upward: dict[NodeId, list[bytes]] = {u: [] for u in parent}
+    # Upward response relay, deepest levels first: a node passes its own
+    # response and everything its children forwarded to its parent, and the
+    # link is charged once for all of it, one link envelope per message.  A
+    # dropping node cuts off its whole subtree.
+    upward: dict[NodeId, list[bytes]] = {u: [] for u in (BS_ID, *parent)}
+    carried: dict[NodeId, int] = dict.fromkeys(upward, 0)  # bytes children sent up
     for u in chain.from_iterable(flood.epochs):
-        kid_ids = flood.children[u]
-        resp = crypto.auth_wrap(
-            net.keys.bs_key(u),
-            wire.frame(nonce, wire.u16(u), *[wire.u16(c) for c in kid_ids]),
-        ).to_bytes()
-        batch = [resp] + upward[u][:relay_cap]
         if adv.action(u, "response_drop") is not None:
             adv.fire(u, "response_drop")
             continue
+        resp = crypto.auth_wrap(
+            net.keys.bs_key(u),
+            wire.frame(nonce, wire.u16(u), *[wire.u16(c) for c in flood.children[u]]),
+        ).to_bytes()
         p = parent[u]
-        for msg in batch:
-            delivered = net.send_link(u, p, msg)
-            if delivered is None:
-                continue
-            if p == BS_ID:
-                upward.setdefault(BS_ID, []).append(delivered)
-            else:
-                upward[p].append(delivered)
+        nbytes = carried[u] + wire.framed_size(len(resp), wire.ACK_LEN)
+        net.ledger.charge(u, p, nbytes, net.phase)
+        carried[p] += nbytes
+        upward[p] += [resp, *upward[u]]
 
     # BS assembly: first verified response per node wins.
     claims: dict[NodeId, list[NodeId]] = {}
-    for raw in upward.get(BS_ID, []):
+    for raw in upward[BS_ID]:
         try:
             env = crypto.AuthEnvelope.from_bytes(raw)
             fields = wire.unframe(env.payload)

@@ -48,23 +48,18 @@ ZERO_ACK = b"\x00" * wire.ACK_LEN
 
 def xor_acks(acks: list[bytes]) -> bytes:
     """XOR-combine acknowledgement codes; identity is the all-zero ack."""
-    out = bytearray(ZERO_ACK)
+    out = 0
     for a in acks:
         if len(a) != wire.ACK_LEN:
             raise ProtocolViolation(f"ack of length {len(a)}, expected {wire.ACK_LEN}")
-        for i, b in enumerate(a):
-            out[i] ^= b
-    return bytes(out)
+        out ^= int.from_bytes(a, "big")
+    return out.to_bytes(wire.ACK_LEN, "big")
 
 
 @dataclass(frozen=True)
 class AuthEnvelope:
     payload: bytes
     tag: bytes
-
-    @property
-    def size(self) -> int:
-        return wire.framed_size(len(self.payload), len(self.tag))
 
     def to_bytes(self) -> bytes:
         return wire.frame(self.payload, self.tag)

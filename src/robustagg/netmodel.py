@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import crypto, wire
+from . import wire
 from .crypto import BS_ID, KeyStore, NodeId
 from .errors import ConfigError, ProtocolViolation
 
@@ -171,27 +171,17 @@ class Network:
     ledger: CongestionLedger = field(default_factory=CongestionLedger)
     phase: str = "idle"
 
-    def send_link(self, frm: NodeId, to: NodeId, payload: bytes) -> bytes | None:
-        """Authenticated neighbor send; returns the payload the receiver accepts.
+    def send_link(self, frm: NodeId, to: NodeId, payload: bytes) -> bytes:
+        """Hop-authenticated neighbor send; returns the payload the receiver gets.
 
-        The sender holds the link key, so envelopes from real endpoints always
-        verify; the tamper-drop contract is exercised via send_link_raw.
+        The link MAC is charged, not computed: the sender always holds the
+        link key, so the tag would always verify.  The charge is the framed
+        envelope of the payload and a 16-byte tag.
         """
-        env = crypto.auth_wrap(self.keys.link_key(frm, to), payload)
-        return self._deliver(frm, to, env)
-
-    def send_link_raw(self, frm: NodeId, to: NodeId, env: crypto.AuthEnvelope) -> bytes | None:
-        """Deliver a caller-built envelope (lets tests model in-transit damage)."""
-        return self._deliver(frm, to, env)
-
-    def _deliver(self, frm: NodeId, to: NodeId, env: crypto.AuthEnvelope) -> bytes | None:
         if not self.graph.has_edge(frm, to):
             raise ConfigError(f"({frm}, {to}) is not a graph edge")
-        # Transmitted bytes count whether or not the receiver keeps them.
-        self.ledger.charge(frm, to, env.size, self.phase)
-        if not crypto.auth_verify(self.keys.link_key(frm, to), env):
-            return None
-        return env.payload
+        self.ledger.charge(frm, to, wire.framed_size(len(payload), wire.ACK_LEN), self.phase)
+        return payload
 
     def bs_broadcast(self, sender: NodeId, payload: bytes) -> bytes:
         """Network-wide authenticated broadcast (ideal oracle, BS only).

@@ -19,6 +19,7 @@ from .errors import ConfigError
 from .netmodel import NetworkGraph, edge_key
 
 SCHEMA = "robustagg-report-v1"
+MAX_SESSIONS = 1 << 16
 
 
 def canonical_json(obj: Any) -> str:
@@ -85,8 +86,10 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
     for s in range(2, n + 1):
         xs, ys = pos[s]
         near = [(math.hypot(x - xs, y - ys), v) for v, (x, y) in sensors[: s - 1]]
+        # Prefer a sensor under d_max - 1; else any under d_max, which the
+        # backbone tree always has (a leaf, or sensor 1 before any link).
         free = [p for p in near if deg[p[1]] < d_max - 1]
-        add(s, min(free or near)[1])
+        add(s, min(free or [p for p in near if deg[p[1]] < d_max])[1])
         short.extend((d, v, s) for d, v in near if d <= radius)
 
     # Extra short links, nearest first, while both ends stay under the bound.
@@ -104,6 +107,8 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
             break
         if deg[v] < d_max:
             add(BS_ID, v)
+    if deg[BS_ID] == 0:
+        raise ConfigError(f"BS has no neighbors: every sensor is at d_max {d_max}")
     return NetworkGraph(set(range(1, n + 1)), edges, d_max)
 
 
@@ -159,6 +164,11 @@ class Scenario:
         for key in ("seed", "topology", "sessions"):
             if key not in c:
                 raise ConfigError(f"missing config field {key!r}")
+        # bool is an int subclass; the session index is packed as a u16.
+        if type(c["seed"]) is not int:
+            raise ConfigError("seed must be an integer")
+        if type(c["sessions"]) is not int or not 0 <= c["sessions"] <= MAX_SESSIONS:
+            raise ConfigError(f"sessions must be an integer in 0..{MAX_SESSIONS}")
         lo, hi = self.value_range
         if lo > hi:
             raise ConfigError("value range is empty")

@@ -248,8 +248,7 @@ def run_shia(
                 continue
             sent_labels[node] = label
             delivered = net.send_link(node, tree.parent[node], label.to_bytes())
-            if delivered is not None:
-                inbox[tree.parent[node]][node] = Label.from_bytes(delivered)
+            inbox[tree.parent[node]][node] = Label.from_bytes(delivered)
 
     b = tree.bs_child
     root_label = inbox[BS_ID].get(b)
@@ -296,11 +295,10 @@ def run_shia(
                     msg = garble(msg)
                     adv.fire(node, "offpath_corrupt")
                 delivered = net.send_link(node, child, msg)
-                if delivered is not None:
-                    try:
-                        offpath[child] = offpath_from_bytes(delivered, parsed)
-                    except FrameError:
-                        offpath[child] = None
+                try:
+                    offpath[child] = offpath_from_bytes(delivered, parsed)
+                except FrameError:
+                    offpath[child] = None
 
     # --- acknowledgement aggregation ---
     net.phase = "ack"
@@ -340,7 +338,7 @@ def run_shia(
                 up = garble(crypto.ZERO_ACK if up is None else up)
             if up is not None:
                 delivered = net.send_link(node, tree.parent[node], up)
-                if delivered is not None and len(delivered) == wire.ACK_LEN:
+                if len(delivered) == wire.ACK_LEN:
                     ack_inbox[tree.parent[node]][node] = delivered
 
     agg_ack = ack_inbox[BS_ID].get(b)

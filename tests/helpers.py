@@ -7,11 +7,12 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
-from robustagg import als, shia, wire
+from robustagg import als, crypto, shia, wire
 from robustagg.adversary import Adversary, ScriptEntry
-from robustagg.crypto import BS_ID, KeyStore
+from robustagg.atr import AtrOutcome, _distribute
+from robustagg.crypto import BS_ID, KeyStore, NodeId
 from robustagg.errors import ConfigError, FrameError
 from robustagg.netmodel import AggregationTree, Network, NetworkGraph, edge_key
 
@@ -128,6 +129,11 @@ def entry(node: int, kind: str, **params) -> ScriptEntry:
 
 def oracle_frame(*fields: bytes) -> bytes:
     return b"".join(struct.pack(">I", len(f)) + f for f in fields)
+
+
+def oracle_link_charge(payload: bytes) -> int:
+    """Bytes of one hop-authenticated send: the payload framed with a 16-byte tag."""
+    return len(oracle_frame(payload, b"\0" * 16))
 
 
 def oracle_leaf_bytes(node: int, value: int) -> bytes:
@@ -290,3 +296,98 @@ def oracle_geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
     if deg[BS_ID] == 0:
         add(BS_ID, next(v for v in by_dist if deg[v] < d_max))
     return NetworkGraph(set(range(1, n + 1)), edges, d_max)
+
+
+# --- basic ATR reference: every response crosses every hop of its path as
+# its own link send, and each node forwards at most n relayed responses ---
+
+
+def oracle_atr_basic(net: Network, blacklist: frozenset[NodeId], nonce: bytes, adv) -> AtrOutcome:
+    """Flooded tree-establishment plus upward response collection."""
+    net.phase = "atr"
+    graph = net.graph
+    te = wire.frame(nonce, *[wire.u16(x) for x in sorted(blacklist)], wire.u16(graph.n))
+    te_size = len(te) + wire.framed_size(wire.ACK_LEN)  # hop-by-hop auth tag
+
+    usable = [v for v in graph.neighbors(BS_ID) if v not in blacklist]
+    if not usable:
+        return AtrOutcome(None, {}, set(graph.sensors))
+    b = usable[0]
+    net.send_link(BS_ID, b, te)
+
+    # Flood: each reached node rebroadcasts the TE once to all neighbors;
+    # the first fresh sender becomes the parent, ties broken by id order.
+    parent: dict[NodeId, NodeId] = {b: BS_ID}
+    frontier = [b]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            if adv.action(u, "te_suppress") is not None:
+                adv.fire(u, "te_suppress")
+                continue
+            for w in graph.neighbors(u):
+                if w == BS_ID:
+                    continue
+                net.ledger.charge(u, w, te_size, net.phase)
+                if w in blacklist or w in parent:
+                    continue
+                parent[w] = u
+                nxt.append(w)
+        frontier = sorted(nxt)
+
+    flood = AggregationTree(parent)
+    for c, p in sorted(parent.items()):
+        if p != BS_ID:
+            # childhood confirmation back to the chosen parent
+            net.send_link(c, p, wire.frame(nonce, wire.u16(c)))
+
+    # Upward response relay, deepest levels first, at most n forwarded per node.
+    relay_cap = graph.n
+    upward: dict[NodeId, list[bytes]] = {u: [] for u in parent}
+    for u in chain.from_iterable(flood.epochs):
+        kid_ids = flood.children[u]
+        resp = crypto.auth_wrap(
+            net.keys.bs_key(u),
+            wire.frame(nonce, wire.u16(u), *[wire.u16(c) for c in kid_ids]),
+        ).to_bytes()
+        batch = [resp] + upward[u][:relay_cap]
+        if adv.action(u, "response_drop") is not None:
+            adv.fire(u, "response_drop")
+            continue
+        p = parent[u]
+        for msg in batch:
+            delivered = net.send_link(u, p, msg)
+            if delivered is None:
+                continue
+            if p == BS_ID:
+                upward.setdefault(BS_ID, []).append(delivered)
+            else:
+                upward[p].append(delivered)
+
+    # BS assembly: first verified response per node wins.
+    claims: dict[NodeId, list[NodeId]] = {}
+    for raw in upward.get(BS_ID, []):
+        try:
+            env = crypto.AuthEnvelope.from_bytes(raw)
+            fields = wire.unframe(env.payload)
+            node = wire.read_u16(fields[1])
+        except (FrameError, IndexError):
+            continue
+        if node in claims or node in blacklist or node not in graph.sensors:
+            continue
+        if not crypto.auth_verify(net.keys.bs_key(node), env) or fields[0] != nonce:
+            continue
+        claims[node] = [wire.read_u16(f) for f in fields[2:]]
+
+    # b is always kept (the BS handed it the TE itself); below it, a node
+    # joins only if its parent claimed it and its own response arrived.
+    final_parent: dict[NodeId, NodeId] = {b: BS_ID}
+    stack = [b]
+    while stack:
+        u = stack.pop()
+        for c in claims.get(u, []):
+            if c in claims and c not in final_parent and c not in blacklist:
+                final_parent[c] = u
+                stack.append(c)
+    tree = AggregationTree(final_parent)
+    return _distribute(net, nonce, tree)

@@ -1,9 +1,12 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from robustagg import atr, wire
 from robustagg.adversary import Adversary
 from robustagg.crypto import BS_ID, KeyStore, SignatureOracle
-from robustagg.netmodel import Network, NetworkGraph
+from robustagg.netmodel import Network, NetworkGraph, edge_key
 
-from helpers import entry
+from helpers import entry, oracle_atr_basic
 
 NONCE = b"\x09" * 8
 
@@ -92,6 +95,43 @@ class TestBasicRebuild:
         out = atr.atr_basic(net, frozenset({1}), NONCE, Adversary(()))
         assert out.tree is None
         assert out.unreached == {1, 2, 3}
+
+
+@st.composite
+def rebuild_cases(draw):
+    """A small connected graph, a blacklist and scripted ATR misbehavers."""
+    n = draw(st.integers(1, 12))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    edges |= {edge_key(a, b) for a, b in extra if a != b}
+    edges |= {(BS_ID, v) for v in draw(st.sets(st.integers(1, n), min_size=1, max_size=3))}
+    blacklist = draw(st.frozensets(st.integers(1, n), max_size=n))
+    kinds = st.sets(st.sampled_from(["response_drop", "te_suppress"]), min_size=1)
+    faulty = {v: draw(kinds) for v in draw(st.sets(st.integers(1, n), max_size=n))}
+    return n, edges, blacklist, faulty
+
+
+@settings(max_examples=200, deadline=None)
+@given(rebuild_cases())
+def test_basic_rebuild_matches_hop_by_hop_oracle(case):
+    n, edges, blacklist, faulty = case
+    runs = []
+    for rebuild in (atr.atr_basic, oracle_atr_basic):
+        net = make_net(n, edges, d_max=n + 1)
+        adv = Adversary(faulty, [entry(v, k) for v, kinds in faulty.items() for k in sorted(kinds)])
+        adv.begin_session(2)
+        out = rebuild(net, blacklist, NONCE, adv)
+        runs.append(
+            (
+                list(net.ledger.per_edge.items()),
+                net.ledger.per_phase,
+                out.tree and out.tree.parent,
+                out.node_views,
+                out.unreached,
+                adv.trace,
+            )
+        )
+    assert runs[0] == runs[1]
 
 
 class TestResilientRebuild:

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from robustagg import crypto, wire
+from robustagg import wire
 from robustagg.crypto import BS_ID, KeyStore
 from robustagg.errors import ConfigError, ProtocolViolation
 from robustagg.netmodel import (
@@ -13,7 +15,7 @@ from robustagg.netmodel import (
     edge_key,
 )
 
-from helpers import net_for_tree
+from helpers import net_for_tree, oracle_link_charge
 
 
 def random_parent_map(rng: random.Random, n: int) -> dict[int, int]:
@@ -155,13 +157,21 @@ class TestNetwork:
         with pytest.raises(ConfigError):
             net.send_link(1, 3, b"x")
 
-    def test_tampered_envelope_dropped_but_still_charged(self):
-        net, _tree = net_for_tree({1: BS_ID, 2: 1})
-        key = net.keys.link_key(1, 2)
-        env = crypto.auth_wrap(key, b"payload")
-        bad = crypto.AuthEnvelope(b"qayload", env.tag)
-        assert net.send_link_raw(2, 1, bad) is None
-        assert net.ledger.per_edge[edge_key(1, 2)] == bad.size
+    @given(
+        st.lists(st.binary(max_size=300), min_size=1, max_size=6),
+        st.sampled_from([(1, 0), (0, 1), (3, 1), (1, 3)]),
+        st.sampled_from(["commit", "check", "ack", "atr"]),
+    )
+    def test_send_link_returns_payload_and_charges_old_envelope_size(self, payloads, link, phase):
+        net, _tree = net_for_tree({1: BS_ID, 2: 1, 3: 1})
+        net.ledger.charge(2, 1, 7, "query")  # earlier traffic stays as it was
+        net.phase = phase
+        frm, to = link
+        for payload in payloads:
+            assert net.send_link(frm, to, payload) == payload
+        want = sum(oracle_link_charge(p) for p in payloads)
+        assert net.ledger.per_edge == {edge_key(1, 2): 7, edge_key(frm, to): want}
+        assert net.ledger.per_phase == {"query": 7, phase: want}
 
     def test_broadcast_bs_only_and_cost_per_backbone_edge(self):
         # 5-node path: the backbone is the path itself, 5 edges.

@@ -136,15 +136,34 @@ class TestGeneration:
         try:
             want = oracle_geometric_graph(n, d_max, seed)
         except (ConfigError, StopIteration) as exc:
-            # The oracle's StopIteration meant no sensor could take the BS.
+            if isinstance(exc, StopIteration) or "exceeds degree bound" in str(exc):
+                # No sensor could take the BS, or the oracle's backbone broke
+                # the bound; the generator's keeps it, so it may build (and
+                # NetworkGraph then checks the bound and connectivity).
+                try:
+                    _geometric_graph(n, d_max, seed)
+                except ConfigError as got:
+                    assert str(got) == f"BS has no neighbors: every sensor is at d_max {d_max}"
+                return
             with pytest.raises(ConfigError) as got:
                 _geometric_graph(n, d_max, seed)
-            if isinstance(exc, ConfigError):
-                assert str(got.value) == str(exc)
+            assert str(got.value) == str(exc)
             return
         got = _geometric_graph(n, d_max, seed)
         assert got.edges == want.edges
         assert got.neighbors(BS_ID) == want.neighbors(BS_ID)
+
+    @pytest.mark.parametrize(
+        "n, seed", [(10, 0), (10, 5), (10, 9), (50, 3), (200, 7), (1000, 1)]
+    )
+    def test_geometric_backbone_keeps_degree_bound_two(self, n, seed):
+        # The oracle's backbone hangs a third link on a sensor (or leaves the
+        # BS no free sensor); the generator's falls back to one under d_max.
+        with pytest.raises((ConfigError, StopIteration)):
+            oracle_geometric_graph(n, 2, seed)
+        graph = _geometric_graph(n, 2, seed)
+        assert graph.sensors == set(range(1, n + 1))
+        assert max(len(graph.neighbors(v)) for v in graph.sensors | {BS_ID}) <= 2
 
     def test_config_hash_ignores_key_order(self):
         a = {"seed": 1, "sessions": 2}
@@ -305,6 +324,23 @@ class TestCli:
         cfg_path = write_config(tmp_path, base_config(topology=topology))
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
         assert "n >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sessions", 2.5),
+            ("sessions", -2),
+            ("sessions", 65537),
+            ("sessions", True),
+            ("seed", "abc"),
+            ("seed", 1.5),
+            ("seed", True),
+        ],
+    )
+    def test_bad_seed_or_sessions_is_a_config_error(self, tmp_path, capsys, field, value):
+        cfg_path = write_config(tmp_path, base_config(**{field: value}))
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
+        assert f"config error: {field} must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_geometric_bs_without_a_free_sensor_is_a_config_error(self, tmp_path, capsys, seed):
