@@ -68,28 +68,27 @@ def _open(key: bytes, data: bytes | None) -> bytes | None:
 def als1_collect(
     net: Network,
     tree: AggregationTree,
-    participates: dict[NodeId, bool],
+    acked: dict[NodeId, bool],
     adv,
     nonce: bytes,
 ) -> bytes | None:
     """Hierarchical confirmation collection; returns the blob the BS receives.
 
-    `participates[s]` is whether s acknowledged in result checking; silent
-    nodes send nothing and their parents substitute the NR placeholder.
+    Only nodes that acknowledged in result checking (`acked[s]`) take part;
+    silent nodes send nothing and their parents substitute the NR placeholder.
     """
     net.phase = "als1"
-    inbox: dict[NodeId, dict[NodeId, bytes]] = {n: {} for n in tree.members}
-    inbox[BS_ID] = {}
+    sent: dict[NodeId, bytes] = {}  # keyed by sender: each node has one parent
     for epoch in tree.epochs:
         for node in epoch:
-            if not participates.get(node, False):
+            if not acked[node]:
                 continue
             key = net.keys.bs_key(node)
             kids = tree.children.get(node, [])
             if not kids:
                 msg = _wrap(key, wire.frame(nonce))
             else:
-                slots = [inbox[node].get(c, NR) for c in kids]
+                slots = [sent.get(c, NR) for c in kids]
                 tamper = adv.action(node, "confirm_tamper")
                 if tamper is not None:
                     idx = tamper.params.get("slot", len(slots) - 1) % len(slots)
@@ -99,14 +98,15 @@ def als1_collect(
             if adv.action(node, "confirm_drop") is not None:
                 adv.fire(node, "confirm_drop")
                 continue
-            inbox[tree.parent[node]][node] = net.send_link(node, tree.parent[node], msg)
-    return inbox[BS_ID].get(tree.bs_child)
+            sent[node] = net.send_link(node, tree.parent[node], msg)
+    return sent.get(tree.bs_child)
 
 
-def _extract1(
-    keys: KeyStore, tree: AggregationTree, node: NodeId, data: bytes | None, nonce: bytes
+def _fields(
+    keys: KeyStore, node: NodeId, data: bytes | None, nonce: bytes, count: int
 ) -> list[bytes] | None:
-    """Child slots of a legitimate confirmation, or None (incl. the NR case)."""
+    """The `count` fields after the nonce in a legitimate report from `node`,
+    or None (incl. the NR case)."""
     payload = _open(keys.bs_key(node), data)
     if payload is None:
         return None
@@ -114,8 +114,7 @@ def _extract1(
         fields = wire.unframe(payload)
     except FrameError:
         return None
-    kids = tree.children.get(node, [])
-    if len(fields) != 1 + len(kids) or fields[0] != nonce:
+    if len(fields) != 1 + count or fields[0] != nonce:
         return None
     return fields[1:]
 
@@ -134,7 +133,7 @@ def als1_process(
     stack: list[tuple[NodeId, NodeId, bytes | None]] = [(b, BS_ID, m_b)]
     while stack:
         node, parent, data = stack.pop()
-        slots = _extract1(keys, tree, node, data, nonce)
+        slots = _fields(keys, node, data, nonce, len(tree.children.get(node, [])))
         if slots is None:
             marks.add(node, parent, "structural")
             continue
@@ -163,25 +162,25 @@ def expected_ack(keys: KeyStore, tree: AggregationTree, node: NodeId, nonce: byt
 def als2_collect(
     net: Network,
     tree: AggregationTree,
-    child_acks: dict[NodeId, dict[NodeId, bytes]],
+    acks_up: dict[NodeId, bytes],
     adv,
     nonce: bytes,
 ) -> bytes | None:
     """Hierarchical ack-report collection; leaves stay silent.
 
-    A report carries nested reports for non-leaf children and the stored
-    ack for every child (a never-received ack is reported as all zeros).
+    A report carries nested reports for non-leaf children and the ack every
+    child sent up in stage one (`acks_up`, keyed by sender; a never-received
+    ack is reported as all zeros).
     """
     net.phase = "als2"
-    inbox: dict[NodeId, dict[NodeId, bytes]] = {n: {} for n in tree.members}
-    inbox[BS_ID] = {}
+    sent: dict[NodeId, bytes] = {}  # keyed by sender: each node has one parent
     for epoch in tree.epochs:
         for node in epoch:
             kids = tree.children.get(node, [])
             if not kids:
                 continue
-            reports = [inbox[node].get(c, NR) for c in kids if not tree.is_leaf(c)]
-            acks = [child_acks.get(node, {}).get(c, crypto.ZERO_ACK) for c in kids]
+            reports = [sent.get(c, NR) for c in kids if not tree.is_leaf(c)]
+            acks = [acks_up.get(c, crypto.ZERO_ACK) for c in kids]
             forge = adv.action(node, "ack_report_forge")
             if forge is not None:
                 idx = forge.params.get("slot", 0) % len(acks)
@@ -191,32 +190,23 @@ def als2_collect(
                 adv.fire(node, "report_drop")
                 continue
             msg = _wrap(net.keys.bs_key(node), wire.frame(nonce, *reports, *acks))
-            inbox[tree.parent[node]][node] = net.send_link(node, tree.parent[node], msg)
-    return inbox[BS_ID].get(tree.bs_child)
+            sent[node] = net.send_link(node, tree.parent[node], msg)
+    return sent.get(tree.bs_child)
 
 
 def _extract2(
     keys: KeyStore, tree: AggregationTree, node: NodeId, data: bytes | None, nonce: bytes
 ) -> tuple[dict[NodeId, bytes], dict[NodeId, bytes]] | None:
     """(nested reports by non-leaf child, reported acks by child), or None."""
-    payload = _open(keys.bs_key(node), data)
-    if payload is None:
-        return None
-    try:
-        fields = wire.unframe(payload)
-    except FrameError:
-        return None
     kids = tree.children.get(node, [])
     nonleaf = [c for c in kids if not tree.is_leaf(c)]
-    if len(fields) != 1 + len(nonleaf) + len(kids) or fields[0] != nonce:
+    fields = _fields(keys, node, data, nonce, len(nonleaf) + len(kids))
+    if fields is None:
         return None
-    ack_fields = fields[1 + len(nonleaf) :]
+    ack_fields = fields[len(nonleaf) :]
     if any(len(a) != wire.ACK_LEN for a in ack_fields):
         return None
-    return (
-        dict(zip(nonleaf, fields[1 : 1 + len(nonleaf)])),
-        dict(zip(kids, ack_fields)),
-    )
+    return dict(zip(nonleaf, fields)), dict(zip(kids, ack_fields))
 
 
 def als2_process(

@@ -70,10 +70,8 @@ class SessionGroundTruth:
 
     tree: AggregationTree
     values: dict[NodeId, int]
-    acked: dict[NodeId, bool]
     misbehaved: set[NodeId]
     shia_result: shia.ShiaResult
-    mark_set: als.MarkSet
     atr_outcome: atr.AtrOutcome | None
     value_range: tuple[int, int] = (0, 100)
 
@@ -193,14 +191,13 @@ def run_sessions(scenario: Scenario) -> RunResult:
         if sres.accepted:
             verdict, value = "success", sres.value
         else:
-            participates = {n: sres.released.get(n) is not None for n in tree.members}
-            m_b = als.als1_collect(net, tree, participates, adv, nonce)
+            m_b = als.als1_collect(net, tree, sres.acked, adv, nonce)
             marks = als.als1_process(keys, tree, m_b, nonce)
             if not marks:
                 als2_ran = True
                 if sres.agg_ack is None:
                     raise ProtocolViolation(f"session {i}: ALS.II requires an aggregated ack")
-                m_b2 = als.als2_collect(net, tree, sres.child_acks, adv, nonce)
+                m_b2 = als.als2_collect(net, tree, sres.acks_up, adv, nonce)
                 marks = als.als2_process(keys, tree, m_b2, sres.agg_ack, nonce)
             if not marks:
                 raise UnlocalizableFailure(
@@ -239,10 +236,8 @@ def run_sessions(scenario: Scenario) -> RunResult:
             SessionGroundTruth(
                 tree=tree,
                 values=values,
-                acked=dict(sres.acked),
                 misbehaved=adv.misbehaved(i),
                 shia_result=sres,
-                mark_set=marks,
                 atr_outcome=atr_outcome,
                 value_range=scenario.value_range,
             )

@@ -20,6 +20,7 @@ from .netmodel import NetworkGraph, edge_key
 
 SCHEMA = "robustagg-report-v1"
 MAX_SESSIONS = 1 << 16
+MAX_SENSORS = 0xFFFF
 
 
 def canonical_json(obj: Any) -> str:
@@ -94,9 +95,11 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
 
     # Extra short links, nearest first, while both ends stay under the bound.
     short.sort()
+    extra: list[tuple[int, int]] = []
     for d, a, b in short:
         if edge_key(a, b) not in edges and deg[a] < d_max and deg[b] < d_max:
             add(a, b)
+            extra.append((a, b))
 
     # The BS hears its nearest sensors that still have a free slot.
     bx, by = pos[BS_ID]
@@ -108,23 +111,48 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
         if deg[v] < d_max:
             add(BS_ID, v)
     if deg[BS_ID] == 0:
-        raise ConfigError(f"BS has no neighbors: every sensor is at d_max {d_max}")
+        # Extra links took every free slot (a backbone leaf has one
+        # otherwise): the nearest sensor with an extra link trades its
+        # shortest one for the BS.  The backbone keeps the sensors connected.
+        v, u = next((v, a if b == v else b) for _, v in by_dist for a, b in extra if v in (a, b))
+        edges.remove(edge_key(u, v))
+        edges.add(edge_key(BS_ID, v))
     return NetworkGraph(set(range(1, n + 1)), edges, d_max)
 
 
+def _size(topology: dict, key: str, default: int | None = None) -> int:
+    v = topology.get(key, default)
+    if type(v) is not int:  # bool is an int subclass, so it is refused
+        raise ConfigError(f"{topology['kind']} topology needs an integer {key!r}")
+    return v
+
+
 def build_graph(topology: dict, seed: int) -> NetworkGraph:
+    if not isinstance(topology, dict):
+        raise ConfigError("topology must be an object")
     kind = topology.get("kind")
-    if kind == "edges":
-        sensors = set(range(1, topology["n"] + 1))
-        edges = {edge_key(a, b) for a, b in topology["edges"]}
-        return NetworkGraph(sensors, edges, topology.get("d_max", topology["n"]))
+    if kind not in ("edges", "grid", "chain", "geometric"):
+        raise ConfigError(f"unknown topology kind {kind!r}")
     if kind == "grid":
-        return _grid_graph(topology["rows"], topology["cols"])
+        rows, cols = _size(topology, "rows"), _size(topology, "cols")
+        n = rows * cols
+    else:
+        n = _size(topology, "n")
+    if n > MAX_SENSORS:  # node ids are u16; checked before any O(n^2) generator runs
+        raise ConfigError(f"{n} sensors exceed the u16 node id limit {MAX_SENSORS}")
+    if kind == "grid":
+        return _grid_graph(rows, cols)
     if kind == "chain":
-        return _chain_graph(topology["n"])
+        return _chain_graph(n)
     if kind == "geometric":
-        return _geometric_graph(topology["n"], topology["d_max"], seed)
-    raise ConfigError(f"unknown topology kind {kind!r}")
+        return _geometric_graph(n, _size(topology, "d_max"), seed)
+    pairs = topology.get("edges")
+    if not isinstance(pairs, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in pairs
+    ):
+        raise ConfigError("edges must be a list of [a, b] integer pairs")
+    edges = {edge_key(a, b) for a, b in pairs}
+    return NetworkGraph(set(range(1, n + 1)), edges, _size(topology, "d_max", n))
 
 
 def load_config(path: str) -> dict:

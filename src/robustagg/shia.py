@@ -37,10 +37,6 @@ class Label:
         tag = _LEAF_TAG if self.leaf else _INTERNAL_TAG
         return tag + wire.frame(wire.u16(self.count), wire.i64(self.value), self.commit)
 
-    @property
-    def size(self) -> int:
-        return 1 + wire.framed_size(wire.COUNT_LEN, wire.VALUE_LEN, len(self.commit))
-
     @classmethod
     def from_bytes(cls, data: bytes) -> "Label":
         if not data or data[0:1] not in (_LEAF_TAG, _INTERNAL_TAG):
@@ -155,11 +151,10 @@ class ShiaResult:
     root_ok: bool
     agg_ack: bytes | None
     expected_ack: bytes
-    # Per-node outcomes, all keyed by sensor NodeId.
+    # Whether each tree node released its ack, keyed by sensor NodeId.
     acked: dict[NodeId, bool] = field(default_factory=dict)
-    released: dict[NodeId, bytes | None] = field(default_factory=dict)
-    child_acks: dict[NodeId, dict[NodeId, bytes]] = field(default_factory=dict)
-    sent_labels: dict[NodeId, Label | None] = field(default_factory=dict)
+    # The aggregated ack each node sent its parent, keyed by sender.
+    acks_up: dict[NodeId, bytes] = field(default_factory=dict)
 
     @property
     def value(self) -> int | None:
@@ -186,13 +181,13 @@ def run_shia(
     net.bs_broadcast(BS_ID, wire.frame(nonce))
 
     # --- aggregate-commit ---
+    # Upward messages are keyed by sender: each node has one parent.
     net.phase = "commit"
-    inbox: dict[NodeId, dict[NodeId, Label]] = {n: {} for n in tree.members}
-    inbox[BS_ID] = {}
+    sent: dict[NodeId, Label] = {}  # the label each node's parent received
+    committed: dict[NodeId, Label] = {}  # each node's outgoing label, incl. handoffs
     extra_inputs: dict[NodeId, list[Label]] = {n: [] for n in tree.members}
     inputs_used: dict[NodeId, list[Label]] = {}
     accepted_children: dict[NodeId, list[NodeId]] = {}
-    sent_labels: dict[NodeId, Label | None] = {}
 
     for epoch in tree.epochs:
         for node in epoch:
@@ -204,7 +199,7 @@ def run_shia(
             kept: list[NodeId] = []
             child_labels: list[Label] = []
             for child in tree.children.get(node, []):
-                lab = inbox[node].get(child)
+                lab = sent.get(child)
                 if lab is None:
                     continue  # silent child: exclude its subtree
                 if lab.count < 1 or not (m_lo * lab.count <= lab.value <= m_hi * lab.count):
@@ -213,28 +208,24 @@ def run_shia(
                 child_labels.append(lab)
             extras = extra_inputs[node]
             inputs = child_labels + extras + [leaf_label(node, own_val)]
-            if len(inputs) == 1:
-                label: Label | None = inputs[0]
-            else:
-                label = internal_label(nonce, inputs)
+            label = inputs[0] if len(inputs) == 1 else internal_label(nonce, inputs)
             inputs_used[node] = inputs
             accepted_children[node] = kept
 
             act = adv.action(node, "label_forge")
             if act is not None:
                 p = act.params
-                forged_value = p.get("value", label.value + p.get("value_add", 0))
                 label = Label(
                     p.get("count", label.count),
-                    forged_value,
-                    p.get("commit", crypto.hash_bytes(b"forged" + nonce + wire.u16(node))),
+                    p.get("value", label.value + p.get("value_add", 0)),
+                    crypto.hash_bytes(b"forged" + nonce + wire.u16(node)),
                     leaf=False,
                 )
                 adv.fire(node, "label_forge")
             if adv.action(node, "label_drop") is not None:
                 adv.fire(node, "label_drop")
-                sent_labels[node] = None
                 continue
+            committed[node] = label
             switch = adv.action(node, "parent_switch")
             if switch is not None:
                 # Covert handoff between colluding faulty nodes; the real
@@ -244,14 +235,12 @@ def run_shia(
                 if target in extra_inputs:
                     extra_inputs[target].append(label)
                 adv.fire(node, "parent_switch")
-                sent_labels[node] = label
                 continue
-            sent_labels[node] = label
-            delivered = net.send_link(node, tree.parent[node], label.to_bytes())
-            inbox[tree.parent[node]][node] = Label.from_bytes(delivered)
+            net.send_link(node, tree.parent[node], label.to_bytes())
+            sent[node] = label
 
     b = tree.bs_child
-    root_label = inbox[BS_ID].get(b)
+    root_label = sent.get(b)
     expected = crypto.xor_acks(
         [crypto.node_ack(net.keys.bs_key(s), nonce) for s in sorted(tree.members)]
     )
@@ -264,9 +253,6 @@ def run_shia(
             agg_ack=None,
             expected_ack=expected,
             acked={n: False for n in tree.members},
-            released={n: None for n in tree.members},
-            child_acks={n: {} for n in tree.members},
-            sent_labels=sent_labels,
         )
 
     # BS-side plausibility: the root count must cover the whole tree and the
@@ -303,33 +289,25 @@ def run_shia(
     # --- acknowledgement aggregation ---
     net.phase = "ack"
     acked: dict[NodeId, bool] = {}
-    released: dict[NodeId, bytes | None] = {}
-    ack_inbox: dict[NodeId, dict[NodeId, bytes]] = {n: {} for n in tree.members}
-    ack_inbox[BS_ID] = {}
+    acks_up: dict[NodeId, bytes] = {}
     roots: dict[tuple[Label, Offpath], Label] = {}
     for epoch in tree.epochs:
         for node in epoch:
-            own = sent_labels.get(node)
+            own = committed.get(node)
             path = offpath[node]
-            if own is None or path is None:
-                match = False
-            else:
-                match = recompute_root(own, path, nonce, roots) == root_label
-            acked[node] = match
-
-            out_ack: bytes | None = (
-                crypto.node_ack(net.keys.bs_key(node), nonce) if match else None
+            match = own is not None and path is not None and (
+                recompute_root(own, path, nonce, roots) == root_label
             )
+            out_ack = crypto.node_ack(net.keys.bs_key(node), nonce) if match else None
             if out_ack is not None and adv.action(node, "ack_drop") is not None:
                 adv.fire(node, "ack_drop")
                 out_ack = None
-                acked[node] = False
+            acked[node] = out_ack is not None
             if out_ack is not None and adv.action(node, "ack_garble") is not None:
                 adv.fire(node, "ack_garble")
                 out_ack = garble(out_ack)
-            released[node] = out_ack
 
-            parts = [ack_inbox[node][c] for c in sorted(ack_inbox[node])]
+            parts = [acks_up[c] for c in tree.children.get(node, []) if c in acks_up]
             if out_ack is not None:
                 parts.append(out_ack)
             up = crypto.xor_acks(parts) if parts else None
@@ -337,20 +315,16 @@ def run_shia(
                 adv.fire(node, "agg_ack_garble")
                 up = garble(crypto.ZERO_ACK if up is None else up)
             if up is not None:
-                delivered = net.send_link(node, tree.parent[node], up)
-                if len(delivered) == wire.ACK_LEN:
-                    ack_inbox[tree.parent[node]][node] = delivered
+                net.send_link(node, tree.parent[node], up)
+                acks_up[node] = up
 
-    agg_ack = ack_inbox[BS_ID].get(b)
-    accepted = root_ok and agg_ack == expected
+    agg_ack = acks_up.get(b)
     return ShiaResult(
-        accepted=accepted,
+        accepted=root_ok and agg_ack == expected,
         root_label=root_label,
         root_ok=root_ok,
         agg_ack=agg_ack,
         expected_ack=expected,
         acked=acked,
-        released=released,
-        child_acks={n: ack_inbox[n] for n in tree.members},
-        sent_labels=sent_labels,
+        acks_up=acks_up,
     )

@@ -97,13 +97,12 @@ def all_rooted_trees(n: int):
 
 def run_localization(net: Network, tree: AggregationTree, sres: shia.ShiaResult, adv, nonce: bytes):
     """The post-failure flow: confirmations, then ack reports if needed."""
-    participates = {s: sres.released.get(s) is not None for s in tree.members}
-    m_b = als.als1_collect(net, tree, participates, adv, nonce)
+    m_b = als.als1_collect(net, tree, sres.acked, adv, nonce)
     marks = als.als1_process(net.keys, tree, m_b, nonce)
     als2_ran = False
     if not marks:
         als2_ran = True
-        m_b2 = als.als2_collect(net, tree, sres.child_acks, adv, nonce)
+        m_b2 = als.als2_collect(net, tree, sres.acks_up, adv, nonce)
         marks = als.als2_process(net.keys, tree, m_b2, sres.agg_ack, nonce)
     return marks, als2_ran
 

@@ -178,11 +178,10 @@ def run_tiny(net, tree, scripts, faulty):
     sres = shia.run_shia(net, tree, values, adv, NONCE, VRANGE)
     marks1 = marks2 = None
     if not sres.accepted:
-        participates = {s: sres.released.get(s) is not None for s in tree.members}
-        m_b = als.als1_collect(net, tree, participates, adv, NONCE)
+        m_b = als.als1_collect(net, tree, sres.acked, adv, NONCE)
         marks1 = als.als1_process(net.keys, tree, m_b, NONCE)
         if not marks1:
-            m_b2 = als.als2_collect(net, tree, sres.child_acks, adv, NONCE)
+            m_b2 = als.als2_collect(net, tree, sres.acks_up, adv, NONCE)
             marks2 = als.als2_process(net.keys, tree, m_b2, sres.agg_ack, NONCE)
     return sres, marks1, marks2, adv
 
@@ -250,7 +249,7 @@ def test_criterion_3_confirmation_analysis_traps_misbehaver(exhaustive_results):
     checked = 0
     for parent, f, combo, sres, marks1, traced in phase1_records:
         correct_withheld = any(
-            sres.released.get(s) is None for s in parent if s != f
+            not sres.acked[s] for s in parent if s != f
         )
         if sres.accepted or not correct_withheld:
             continue

@@ -19,8 +19,7 @@ TWO_BRANCH = {1: BS_ID, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
 
 def run_als1_only(net, tree, sres, adv):
-    participates = {s: sres.released.get(s) is not None for s in tree.members}
-    m_b = als.als1_collect(net, tree, participates, adv, NONCE)
+    m_b = als.als1_collect(net, tree, sres.acked, adv, NONCE)
     return als.als1_process(net.keys, tree, m_b, NONCE)
 
 
@@ -201,8 +200,8 @@ def test_processing_walks_chains_deeper_than_the_recursion_limit():
     adv = Adversary(frozenset(), [])
     adv.begin_session(0)
     # Phase I: the bottom node stays silent, so the walk reaches it via an NR slot.
-    participates = {s: s != n for s in tree.members}
-    m_b = als.als1_collect(net, tree, participates, adv, NONCE)
+    acked = {s: s != n for s in tree.members}
+    m_b = als.als1_collect(net, tree, acked, adv, NONCE)
     marks = als.als1_process(net.keys, tree, m_b, NONCE)
     assert [(m.node, m.partner, m.rule) for m in marks.marks] == [(n, n - 1, "structural")]
     # Phase II: the bottom node's ack is garbled, so every aggregate above it
@@ -210,7 +209,7 @@ def test_processing_walks_chains_deeper_than_the_recursion_limit():
     agg = {n: garble(crypto.node_ack(net.keys.bs_key(n), NONCE))}
     for s in range(n - 1, 0, -1):
         agg[s] = crypto.xor_acks([crypto.node_ack(net.keys.bs_key(s), NONCE), agg[s + 1]])
-    child_acks = {s: ({s + 1: agg[s + 1]} if s < n else {}) for s in tree.members}
-    m_b = als.als2_collect(net, tree, child_acks, adv, NONCE)
+    acks_up = {s: agg[s] for s in range(2, n + 1)}
+    m_b = als.als2_collect(net, tree, acks_up, adv, NONCE)
     marks = als.als2_process(net.keys, tree, m_b, agg[1], NONCE)
     assert [(m.node, m.partner, m.rule) for m in marks.marks] == [(n, n - 1, "type_i")]

@@ -135,8 +135,8 @@ class TestSecurityAudit:
             tree_height=2, tree_degree=3, tree_size=3, als2_ran=False,
         )
         gt = SessionGroundTruth(
-            tree=tree, values=values, acked={}, misbehaved=set(),
-            shia_result=None, mark_set=None, atr_outcome=None, value_range=vrange,
+            tree=tree, values=values, misbehaved=set(),
+            shia_result=None, atr_outcome=None, value_range=vrange,
         )
         return rec, gt
 

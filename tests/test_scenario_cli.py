@@ -138,12 +138,10 @@ class TestGeneration:
         except (ConfigError, StopIteration) as exc:
             if isinstance(exc, StopIteration) or "exceeds degree bound" in str(exc):
                 # No sensor could take the BS, or the oracle's backbone broke
-                # the bound; the generator's keeps it, so it may build (and
-                # NetworkGraph then checks the bound and connectivity).
-                try:
-                    _geometric_graph(n, d_max, seed)
-                except ConfigError as got:
-                    assert str(got) == f"BS has no neighbors: every sensor is at d_max {d_max}"
+                # the bound; the generator's keeps it and frees a slot for
+                # the BS, so it builds (and NetworkGraph checks the bound
+                # and connectivity).
+                _geometric_graph(n, d_max, seed)
                 return
             with pytest.raises(ConfigError) as got:
                 _geometric_graph(n, d_max, seed)
@@ -343,9 +341,35 @@ class TestCli:
         assert f"config error: {field} must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_geometric_bs_without_a_free_sensor_is_a_config_error(self, tmp_path, capsys, seed):
-        # Three sensors at d_max 2 close a triangle: no sensor has a slot for the BS.
+    def test_geometric_bs_takes_the_slot_of_an_extra_link(self, tmp_path, capsys, seed):
+        # Three sensors at d_max 2 close a triangle, so no sensor has a free
+        # slot: the one nearest the BS drops its extra link for the BS.
         topology = {"kind": "geometric", "n": 3, "d_max": 2}
+        graph = build_graph(topology, seed)
+        assert len(graph.neighbors(BS_ID)) == 1
+        assert len(graph.edges) == 3  # a sensor path of two links plus the BS link
         cfg_path = write_config(tmp_path, {"seed": seed, "sessions": 1, "topology": topology})
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize(
+        "topology, message",
+        [
+            ([1], "topology must be an object"),
+            ({"kind": "grid", "cols": 3}, "grid topology needs an integer 'rows'"),
+            ({"kind": "chain", "n": "5"}, "chain topology needs an integer 'n'"),
+            ({"kind": "geometric", "n": 10, "d_max": True}, "geometric topology needs an integer 'd_max'"),
+            ({"kind": "edges", "n": 2, "edges": [[0, 1], [1]]}, "edges must be a list"),
+            ({"kind": "edges", "n": 2, "edges": {"0": 1}}, "edges must be a list"),
+            ({"kind": "chain", "n": 65536}, "65536 sensors exceed the u16 node id limit"),
+            ({"kind": "grid", "rows": 300, "cols": 300}, "90000 sensors exceed"),
+            ({"kind": "geometric", "n": 65536, "d_max": 6}, "65536 sensors exceed"),
+        ],
+        ids=[
+            "list", "grid_no_rows", "chain_str_n", "bool_d_max", "short_edge",
+            "edges_not_list", "chain_65536", "grid_300x300", "geometric_65536",
+        ],
+    )
+    def test_malformed_topology_is_a_config_error(self, tmp_path, capsys, topology, message):
+        cfg_path = write_config(tmp_path, base_config(topology=topology))
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
-        assert "config error: BS has no neighbors" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err

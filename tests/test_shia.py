@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustagg import crypto, orchestrator, shia, wire
+from robustagg.adversary import Adversary
 from robustagg.crypto import BS_ID
 from robustagg.errors import FrameError
 from robustagg.netmodel import AggregationTree
@@ -68,7 +69,6 @@ class TestLabels:
         for lab in (shia.leaf_label(9, -3), shia.internal_label(NONCE, [shia.leaf_label(1, 1), shia.leaf_label(2, 2)])):
             back = shia.Label.from_bytes(lab.to_bytes())
             assert back == lab
-            assert lab.size == len(lab.to_bytes())
 
     def test_bad_tag_and_commit_length_rejected(self):
         with pytest.raises(FrameError):
@@ -339,3 +339,35 @@ def test_honest_grid_session_hashes_linearly(monkeypatch):
     assert [r.verdict for r in result.records] == ["success"]
     assert result.records[0].tree_height == 59
     assert len(calls) <= 3 * 900
+
+
+@pytest.mark.parametrize(
+    "kind, node",
+    [
+        (None, None),
+        ("ack_drop", 5),
+        ("ack_garble", 2),
+        ("agg_ack_garble", 2),
+        ("label_drop", 2),
+        ("offpath_corrupt", 3),
+    ],
+    ids=["honest", "ack_drop", "ack_garble", "agg_ack_garble", "label_drop", "offpath_corrupt"],
+)
+def test_acked_is_the_ack_each_node_adds_to_what_it_sends_up(kind, node):
+    # A node acks exactly when its upward ack differs from its children's
+    # XOR by its own ack, so `acked` is what stage two may take as the set
+    # of nodes that released an ack, with `acks_up` their messages.
+    net, tree = net_for_tree(BINARY)
+    scripts = [] if kind is None else [entry(node, kind)]
+    adv = Adversary(frozenset() if node is None else {node}, scripts)
+    adv.begin_session(0)
+    sres = shia.run_shia(net, tree, {s: 10 for s in tree.members}, adv, NONCE, (0, 100))
+    assert adv.misbehaved(0) == (set() if node is None else {node})
+    garbled = {e.node for e in adv.events(0) if e.kind in ("ack_garble", "agg_ack_garble")}
+    for s in tree.members - garbled:
+        parts = [sres.acks_up.get(c, crypto.ZERO_ACK) for c in [s, *tree.children[s]]]
+        own = crypto.node_ack(net.keys.bs_key(s), NONCE)
+        assert sres.acked[s] == (crypto.xor_acks(parts) == own), s
+    assert all(len(a) == wire.ACK_LEN for a in sres.acks_up.values())
+    assert sres.agg_ack == sres.acks_up.get(tree.bs_child)
+    assert sres.accepted == (kind is None)
