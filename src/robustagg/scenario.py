@@ -21,6 +21,8 @@ from .netmodel import NetworkGraph, edge_key
 SCHEMA = "robustagg-report-v1"
 MAX_SESSIONS = 1 << 16
 MAX_SENSORS = 0xFFFF
+MAX_COUNT = 0xFFFF  # label counts are u16
+I64_MAX = (1 << 63) - 1
 
 
 def canonical_json(obj: Any) -> str:
@@ -78,20 +80,59 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
         deg[b] += 1
 
     # Backbone over sensors only: tree floods never route through the BS,
-    # so the sensor subgraph itself must be connected.  Each sensor pair's
-    # distance is computed once, when the later sensor is placed; the same
-    # list picks the backbone target and keeps the pairs inside the radius.
+    # so the sensor subgraph itself must be connected.  Placed sensors are
+    # bucketed into k x k square cells wider than the radius, so a sensor's
+    # in-radius pairs all lie in the 3x3 block of cells around it.
     radius = math.sqrt(3.0 / n)
+    k = max(1, int((1.0 - 1e-9) / radius))
+    width = 1.0 / k
+    cell = {v: min(int(y * k), k - 1) * k + min(int(x * k), k - 1) for v, (x, y) in pos.items()}
+    placed: list[list[int]] = [[] for _ in range(k * k)]
+    # Backbone candidates per cell: tier 0 holds the sensors under d_max - 1,
+    # tier 1 those under d_max; `in_tier0` counts tier 0 over all cells.
+    tiers: tuple[list[set[int]], ...] = tuple([set() for _ in range(k * k)] for _ in range(2))
+    in_tier0 = 0
     short: list[tuple[float, int, int]] = []
-    sensors = list(pos.items())[1:]  # in id order
-    for s in range(2, n + 1):
+    for s in range(1, n + 1):
         xs, ys = pos[s]
-        near = [(math.hypot(x - xs, y - ys), v) for v, (x, y) in sensors[: s - 1]]
-        # Prefer a sensor under d_max - 1; else any under d_max, which the
-        # backbone tree always has (a leaf, or sensor 1 before any link).
-        free = [p for p in near if deg[p[1]] < d_max - 1]
-        add(s, min(free or [p for p in near if deg[p[1]] < d_max])[1])
-        short.extend((d, v, s) for d, v in near if d <= radius)
+        if s > 1:
+            # Prefer the nearest sensor under d_max - 1; else the nearest
+            # under d_max, which the backbone tree always has (a leaf).
+            tier = 0 if in_tier0 else 1
+            lim = d_max - 1 + tier
+            cy, cx = divmod(cell[s], k)
+            reach = max(cx, cy, k - 1 - cx, k - 1 - cy)
+            best: tuple[float, int] | None = None
+            r = 0
+            # Ring r is the cells r steps from the sensor's own; a sensor in
+            # it is more than (r - 1) * width away, less a rounding margin.
+            # Stopping only when that bound beats `best` keeps (d, id) ties.
+            while r <= 1 or (r <= reach and (best is None or (r - 1) * width - 1e-9 <= best[0])):
+                for j in range(max(cy - r, 0), min(cy + r, k - 1) + 1):
+                    step = 1 if abs(j - cy) == r else 2 * r
+                    for i in range(cx - r, cx + r + 1, step):
+                        if not 0 <= i < k:
+                            continue
+                        for v in placed[j * k + i] if r <= 1 else tiers[tier][j * k + i]:
+                            x, y = pos[v]
+                            p = (math.hypot(x - xs, y - ys), v)
+                            if r <= 1 and p[0] <= radius:
+                                short.append((p[0], v, s))
+                            if deg[v] < lim and (best is None or p < best):
+                                best = p
+                r += 1
+            target = best[1]
+            add(s, target)
+            if deg[target] == d_max - 1:
+                tiers[0][cell[target]].discard(target)
+                in_tier0 -= 1
+            elif deg[target] == d_max:
+                tiers[1][cell[target]].discard(target)
+        placed[cell[s]].append(s)
+        if deg[s] < d_max - 1:
+            tiers[0][cell[s]].add(s)
+            in_tier0 += 1
+        tiers[1][cell[s]].add(s)
 
     # Extra short links, nearest first, while both ends stay under the bound.
     short.sort()
@@ -103,7 +144,7 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
 
     # The BS hears its nearest sensors that still have a free slot.
     bx, by = pos[BS_ID]
-    by_dist = sorted((math.hypot(bx - x, by - y), v) for v, (x, y) in sensors)
+    by_dist = sorted((math.hypot(bx - x, by - y), v) for v, (x, y) in pos.items() if v != BS_ID)
     want = max(1, min(3, d_max - 1, n))
     for _, v in by_dist:
         if deg[BS_ID] >= want:
@@ -120,9 +161,13 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
     return NetworkGraph(set(range(1, n + 1)), edges, d_max)
 
 
+def _is_int(v: Any) -> bool:
+    return type(v) is int  # bool is an int subclass, so it is refused
+
+
 def _size(topology: dict, key: str, default: int | None = None) -> int:
     v = topology.get(key, default)
-    if type(v) is not int:  # bool is an int subclass, so it is refused
+    if not _is_int(v):
         raise ConfigError(f"{topology['kind']} topology needs an integer {key!r}")
     return v
 
@@ -138,7 +183,7 @@ def build_graph(topology: dict, seed: int) -> NetworkGraph:
         n = rows * cols
     else:
         n = _size(topology, "n")
-    if n > MAX_SENSORS:  # node ids are u16; checked before any O(n^2) generator runs
+    if n > MAX_SENSORS:  # node ids are packed as u16
         raise ConfigError(f"{n} sensors exceed the u16 node id limit {MAX_SENSORS}")
     if kind == "grid":
         return _grid_graph(rows, cols)
@@ -148,11 +193,44 @@ def build_graph(topology: dict, seed: int) -> NetworkGraph:
         return _geometric_graph(n, _size(topology, "d_max"), seed)
     pairs = topology.get("edges")
     if not isinstance(pairs, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in pairs
+        isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e) for e in pairs
     ):
         raise ConfigError("edges must be a list of [a, b] integer pairs")
     edges = {edge_key(a, b) for a, b in pairs}
     return NetworkGraph(set(range(1, n + 1)), edges, _size(topology, "d_max", n))
+
+
+def _check_script(s: Any, lo: int, hi: int) -> None:
+    """Type-check one adversary script entry against the wire format."""
+    if not (
+        isinstance(s, dict)
+        and _is_int(s.get("node"))
+        and isinstance(s.get("kind"), str)
+        and isinstance(s.get("params", {}), dict)
+        and (
+            s.get("sessions") is None
+            or (isinstance(s["sessions"], list) and all(_is_int(x) for x in s["sessions"]))
+        )
+    ):
+        raise ConfigError(
+            "each adversary script needs an integer node, a string kind, an "
+            "object params and an optional list of integer sessions"
+        )
+    p = s.get("params", {})
+    if s["kind"] == "own_value_forge":
+        v = p.get("value")
+        if not _is_int(v) or not lo <= v <= hi:
+            raise ConfigError(
+                "own_value_forge must supply a value inside the "
+                "measurement range; out-of-range readings are label "
+                "forgeries, not legal measurements"
+            )
+    if s["kind"] == "label_forge":
+        count, value, add = p.get("count", 0), p.get("value", 0), p.get("value_add", 0)
+        if not (_is_int(count) and count >= 0 and _is_int(value) and _is_int(add)):
+            raise ConfigError(
+                "label_forge needs a non-negative integer count and integer value and value_add"
+            )
 
 
 def load_config(path: str) -> dict:
@@ -192,36 +270,64 @@ class Scenario:
         for key in ("seed", "topology", "sessions"):
             if key not in c:
                 raise ConfigError(f"missing config field {key!r}")
-        # bool is an int subclass; the session index is packed as a u16.
-        if type(c["seed"]) is not int:
+        if not _is_int(c["seed"]):
             raise ConfigError("seed must be an integer")
-        if type(c["sessions"]) is not int or not 0 <= c["sessions"] <= MAX_SESSIONS:
+        # The session index is packed as a u16.
+        if not _is_int(c["sessions"]) or not 0 <= c["sessions"] <= MAX_SESSIONS:
             raise ConfigError(f"sessions must be an integer in 0..{MAX_SESSIONS}")
-        lo, hi = self.value_range
+        graph = self.graph = build_graph(c["topology"], self.seed)
+        vr = c.get("value_range", [0, 100])
+        if not (isinstance(vr, list) and len(vr) == 2 and all(_is_int(v) for v in vr)):
+            raise ConfigError("value_range must be a list of two integers")
+        lo, hi = vr
         if lo > hi:
             raise ConfigError("value range is empty")
-        graph = self.graph = build_graph(c["topology"], self.seed)
         adv = c.get("adversary", {})
-        faulty = set(adv.get("faulty", ()))
-        if not faulty <= graph.sensors:
+        if not isinstance(adv, dict):
+            raise ConfigError("adversary must be an object")
+        faulty = adv.get("faulty", [])
+        if not (isinstance(faulty, list) and all(_is_int(v) for v in faulty)):
+            raise ConfigError("adversary faulty must be a list of integer node ids")
+        if not set(faulty) <= graph.sensors:
             raise ConfigError("faulty set contains unknown nodes")
-        if len(faulty) >= graph.n:
+        if len(set(faulty)) >= graph.n:
             raise ConfigError("faulty node count must be below network size")
         if self.atr_variant not in ("basic", "resilient"):
             raise ConfigError(f"unknown ATR variant {self.atr_variant!r}")
-        self.build_adversary()
-        for node, v in c.get("fixed_values", {}).items():
+        fixed = c.get("fixed_values", {})
+        if not isinstance(fixed, dict):
+            raise ConfigError("fixed_values must be an object")
+        for node, v in fixed.items():
+            try:
+                int(node)  # how values_for reads the key
+            except (TypeError, ValueError):
+                raise ConfigError(f"fixed_values key {node!r} is not a node id") from None
+            if not _is_int(v):
+                raise ConfigError(f"fixed value for node {node} must be an integer")
             if not lo <= v <= hi:
                 raise ConfigError(f"fixed value for node {node} outside range")
-        for s in c.get("adversary", {}).get("scripts", ()):
-            if s.get("kind") == "own_value_forge":
-                v = s.get("params", {}).get("value")
-                if v is None or not lo <= v <= hi:
-                    raise ConfigError(
-                        "own_value_forge must supply a value inside the "
-                        "measurement range; out-of-range readings are label "
-                        "forgeries, not legal measurements"
-                    )
+        scripts = adv.get("scripts", [])
+        if not isinstance(scripts, list):
+            raise ConfigError("adversary scripts must be a list")
+        forged_count = forged_value = 0
+        for s in scripts:
+            _check_script(s, lo, hi)
+            if s["kind"] == "label_forge":
+                p = s.get("params", {})
+                forged_count += p.get("count", 0)
+                forged_value += abs(p.get("value", 0)) + abs(p.get("value_add", 0))
+        # Labels are packed with a u16 count and an i64 value.  A label sums
+        # in-range readings and accepted labels, whose |value| is at most
+        # max|range| per count, and forged labels can add their counts and
+        # values to any sum above them.
+        count = graph.n + forged_count
+        if count > MAX_COUNT:
+            raise ConfigError(
+                f"sensors plus label_forge counts exceed the u16 label count limit {MAX_COUNT}"
+            )
+        if max(abs(lo), abs(hi)) * count + forged_value > I64_MAX:
+            raise ConfigError("value_range and label_forge values overflow an i64 label sum")
+        self.build_adversary()
 
     @property
     def seed(self) -> int:

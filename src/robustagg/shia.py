@@ -25,13 +25,20 @@ class Label:
     """The <count, value, commitment> tuple flowing up the tree.
 
     Leaf-format labels carry the node id in the commitment slot; internal
-    labels carry a digest chaining the child labels.
+    labels carry a digest chaining the child labels.  `raw` is the label's
+    wire serialization, made once: the layout is canonical, so a parsed
+    label keeps the bytes it was parsed from.
     """
 
     count: int
     value: int
     commit: bytes
     leaf: bool
+    raw: bytes = field(default=b"", compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.raw:
+            object.__setattr__(self, "raw", self.to_bytes())
 
     def to_bytes(self) -> bytes:
         tag = _LEAF_TAG if self.leaf else _INTERNAL_TAG
@@ -49,7 +56,7 @@ class Label:
         expect = wire.NODE_ID_LEN if leaf else wire.DIGEST_LEN
         if len(commit) != expect:
             raise FrameError("bad commitment length")
-        return cls(wire.read_u16(count_b), wire.read_i64(value_b), commit, leaf)
+        return cls(wire.read_u16(count_b), wire.read_i64(value_b), commit, leaf, data)
 
 
 def leaf_label(node: NodeId, value: int) -> Label:
@@ -66,7 +73,7 @@ def internal_label(nonce: bytes, inputs: list[Label]) -> Label:
     count = sum(l.count for l in inputs)
     value = sum(l.value for l in inputs)
     digest = crypto.hash_bytes(
-        wire.frame(nonce, wire.u16(count), wire.i64(value), *[l.to_bytes() for l in inputs])
+        wire.frame(nonce, wire.u16(count), wire.i64(value), *[l.raw for l in inputs])
     )
     return Label(count, value, digest, leaf=False)
 
@@ -236,7 +243,7 @@ def run_shia(
                     extra_inputs[target].append(label)
                 adv.fire(node, "parent_switch")
                 continue
-            net.send_link(node, tree.parent[node], label.to_bytes())
+            net.send_link(node, tree.parent[node], label.raw)
             sent[node] = label
 
     b = tree.bs_child
@@ -263,7 +270,7 @@ def run_shia(
 
     # --- result checking: off-path dissemination ---
     net.phase = "check"
-    net.bs_broadcast(BS_ID, wire.frame(nonce, root_label.to_bytes()))
+    net.bs_broadcast(BS_ID, wire.frame(nonce, root_label.raw))
     parsed: dict[bytes, Offpath] = {}
     offpath: dict[NodeId, Offpath | None] = {n: None for n in tree.members}
     offpath[b] = offpath_from_bytes(b"", parsed)
@@ -273,7 +280,7 @@ def run_shia(
             if above is None:
                 continue  # node got nothing, so it has nothing to forward
             kids = accepted_children.get(node, [])
-            inputs = [l.to_bytes() for l in inputs_used[node]] if kids else []
+            inputs = [l.raw for l in inputs_used[node]] if kids else []
             corrupt = adv.action(node, "offpath_corrupt")
             for idx, child in enumerate(kids):
                 msg = offpath_to_bytes(idx, inputs[:idx] + inputs[idx + 1 :], above.raw)

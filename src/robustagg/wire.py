@@ -46,11 +46,7 @@ def read_i64(b: bytes) -> int:
 
 def frame(*fields: bytes) -> bytes:
     """Concatenate fields, each prefixed with its 4-byte length."""
-    out = bytearray()
-    for f in fields:
-        out += _U32.pack(len(f))
-        out += f
-    return bytes(out)
+    return b"".join([_U32.pack(len(f)) + f for f in fields])
 
 
 def unframe(data: bytes) -> list[bytes]:

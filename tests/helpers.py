@@ -297,6 +297,77 @@ def oracle_geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
     return NetworkGraph(set(range(1, n + 1)), edges, d_max)
 
 
+# --- geometric generator reference: computes every sensor pair's distance
+# once, when the later sensor is placed, and picks each backbone target
+# from that full list; the bucketed generator must build the same graph ---
+
+
+def oracle_onepass_geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
+    """Connected degree-bounded graph over random positions.
+
+    A nearest-neighbor backbone guarantees connectivity without retries;
+    extra short links are added while both endpoints stay under the bound.
+    """
+    if n < 1:
+        raise ConfigError("geometric topology needs n >= 1")
+    if d_max < 2:
+        raise ConfigError("geometric topology needs d_max >= 2")
+    rng = random.Random(f"topo:{seed}:{n}:{d_max}")
+    pos = {BS_ID: (0.5, 0.5)}
+    for s in range(1, n + 1):
+        pos[s] = (rng.random(), rng.random())
+
+    deg: dict[int, int] = {v: 0 for v in pos}
+    edges: set[tuple[int, int]] = set()
+
+    def add(a: int, b: int) -> None:
+        edges.add(edge_key(a, b))
+        deg[a] += 1
+        deg[b] += 1
+
+    # Backbone over sensors only: tree floods never route through the BS,
+    # so the sensor subgraph itself must be connected.  Each sensor pair's
+    # distance is computed once, when the later sensor is placed; the same
+    # list picks the backbone target and keeps the pairs inside the radius.
+    radius = math.sqrt(3.0 / n)
+    short: list[tuple[float, int, int]] = []
+    sensors = list(pos.items())[1:]  # in id order
+    for s in range(2, n + 1):
+        xs, ys = pos[s]
+        near = [(math.hypot(x - xs, y - ys), v) for v, (x, y) in sensors[: s - 1]]
+        # Prefer a sensor under d_max - 1; else any under d_max, which the
+        # backbone tree always has (a leaf, or sensor 1 before any link).
+        free = [p for p in near if deg[p[1]] < d_max - 1]
+        add(s, min(free or [p for p in near if deg[p[1]] < d_max])[1])
+        short.extend((d, v, s) for d, v in near if d <= radius)
+
+    # Extra short links, nearest first, while both ends stay under the bound.
+    short.sort()
+    extra: list[tuple[int, int]] = []
+    for d, a, b in short:
+        if edge_key(a, b) not in edges and deg[a] < d_max and deg[b] < d_max:
+            add(a, b)
+            extra.append((a, b))
+
+    # The BS hears its nearest sensors that still have a free slot.
+    bx, by = pos[BS_ID]
+    by_dist = sorted((math.hypot(bx - x, by - y), v) for v, (x, y) in sensors)
+    want = max(1, min(3, d_max - 1, n))
+    for _, v in by_dist:
+        if deg[BS_ID] >= want:
+            break
+        if deg[v] < d_max:
+            add(BS_ID, v)
+    if deg[BS_ID] == 0:
+        # Extra links took every free slot (a backbone leaf has one
+        # otherwise): the nearest sensor with an extra link trades its
+        # shortest one for the BS.  The backbone keeps the sensors connected.
+        v, u = next((v, a if b == v else b) for _, v in by_dist for a, b in extra if v in (a, b))
+        edges.remove(edge_key(u, v))
+        edges.add(edge_key(BS_ID, v))
+    return NetworkGraph(set(range(1, n + 1)), edges, d_max)
+
+
 # --- basic ATR reference: every response crosses every hop of its path as
 # its own link send, and each node forwards at most n relayed responses ---
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_geometric_graph
+from helpers import oracle_geometric_graph, oracle_onepass_geometric_graph
 from robustagg import cli, orchestrator, scenario
 from robustagg.crypto import BS_ID
 from robustagg.errors import ConfigError
@@ -30,6 +30,11 @@ def base_config(**overrides) -> dict:
     }
     cfg.update(overrides)
     return cfg
+
+
+def scripted(*scripts, faulty=(2,)) -> dict:
+    """Config overrides for an adversary running `scripts`."""
+    return {"adversary": {"faulty": list(faulty), "scripts": list(scripts)}}
 
 
 def write_config(tmp_path, cfg, name="scenario.json") -> str:
@@ -148,6 +153,22 @@ class TestGeneration:
             assert str(got.value) == str(exc)
             return
         got = _geometric_graph(n, d_max, seed)
+        assert got.edges == want.edges
+        assert got.neighbors(BS_ID) == want.neighbors(BS_ID)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 400), st.integers(2, 9), st.integers())
+    def test_geometric_graph_matches_onepass_oracle(self, n, d_max, seed):
+        got = _geometric_graph(n, d_max, seed)
+        want = oracle_onepass_geometric_graph(n, d_max, seed)
+        assert got.edges == want.edges
+        assert got.neighbors(BS_ID) == want.neighbors(BS_ID)
+
+    @pytest.mark.parametrize("n", [2000, 4000])
+    @pytest.mark.parametrize("d_max", [2, 3, 6])
+    def test_large_geometric_graph_matches_onepass_oracle(self, n, d_max):
+        got = _geometric_graph(n, d_max, 1)
+        want = oracle_onepass_geometric_graph(n, d_max, 1)
         assert got.edges == want.edges
         assert got.neighbors(BS_ID) == want.neighbors(BS_ID)
 
@@ -371,5 +392,66 @@ class TestCli:
     )
     def test_malformed_topology_is_a_config_error(self, tmp_path, capsys, topology, message):
         cfg_path = write_config(tmp_path, base_config(topology=topology))
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (scripted({"kind": "label_drop"}), "each adversary script needs an integer node"),
+            (
+                scripted({"node": 2, "kind": "label_drop", "params": [1]}),
+                "each adversary script needs an integer node",
+            ),
+            ({"fixed_values": {"3": "50"}}, "fixed value for node 3 must be an integer"),
+            ({"value_range": [1]}, "value_range must be a list of two integers"),
+            ({"value_range": [0, 2**64]}, "value_range and label_forge values overflow an i64"),
+            (
+                scripted({"node": 2, "kind": "label_forge", "params": {"count": 70000}}),
+                "sensors plus label_forge counts exceed the u16 label count limit 65535",
+            ),
+            (
+                scripted({"node": 2, "kind": "label_forge", "params": {"value": 2**64}}),
+                "value_range and label_forge values overflow an i64",
+            ),
+            (
+                {
+                    # Two sibling forgers whose counts each fit u16 but whose
+                    # parent's sum does not.
+                    "topology": {"kind": "edges", "n": 3, "edges": [[0, 1], [1, 2], [1, 3]]},
+                    **scripted(
+                        *[
+                            {"node": v, "kind": "label_forge", "params": {"count": 40000, "value": 0}}
+                            for v in (2, 3)
+                        ],
+                        faulty=[2, 3],
+                    ),
+                },
+                "sensors plus label_forge counts exceed the u16 label count limit",
+            ),
+            ({"fixed_values": {"x": 5}}, "fixed_values key 'x' is not a node id"),
+            ({"adversary": [2]}, "adversary must be an object"),
+            ({"adversary": {"faulty": 2}}, "adversary faulty must be a list of integer node ids"),
+            ({"adversary": {"faulty": [2], "scripts": {"node": 2}}}, "adversary scripts must be a list"),
+            (
+                scripted({"node": 2, "kind": "own_value_forge", "params": {"value": "5"}}),
+                "own_value_forge must supply a value inside the measurement range",
+            ),
+            (
+                scripted({"node": 2, "kind": "label_forge", "params": {"value_add": "5"}}),
+                "label_forge needs a non-negative integer count and integer value and value_add",
+            ),
+        ],
+        ids=[
+            "script_without_node", "list_params", "string_fixed_value", "short_value_range",
+            "value_range_beyond_i64", "forged_count_beyond_u16", "forged_value_beyond_i64",
+            "forged_counts_summing_beyond_u16", "fixed_value_key", "adversary_list", "faulty_int",
+            "scripts_object", "own_value_string", "value_add_string",
+        ],
+    )
+    def test_malformed_values_and_scripts_are_config_errors(self, tmp_path, capsys, overrides, message):
+        cfg = json.loads((SCENARIOS / "grid_clean.json").read_text())
+        cfg.update(overrides)
+        cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
         assert f"config error: {message}" in capsys.readouterr().err
