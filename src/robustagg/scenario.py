@@ -88,18 +88,14 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
     width = 1.0 / k
     cell = {v: min(int(y * k), k - 1) * k + min(int(x * k), k - 1) for v, (x, y) in pos.items()}
     placed: list[list[int]] = [[] for _ in range(k * k)]
-    # Backbone candidates per cell: tier 0 holds the sensors under d_max - 1,
-    # tier 1 those under d_max; `in_tier0` counts tier 0 over all cells.
-    tiers: tuple[list[set[int]], ...] = tuple([set() for _ in range(k * k)] for _ in range(2))
-    in_tier0 = 0
+    in_tier0 = 0  # placed sensors under d_max - 1
     short: list[tuple[float, int, int]] = []
     for s in range(1, n + 1):
         xs, ys = pos[s]
         if s > 1:
             # Prefer the nearest sensor under d_max - 1; else the nearest
             # under d_max, which the backbone tree always has (a leaf).
-            tier = 0 if in_tier0 else 1
-            lim = d_max - 1 + tier
+            lim = d_max - 1 if in_tier0 else d_max
             cy, cx = divmod(cell[s], k)
             reach = max(cx, cy, k - 1 - cx, k - 1 - cy)
             best: tuple[float, int] | None = None
@@ -113,7 +109,7 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
                     for i in range(cx - r, cx + r + 1, step):
                         if not 0 <= i < k:
                             continue
-                        for v in placed[j * k + i] if r <= 1 else tiers[tier][j * k + i]:
+                        for v in placed[j * k + i]:
                             x, y = pos[v]
                             p = (math.hypot(x - xs, y - ys), v)
                             if r <= 1 and p[0] <= radius:
@@ -124,15 +120,10 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
             target = best[1]
             add(s, target)
             if deg[target] == d_max - 1:
-                tiers[0][cell[target]].discard(target)
                 in_tier0 -= 1
-            elif deg[target] == d_max:
-                tiers[1][cell[target]].discard(target)
         placed[cell[s]].append(s)
         if deg[s] < d_max - 1:
-            tiers[0][cell[s]].add(s)
             in_tier0 += 1
-        tiers[1][cell[s]].add(s)
 
     # Extra short links, nearest first, while both ends stay under the bound.
     short.sort()
@@ -276,7 +267,7 @@ class Scenario:
         if not _is_int(c["sessions"]) or not 0 <= c["sessions"] <= MAX_SESSIONS:
             raise ConfigError(f"sessions must be an integer in 0..{MAX_SESSIONS}")
         graph = self.graph = build_graph(c["topology"], self.seed)
-        vr = c.get("value_range", [0, 100])
+        vr = self.value_range
         if not (isinstance(vr, list) and len(vr) == 2 and all(_is_int(v) for v in vr)):
             raise ConfigError("value_range must be a list of two integers")
         lo, hi = vr
@@ -309,24 +300,28 @@ class Scenario:
         scripts = adv.get("scripts", [])
         if not isinstance(scripts, list):
             raise ConfigError("adversary scripts must be a list")
-        forged_count = forged_value = 0
         for s in scripts:
             _check_script(s, lo, hi)
-            if s["kind"] == "label_forge":
-                p = s.get("params", {})
-                forged_count += p.get("count", 0)
-                forged_value += abs(p.get("value", 0)) + abs(p.get("value_add", 0))
         # Labels are packed with a u16 count and an i64 value.  A label sums
         # in-range readings and accepted labels, whose |value| is at most
         # max|range| per count, and forged labels can add their counts and
-        # values to any sum above them.
-        count = graph.n + forged_count
-        if count > MAX_COUNT:
-            raise ConfigError(
-                f"sensors plus label_forge counts exceed the u16 label count limit {MAX_COUNT}"
-            )
-        if max(abs(lo), abs(hi)) * count + forged_value > I64_MAX:
-            raise ConfigError("value_range and label_forge values overflow an i64 label sum")
+        # values to any sum above them.  In a session, each node fires the
+        # first label_forge script active for it (Adversary.action).
+        forges = [s for s in scripts if s["kind"] == "label_forge"]
+        named = {t for s in forges for t in s.get("sessions") or ()}
+        for t in [*named, None]:  # None: a session that no script names
+            fired: dict[int, dict] = {}
+            for s in forges:
+                if s.get("sessions") is None or t in s["sessions"]:
+                    fired.setdefault(s["node"], s.get("params", {}))
+            count = graph.n + sum(p.get("count", 0) for p in fired.values())
+            if count > MAX_COUNT:
+                raise ConfigError(
+                    f"sensors plus label_forge counts exceed the u16 label count limit {MAX_COUNT}"
+                )
+            forged = sum(abs(p.get("value", 0)) + abs(p.get("value_add", 0)) for p in fired.values())
+            if max(abs(lo), abs(hi)) * count + forged > I64_MAX:
+                raise ConfigError("value_range and label_forge values overflow an i64 label sum")
         self.build_adversary()
 
     @property
@@ -338,9 +333,9 @@ class Scenario:
         return self.config["sessions"]
 
     @property
-    def value_range(self) -> tuple[int, int]:
-        lo, hi = self.config.get("value_range", [0, 100])
-        return int(lo), int(hi)
+    def value_range(self) -> Any:
+        """The raw `[lo, hi]` pair; validate() checks it is two integers."""
+        return self.config.get("value_range", [0, 100])
 
     @property
     def atr_variant(self) -> str:

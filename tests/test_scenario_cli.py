@@ -455,3 +455,20 @@ class TestCli:
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
         assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_forgers_in_disjoint_sessions_are_bounded_per_session(self, tmp_path, capsys):
+        # Two forgers whose counts would overflow u16 in one label, but
+        # never in the same session: no label sums both, so the config runs.
+        cfg = json.loads((SCENARIOS / "grid_clean.json").read_text())
+        cfg.update(
+            scripted(
+                *[
+                    {"node": v, "kind": "label_forge", "params": {"count": 40000}, "sessions": [t]}
+                    for v, t in ((2, 0), (3, 1))
+                ],
+                faulty=[2, 3],
+            )
+        )
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+        assert "config error" not in capsys.readouterr().err
