@@ -16,6 +16,10 @@ from .errors import ConfigError, ProtocolViolation
 
 Edge = tuple[NodeId, NodeId]
 
+# A link send's envelope around its payload: the payload's length prefix
+# and a length-prefixed 16-byte tag.
+_LINK_OVERHEAD = wire.framed_size(0, wire.ACK_LEN)
+
 
 def edge_key(a: NodeId, b: NodeId) -> Edge:
     return (a, b) if a < b else (b, a)
@@ -180,7 +184,7 @@ class Network:
         """
         if not self.graph.has_edge(frm, to):
             raise ConfigError(f"({frm}, {to}) is not a graph edge")
-        self.ledger.charge(frm, to, wire.framed_size(len(payload), wire.ACK_LEN), self.phase)
+        self.ledger.charge(frm, to, len(payload) + _LINK_OVERHEAD, self.phase)
         return payload
 
     def bs_broadcast(self, sender: NodeId, payload: bytes) -> bytes:

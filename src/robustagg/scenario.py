@@ -222,6 +222,16 @@ def _check_script(s: Any, lo: int, hi: int) -> None:
             raise ConfigError(
                 "label_forge needs a non-negative integer count and integer value and value_add"
             )
+    if s["kind"] == "parent_switch" and not _is_int(p.get("target", 0)):
+        raise ConfigError("parent_switch target must be an integer node id")
+    if s["kind"] in ("confirm_tamper", "ack_report_forge") and not _is_int(p.get("slot", 0)):
+        raise ConfigError(f"{s['kind']} slot must be an integer")
+    if s["kind"] == "nl_fake":
+        for key in ("add", "remove"):
+            ids = p.get(key, [])
+            # Announced ids are packed as u16.
+            if not (isinstance(ids, list) and all(_is_int(v) and 0 <= v <= MAX_SENSORS for v in ids)):
+                raise ConfigError(f"nl_fake {key} must be a list of node ids in 0..{MAX_SENSORS}")
 
 
 def load_config(path: str) -> dict:

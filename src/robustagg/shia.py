@@ -88,12 +88,17 @@ class Offpath:
     `raw` is the blob as received, forwarded verbatim.  A non-empty blob is
     its first step (`slot`, `others`) framed ahead of the blob `above`; the
     empty blob, which the BS child gets, has no step and `above` None.
+    A step that arrived unaltered also keeps the label its sender held at
+    `slot` (`held`) and the label the sender folded from those inputs
+    (`folded`), so folding `held` in needs no hash.
     """
 
     raw: bytes
     slot: int = 0
     others: tuple[Label, ...] = ()
     above: "Offpath | None" = None
+    held: Label | None = None
+    folded: Label | None = None
 
 
 def offpath_to_bytes(slot: int, others: list[bytes], above: bytes) -> bytes:
@@ -133,8 +138,10 @@ def recompute_root(
     """Fold `own` up the steps of `path` into the root label they imply.
 
     `roots` memoizes this session's (label, path) pairs; the walk stops at
-    the first pair already resolved.  Paths come from one `parsed` memo, so
-    equal blobs are one object and the pairs key by identity.
+    the first pair already resolved.  The pairs key by path identity: a
+    session builds one path per unaltered blob and parses altered ones
+    through one `parsed` memo.  A step whose sender's fold is known reuses
+    it when `cur` is the label the sender held.
     """
     walked: list[tuple[Label, Offpath]] = []
     cur = own
@@ -144,7 +151,10 @@ def recompute_root(
             cur = hit
             break
         walked.append((cur, path))
-        cur = internal_label(nonce, [*path.others[: path.slot], cur, *path.others[path.slot :]])
+        if path.held is not None and cur == path.held:
+            cur = path.folded
+        else:
+            cur = internal_label(nonce, [*path.others[: path.slot], cur, *path.others[path.slot :]])
         path = path.above
     for key in walked:
         roots[key] = cur
@@ -194,6 +204,7 @@ def run_shia(
     committed: dict[NodeId, Label] = {}  # each node's outgoing label, incl. handoffs
     extra_inputs: dict[NodeId, list[Label]] = {n: [] for n in tree.members}
     inputs_used: dict[NodeId, list[Label]] = {}
+    folded: dict[NodeId, Label] = {}  # each node's label before any forgery
     accepted_children: dict[NodeId, list[NodeId]] = {}
 
     for epoch in tree.epochs:
@@ -218,6 +229,7 @@ def run_shia(
             label = inputs[0] if len(inputs) == 1 else internal_label(nonce, inputs)
             inputs_used[node] = inputs
             accepted_children[node] = kept
+            folded[node] = label
 
             act = adv.action(node, "label_forge")
             if act is not None:
@@ -280,14 +292,24 @@ def run_shia(
             if above is None:
                 continue  # node got nothing, so it has nothing to forward
             kids = accepted_children.get(node, [])
-            inputs = [l.raw for l in inputs_used[node]] if kids else []
+            labels = inputs_used[node] if kids else []
+            inputs = [l.raw for l in labels]
             corrupt = adv.action(node, "offpath_corrupt")
             for idx, child in enumerate(kids):
-                msg = offpath_to_bytes(idx, inputs[:idx] + inputs[idx + 1 :], above.raw)
+                built = offpath_to_bytes(idx, inputs[:idx] + inputs[idx + 1 :], above.raw)
+                msg = built
                 if corrupt is not None:
-                    msg = garble(msg)
+                    msg = garble(built)
                     adv.fire(node, "offpath_corrupt")
                 delivered = net.send_link(node, child, msg)
+                if delivered is built:
+                    # Unaltered (`garble` always makes a new object): build
+                    # the step from the labels the sender holds, no parse.
+                    others = tuple(labels[:idx] + labels[idx + 1 :])
+                    offpath[child] = Offpath(
+                        built, idx, others, above, held=labels[idx], folded=folded[node]
+                    )
+                    continue
                 try:
                     offpath[child] = offpath_from_bytes(delivered, parsed)
                 except FrameError:

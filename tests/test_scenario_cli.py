@@ -472,3 +472,60 @@ class TestCli:
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
         assert "config error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {
+                    "topology": {"kind": "chain", "n": 5},
+                    **scripted(
+                        {"node": 2, "kind": "parent_switch", "params": {"target": {"a": 1}}},
+                        faulty=[2, 3],
+                    ),
+                },
+                "parent_switch target must be an integer node id",
+            ),
+            (
+                {
+                    "topology": {"kind": "chain", "n": 5},
+                    "atr": "resilient",
+                    **scripted({"node": 2, "kind": "nl_fake", "params": {"add": [70000]}}),
+                },
+                "nl_fake add must be a list of node ids in 0..65535",
+            ),
+            (
+                {
+                    "topology": {"kind": "chain", "n": 5},
+                    "atr": "resilient",
+                    **scripted({"node": 2, "kind": "nl_fake", "params": {"add": ["x"]}}),
+                },
+                "nl_fake add must be a list of node ids in 0..65535",
+            ),
+            (
+                scripted(
+                    {"node": 3, "kind": "ack_garble"},
+                    {"node": 2, "kind": "confirm_tamper", "params": {"slot": "a"}},
+                    faulty=[2, 3],
+                ),
+                "confirm_tamper slot must be an integer",
+            ),
+            (
+                scripted(
+                    {"node": 3, "kind": "ack_garble"},
+                    {"node": 2, "kind": "ack_report_forge", "params": {"slot": "a"}},
+                    faulty=[2, 3],
+                ),
+                "ack_report_forge slot must be an integer",
+            ),
+        ],
+        ids=["switch_target_object", "nl_fake_id_beyond_u16", "nl_fake_id_string",
+             "confirm_slot_string", "report_slot_string"],
+    )
+    def test_malformed_script_params_are_config_errors(self, tmp_path, capsys, overrides, message):
+        # Each of these was a traceback (exit 1) from inside a protocol phase.
+        cfg = json.loads((SCENARIOS / "grid_clean.json").read_text())
+        cfg.update(overrides)
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
+        assert f"config error: {message}" in capsys.readouterr().err
