@@ -383,6 +383,12 @@ def test_fast_check_phase_matches_parsing_every_blob(case):
     # forces a parse and a hash per step; `bytes(b)` and `b[:]` would hand
     # back the same object, so the copy goes through a bytearray.
     parent, values, faulty, scripts = case
+    real = shia.recompute_root
+
+    def checked(own, path, nonce, roots):
+        _check_steps(path, nonce)
+        return real(own, path, nonce, roots)
+
     runs = []
     for copy in (False, True):
         net, tree = net_for_tree(parent)
@@ -391,12 +397,6 @@ def test_fast_check_phase_matches_parsing_every_blob(case):
             net.send_link = lambda frm, to, payload: bytes(bytearray(send(frm, to, payload)))
         adv = Adversary(faulty, scripts)
         adv.begin_session(0)
-        real = shia.recompute_root
-
-        def checked(own, path, nonce, roots):
-            _check_steps(path, nonce)
-            return real(own, path, nonce, roots)
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(shia, "recompute_root", checked)
             sres = shia.run_shia(net, tree, values, adv, NONCE, (0, 100))
