@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import orchestrator
-from .errors import ConfigError
+from .errors import ConfigError, UnlocalizableFailure
 from .scenario import SCHEMA, Scenario, load_config
 
 EXIT_OK = 0
@@ -172,7 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnlocalizableFailure as exc:
+        # A failed session that no one was marked for: the localization
+        # guarantee the audit checks has failed.
+        print(f"audit failed: {exc}", file=sys.stderr)
+        return EXIT_AUDIT_FAIL
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ class FrameError(RobustAggError):
 class UnlocalizableFailure(RobustAggError):
     """An aggregation failed but neither localization phase marked a node.
 
-    The localization analysis guarantees this cannot happen; reaching it
-    means a bug in the protocol engine, so it is raised rather than handled.
+    The localization analysis guarantees this cannot happen, so the engine
+    raises it rather than reporting the run; `cli.main` maps it to exit 1,
+    because the guarantee the audit checks has failed.
     """

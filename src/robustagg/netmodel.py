@@ -151,7 +151,7 @@ class CongestionLedger:
     def charge(self, a: NodeId, b: NodeId, nbytes: int, phase: str) -> None:
         if nbytes < 0:
             raise ProtocolViolation("negative byte charge")
-        e = edge_key(a, b)
+        e = (a, b) if a < b else (b, a)  # edge_key, inlined on the hot path
         self.per_edge[e] = self.per_edge.get(e, 0) + nbytes
         self.per_phase[phase] = self.per_phase.get(phase, 0) + nbytes
 
@@ -195,6 +195,7 @@ class Network:
         """
         if sender != BS_ID:
             raise ProtocolViolation("only the BS can issue authenticated broadcasts")
+        charge, nbytes, phase = self.ledger.charge, len(payload), self.phase
         for a, b in self.graph.flood_edges:
-            self.ledger.charge(a, b, len(payload), self.phase)
+            charge(a, b, nbytes, phase)
         return payload

@@ -8,74 +8,114 @@ upward, compared by the BS against the expected combination).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from . import crypto, wire
 from .adversary import garble
 from .crypto import BS_ID, NodeId
-from .errors import FrameError
+from .errors import FrameError, ProtocolViolation
 from .netmodel import AggregationTree, Network
 
-_LEAF_TAG = b"\x00"
-_INTERNAL_TAG = b"\x01"
+# A label is its tag, then the frame of count, value and commitment.  The
+# commitment is a node id (leaf) or a digest (internal), so each kind has one
+# fixed-size layout: tag, then `u32 len, u16 count, u32 len, i64 value,
+# u32 len, commitment`.
+_LEAF, _INTERNAL = 0, 1
+_LEAF_LAYOUT = struct.Struct(f">BIHIqI{wire.NODE_ID_LEN}s")
+_INTERNAL_LAYOUT = struct.Struct(f">BIHIqI{wire.DIGEST_LEN}s")
+# The count and value frames of an internal label's hashed input.
+_SUMS_LAYOUT = struct.Struct(">IHIq")
+# Each hashed input label's length prefix, indexed by `Label.leaf`.
+_INPUT_PREFIX = (wire.u32(_INTERNAL_LAYOUT.size), wire.u32(_LEAF_LAYOUT.size))
 
 
-@dataclass(frozen=True)
 class Label:
     """The <count, value, commitment> tuple flowing up the tree.
 
     Leaf-format labels carry the node id in the commitment slot; internal
     labels carry a digest chaining the child labels.  `raw` is the label's
     wire serialization, made once: the layout is canonical, so a parsed
-    label keeps the bytes it was parsed from.
+    label keeps the bytes it was parsed from, and two labels are equal, and
+    hash alike, exactly when their bytes are.  Labels are never mutated.
     """
 
-    count: int
-    value: int
-    commit: bytes
-    leaf: bool
-    raw: bytes = field(default=b"", compare=False, repr=False)
+    __slots__ = ("count", "value", "commit", "leaf", "raw")
 
-    def __post_init__(self) -> None:
-        if not self.raw:
-            object.__setattr__(self, "raw", self.to_bytes())
+    def __init__(self, count: int, value: int, commit: bytes, leaf: bool, raw: bytes = b""):
+        self.count = count
+        self.value = value
+        self.commit = commit
+        self.leaf = leaf
+        self.raw = raw or self.to_bytes()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Label):
+            return NotImplemented
+        return self.raw == other.raw
+
+    def __hash__(self) -> int:
+        return hash(self.raw)
+
+    def __repr__(self) -> str:
+        return f"Label({self.count}, {self.value}, {self.commit!r}, leaf={self.leaf})"
 
     def to_bytes(self) -> bytes:
-        tag = _LEAF_TAG if self.leaf else _INTERNAL_TAG
-        return tag + wire.frame(wire.u16(self.count), wire.i64(self.value), self.commit)
+        if self.leaf:
+            layout, tag, commit_len = _LEAF_LAYOUT, _LEAF, wire.NODE_ID_LEN
+        else:
+            layout, tag, commit_len = _INTERNAL_LAYOUT, _INTERNAL, wire.DIGEST_LEN
+        if len(self.commit) != commit_len:  # `s` would pad or truncate it
+            raise ProtocolViolation(f"commitment of {len(self.commit)} bytes, not {commit_len}")
+        return layout.pack(
+            tag, wire.COUNT_LEN, self.count, wire.VALUE_LEN, self.value, commit_len, self.commit
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Label":
-        if not data or data[0:1] not in (_LEAF_TAG, _INTERNAL_TAG):
-            raise FrameError("bad label tag")
-        fields = wire.unframe(data[1:])
-        if len(fields) != 3:
-            raise FrameError("label needs count, value and commitment")
-        count_b, value_b, commit = fields
-        leaf = data[0:1] == _LEAF_TAG
-        expect = wire.NODE_ID_LEN if leaf else wire.DIGEST_LEN
-        if len(commit) != expect:
-            raise FrameError("bad commitment length")
-        return cls(wire.read_u16(count_b), wire.read_i64(value_b), commit, leaf, data)
+        if len(data) == _LEAF_LAYOUT.size and data[0] == _LEAF:
+            leaf, commit_len = True, wire.NODE_ID_LEN
+            fields = _LEAF_LAYOUT.unpack(data)
+        elif len(data) == _INTERNAL_LAYOUT.size and data[0] == _INTERNAL:
+            leaf, commit_len = False, wire.DIGEST_LEN
+            fields = _INTERNAL_LAYOUT.unpack(data)
+        else:
+            raise FrameError("not a label: bad tag or length")
+        _, count_len, count, value_len, value, got_commit_len, commit = fields
+        if (count_len, value_len, got_commit_len) != (wire.COUNT_LEN, wire.VALUE_LEN, commit_len):
+            raise FrameError("bad label field lengths")
+        return cls(count, value, commit, leaf, data)
 
 
 def leaf_label(node: NodeId, value: int) -> Label:
-    return Label(1, value, wire.u16(node), leaf=True)
+    commit = wire.u16(node)
+    raw = _LEAF_LAYOUT.pack(
+        _LEAF, wire.COUNT_LEN, 1, wire.VALUE_LEN, value, wire.NODE_ID_LEN, commit
+    )
+    return Label(1, value, commit, True, raw)
 
 
 def internal_label(nonce: bytes, inputs: list[Label]) -> Label:
     """Combine an ordered input list into the parent label.
 
-    The commitment hashes the nonce, the summed count and value, then each
-    input label's serialization in order; any reordering or field change
-    yields a different digest.
+    The commitment hashes the frame of the nonce, the summed count and
+    value, then each input label's serialization in order; any reordering or
+    field change yields a different digest.
     """
     count = sum(l.count for l in inputs)
     value = sum(l.value for l in inputs)
-    digest = crypto.hash_bytes(
-        wire.frame(nonce, wire.u16(count), wire.i64(value), *[l.raw for l in inputs])
+    parts = [
+        wire.u32(len(nonce)),
+        nonce,
+        _SUMS_LAYOUT.pack(wire.COUNT_LEN, count, wire.VALUE_LEN, value),
+    ]
+    for l in inputs:
+        parts += (_INPUT_PREFIX[l.leaf], l.raw)
+    digest = crypto.hash_bytes(b"".join(parts))
+    raw = _INTERNAL_LAYOUT.pack(
+        _INTERNAL, wire.COUNT_LEN, count, wire.VALUE_LEN, value, wire.DIGEST_LEN, digest
     )
-    return Label(count, value, digest, leaf=False)
+    return Label(count, value, digest, False, raw)
 
 
 # Off-path data: one framed step per ancestor level, bottom-up.  A step is a
@@ -260,9 +300,10 @@ def run_shia(
 
     b = tree.bs_child
     root_label = sent.get(b)
-    expected = crypto.xor_acks(
-        [crypto.node_ack(net.keys.bs_key(s), nonce) for s in sorted(tree.members)]
-    )
+    # Each member's ack, MACed once: the BS's expectation and the ack phase
+    # both read it.
+    node_acks = {s: crypto.node_ack(net.keys.bs_key(s), nonce) for s in sorted(tree.members)}
+    expected = crypto.xor_acks(list(node_acks.values()))
 
     if root_label is None:
         return ShiaResult(
@@ -327,7 +368,7 @@ def run_shia(
             match = own is not None and path is not None and (
                 recompute_root(own, path, nonce, roots) == root_label
             )
-            out_ack = crypto.node_ack(net.keys.bs_key(node), nonce) if match else None
+            out_ack = node_acks[node] if match else None
             if out_ack is not None and adv.action(node, "ack_drop") is not None:
                 adv.fire(node, "ack_drop")
                 out_ack = None

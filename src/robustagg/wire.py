@@ -44,6 +44,10 @@ def read_i64(b: bytes) -> int:
     return _I64.unpack(b)[0]
 
 
+def u32(x: int) -> bytes:
+    return _U32.pack(x)
+
+
 def frame(*fields: bytes) -> bytes:
     """Concatenate fields, each prefixed with its 4-byte length."""
     return b"".join([_U32.pack(len(f)) + f for f in fields])

@@ -181,6 +181,29 @@ def oracle_root(nonce: bytes, tree: AggregationTree, values: dict[int, int]):
     return c, v, raw
 
 
+# --- the label codec as the general frame path wrote it, field by field ---
+
+
+def oracle_label_to_bytes(count: int, value: int, commit: bytes, leaf: bool) -> bytes:
+    tag = b"\x00" if leaf else b"\x01"
+    return tag + wire.frame(wire.u16(count), wire.i64(value), commit)
+
+
+def oracle_label_from_bytes(data: bytes) -> tuple[int, int, bytes, bool]:
+    """(count, value, commit, leaf); raises FrameError on junk."""
+    if not data or data[0:1] not in (b"\x00", b"\x01"):
+        raise FrameError("bad label tag")
+    fields = wire.unframe(data[1:])
+    if len(fields) != 3:
+        raise FrameError("label needs count, value and commitment")
+    count_b, value_b, commit = fields
+    leaf = data[0:1] == b"\x00"
+    expect = wire.NODE_ID_LEN if leaf else wire.DIGEST_LEN
+    if len(commit) != expect:
+        raise FrameError("bad commitment length")
+    return wire.read_u16(count_b), wire.read_i64(value_b), commit, leaf
+
+
 # --- off-path reference: parse every step of every blob, hash every level ---
 
 

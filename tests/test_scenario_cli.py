@@ -302,6 +302,37 @@ class TestCli:
         tampered.write_text(json.dumps(report))
         assert cli.main(["replay", "--report", str(tampered)]) == cli.EXIT_PARSE_ERROR
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "replay"])
+    def test_unlocalizable_failure_is_an_audit_failure(self, tmp_path, capsys, command):
+        # A forged count above n passes every check but the BS's root count,
+        # and on a star (or at a chain's leaf) neither ALS phase marks anyone.
+        forge = {"node": 3, "kind": "label_forge", "params": {"count": 40000}, "sessions": [0]}
+        star = {
+            "seed": 1234,
+            "sessions": 5,
+            "topology": {"kind": "edges", "n": 3, "edges": [[0, 1], [1, 2], [1, 3]]},
+            "adversary": {"faulty": [2, 3], "scripts": [{**forge, "node": 2}]},
+        }
+        if command == "run":
+            argv = ["run", "--config", write_config(tmp_path, star)]
+        elif command == "sweep":
+            chain = {"seed": 1, "sessions": 2, "topology": {"kind": "chain", "n": 3},
+                     "adversary": {"faulty": [3], "scripts": [forge]}}
+            argv = ["sweep", "--template", write_config(tmp_path, chain), "--sizes", "3"]
+        else:
+            # A genuine report's shell around the star's config and hash.
+            out_path = str(tmp_path / "report.json")
+            cli.main(["run", "--config", write_config(tmp_path, base_config()), "--out", out_path])
+            report = json.loads(open(out_path).read())
+            report["config"] = star
+            report["config_hash"] = Scenario.from_dict(star).hash()
+            path = tmp_path / "star_report.json"
+            path.write_text(json.dumps(report))
+            argv = ["replay", "--report", str(path)]
+        assert cli.main(argv) == cli.EXIT_AUDIT_FAIL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["audit failed: session 0: aggregation failed but no node was marked"]
+
     def test_sweep_empty_sizes_is_a_noop(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         assert cli.main(["sweep", "--template", cfg_path, "--sizes", ""]) == cli.EXIT_OK

@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustagg import crypto, orchestrator, shia, wire
 from robustagg.adversary import Adversary
 from robustagg.crypto import BS_ID
-from robustagg.errors import FrameError
+from robustagg.errors import FrameError, ProtocolViolation
 from robustagg.netmodel import AggregationTree
 from robustagg.scenario import Scenario
 
@@ -16,6 +16,10 @@ from helpers import (
     entry,
     net_for_tree,
     oracle_combine,
+    oracle_frame,
+    oracle_internal_bytes,
+    oracle_label_from_bytes,
+    oracle_label_to_bytes,
     oracle_leaf_bytes,
     oracle_offpath_from_bytes,
     oracle_offpath_to_bytes,
@@ -45,7 +49,8 @@ class TestLabels:
         assert lab.leaf
 
     def test_leaf_bytes_match_oracle(self):
-        assert shia.leaf_label(7, 5).to_bytes() == oracle_leaf_bytes(7, 5)
+        lab = shia.leaf_label(7, 5)
+        assert lab.raw == lab.to_bytes() == oracle_leaf_bytes(7, 5)
 
     def test_internal_label_matches_oracle(self):
         a, b = shia.leaf_label(1, 10), shia.leaf_label(2, 20)
@@ -54,6 +59,7 @@ class TestLabels:
             NONCE, [(1, 10, a.to_bytes()), (1, 20, b.to_bytes())]
         )
         assert (lab.count, lab.value, lab.commit) == (c, v, digest)
+        assert lab.raw == lab.to_bytes() == oracle_internal_bytes(c, v, digest)
 
     def test_input_order_changes_commitment(self):
         a, b = shia.leaf_label(1, 10), shia.leaf_label(2, 20)
@@ -105,6 +111,118 @@ class TestLabels:
         roots: dict = {}
         assert shia.recompute_root(a, path, NONCE, roots) == root
         assert roots[(mid, path.above)] == root  # the walk memoizes every level
+
+
+# --- the one-struct label codec against the general frame path ---
+
+
+@st.composite
+def label_fields(draw):
+    """(count, value, commit, leaf) over the whole wire range."""
+    leaf = draw(st.booleans())
+    size = wire.NODE_ID_LEN if leaf else wire.DIGEST_LEN
+    return (
+        draw(st.integers(0, 2**16 - 1)),
+        draw(st.integers(-(2**63), 2**63 - 1)),
+        draw(st.binary(min_size=size, max_size=size)),
+        leaf,
+    )
+
+
+def fields_of(lab: shia.Label) -> tuple:
+    return (lab.count, lab.value, lab.commit, lab.leaf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_fields())
+def test_label_bytes_match_frame_oracle(fields):
+    count, value, commit, leaf = fields
+    lab = shia.Label(*fields)
+    assert lab.raw == lab.to_bytes() == oracle_label_to_bytes(*fields)
+    back = shia.Label.from_bytes(lab.raw)
+    assert fields_of(back) == fields and back.raw == lab.raw
+    if leaf:
+        node = int.from_bytes(commit, "big")
+        assert shia.leaf_label(node, value).raw == oracle_label_to_bytes(1, value, commit, True)
+    # The hashed input frames this label with its own length prefix.
+    up = shia.internal_label(NONCE, [lab])
+    c, v, digest = oracle_combine(NONCE, [(count, value, oracle_label_to_bytes(*fields))])
+    assert up.raw == oracle_label_to_bytes(c, v, digest, False)
+
+
+@st.composite
+def label_blobs(draw):
+    """Arbitrary bytes, other framings, and valid labels intact or damaged."""
+    kind = draw(st.sampled_from(["arbitrary", "reframed", "valid", "flip", "truncate", "extend"]))
+    if kind == "arbitrary":
+        return draw(st.binary(max_size=80))
+    if kind == "reframed":  # any tag byte, three fields of any length
+        tag = draw(st.integers(0, 3))
+        fields = [draw(st.binary(max_size=n)) for n in (10, 10, 34)]
+        return bytes([tag]) + oracle_frame(*fields)
+    raw = oracle_label_to_bytes(*draw(label_fields()))
+    if kind == "flip":
+        pos = draw(st.integers(0, len(raw) - 1))
+        return raw[:pos] + bytes([raw[pos] ^ draw(st.integers(1, 255))]) + raw[pos + 1 :]
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "extend":
+        return raw + draw(st.binary(min_size=1, max_size=40))
+    return raw
+
+
+@settings(max_examples=500, deadline=None)
+@given(label_blobs())
+def test_label_parser_matches_frame_oracle(data):
+    try:
+        ref = oracle_label_from_bytes(data)
+    except FrameError:
+        ref = None
+    try:
+        lab = shia.Label.from_bytes(data)
+    except FrameError:
+        lab = None
+    assert (lab is None) == (ref is None)
+    if lab is not None:
+        assert fields_of(lab) == ref and lab.raw == data
+
+
+@st.composite
+def label_pairs(draw):
+    """Two labels' fields: the same, one field apart, or unrelated."""
+    a = draw(label_fields())
+    how = draw(st.sampled_from(["same", "count", "value", "commit", "leaf", "other"]))
+    b = list(a)
+    if how == "count":
+        b[0] = a[0] ^ 1
+    elif how == "value":
+        b[1] = a[1] ^ 1
+    elif how == "commit":
+        b[2] = bytes([a[2][0] ^ 1]) + a[2][1:]
+    elif how == "leaf":  # same count and value, the other kind
+        b[2], b[3] = draw(label_fields().filter(lambda f: f[3] != a[3]))[2:]
+    elif how == "other":
+        b = draw(label_fields())
+    return a, tuple(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_pairs(), st.booleans())
+def test_labels_equal_exactly_when_fields_are(pair, parse_b):
+    fa, fb = pair
+    a = shia.Label(*fa)
+    # Built from fields or parsed from bytes, a label is the same label.
+    b = shia.Label.from_bytes(oracle_label_to_bytes(*fb)) if parse_b else shia.Label(*fb)
+    assert (a == b) == (fa == fb)
+    assert (a != b) == (fa != fb)
+    assert (hash(a) == hash(b)) == (fa == fb)
+
+
+@given(st.booleans(), st.binary(max_size=40))
+def test_wrong_length_commitment_raises(leaf, commit):
+    assume(len(commit) != (wire.NODE_ID_LEN if leaf else wire.DIGEST_LEN))
+    with pytest.raises(ProtocolViolation):
+        shia.Label(1, 1, commit, leaf)
 
 
 class TestHonestRuns:
@@ -405,24 +523,37 @@ def test_fast_check_phase_matches_parsing_every_blob(case):
     assert runs[0] == runs[1]
 
 
-def test_honest_grid_session_hashes_linearly(monkeypatch):
-    # Every blob arrives as its sender built it and every node holds the
-    # label its parent folded in, so the check reuses the commit phase's
-    # folds: one hash per tree node with children, and none more.
+def honest_grid_session(monkeypatch, module, name):
+    """One honest session on a 30x30 grid (a 59-level tree), counting the
+    calls to `module.name`: (the session's tree, the call count)."""
     calls = []
-    real = shia.internal_label
+    real = getattr(module, name)
 
-    def counting(nonce, inputs):
+    def counting(*args):
         calls.append(1)
-        return real(nonce, inputs)
+        return real(*args)
 
-    monkeypatch.setattr(shia, "internal_label", counting)
+    monkeypatch.setattr(module, name, counting)
     config = {"seed": 3, "sessions": 1, "topology": {"kind": "grid", "rows": 30, "cols": 30}}
     result = orchestrator.run_sessions(Scenario.from_dict(config))
     assert [r.verdict for r in result.records] == ["success"]
     assert result.records[0].tree_height == 59
-    tree = result.truths[0].tree
-    assert len(calls) == sum(1 for s in tree.members if tree.children.get(s))
+    return result.truths[0].tree, len(calls)
+
+
+def test_honest_grid_session_hashes_linearly(monkeypatch):
+    # Every blob arrives as its sender built it and every node holds the
+    # label its parent folded in, so the check reuses the commit phase's
+    # folds: one hash per tree node with children, and none more.
+    tree, calls = honest_grid_session(monkeypatch, shia, "internal_label")
+    assert calls == sum(1 for s in tree.members if tree.children.get(s))
+
+
+def test_honest_grid_session_macs_each_ack_once(monkeypatch):
+    # The BS's expected aggregate and each node's released ack are the same
+    # MAC, computed once per member.
+    tree, calls = honest_grid_session(monkeypatch, crypto, "node_ack")
+    assert calls == len(tree.members)
 
 
 @pytest.mark.parametrize(
