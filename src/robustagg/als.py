@@ -60,7 +60,7 @@ def _open(key: bytes, data: bytes | None) -> bytes | None:
         return None
     try:
         env = crypto.AuthEnvelope.from_bytes(data[1:])
-    except (FrameError, ValueError):
+    except FrameError:
         return None
     return env.payload if crypto.auth_verify(key, env) else None
 

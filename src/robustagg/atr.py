@@ -14,7 +14,7 @@ from itertools import chain
 from . import crypto, wire
 from .crypto import BS_ID, NodeId, SignatureOracle
 from .errors import FrameError
-from .netmodel import AggregationTree, Network, NetworkGraph, edge_key
+from .netmodel import AggregationTree, Network, NetworkGraph, bfs_levels, edge_key
 
 
 @dataclass
@@ -27,24 +27,19 @@ class AtrOutcome:
     unreached: set[NodeId] = field(default_factory=set)
 
 
+def _bs_child(bs_neighbors: list[NodeId], blacklist: frozenset[NodeId]) -> NodeId | None:
+    """The tree's one BS child: the lowest-id BS neighbor not blacklisted."""
+    return next((v for v in bs_neighbors if v not in blacklist), None)
+
+
 def build_initial_tree(graph: NetworkGraph, blacklist: frozenset[NodeId] = frozenset()) -> AggregationTree | None:
     """Deterministic BFS tree with a single BS child (lowest usable id)."""
-    usable = [v for v in graph.neighbors(BS_ID) if v not in blacklist]
-    if not usable:
+    b = _bs_child(graph.neighbors(BS_ID), blacklist)
+    if b is None:
         return None
-    b = usable[0]
-    parent: dict[NodeId, NodeId] = {b: BS_ID}
-    frontier = [b]
+    parent = {b: BS_ID}
     # Levels expand in discovery order (unsorted); the pinned reports depend on it.
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if v == BS_ID or v in blacklist or v in parent:
-                    continue
-                parent[v] = u
-                nxt.append(v)
-        frontier = nxt
+    bfs_levels(parent, graph.neighbors, blacklist | {BS_ID})
     return AggregationTree(parent)
 
 
@@ -63,7 +58,7 @@ def _parse_tree(payload: bytes) -> dict[NodeId, NodeId]:
 
 def _distribute(net: Network, nonce: bytes, tree: AggregationTree) -> AtrOutcome:
     payload = _serialize_tree(nonce, tree.parent)
-    delivered = net.bs_broadcast(BS_ID, payload)
+    delivered = net.bs_broadcast(payload)
     adopted = _parse_tree(delivered)
     views: dict[NodeId, tuple[NodeId, tuple[NodeId, ...]]] = {}
     children: dict[NodeId, list[NodeId]] = {}
@@ -84,32 +79,26 @@ def atr_basic(
     te = wire.frame(nonce, *[wire.u16(x) for x in sorted(blacklist)], wire.u16(graph.n))
     te_size = len(te) + wire.framed_size(wire.ACK_LEN)  # hop-by-hop auth tag
 
-    usable = [v for v in graph.neighbors(BS_ID) if v not in blacklist]
-    if not usable:
+    b = _bs_child(graph.neighbors(BS_ID), blacklist)
+    if b is None:
         return AtrOutcome(None, {}, set(graph.sensors))
-    b = usable[0]
     net.send_link(BS_ID, b, te)
+
+    def rebroadcast(u: NodeId) -> list[NodeId]:
+        if adv.action(u, "te_suppress") is not None:
+            adv.fire(u, "te_suppress")
+            return []
+        nbrs = graph.neighbors(u)
+        for w in nbrs:
+            if w != BS_ID:
+                net.ledger.charge(u, w, te_size, net.phase)
+        return nbrs
 
     # Flood: each reached node rebroadcasts the TE once to all neighbors;
     # the first fresh sender becomes the parent, ties broken by id order.
     # Each level is sorted by id; the pinned reports depend on it.
-    parent: dict[NodeId, NodeId] = {b: BS_ID}
-    frontier = [b]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            if adv.action(u, "te_suppress") is not None:
-                adv.fire(u, "te_suppress")
-                continue
-            for w in graph.neighbors(u):
-                if w == BS_ID:
-                    continue
-                net.ledger.charge(u, w, te_size, net.phase)
-                if w in blacklist or w in parent:
-                    continue
-                parent[w] = u
-                nxt.append(w)
-        frontier = sorted(nxt)
+    parent = {b: BS_ID}
+    bfs_levels(parent, rebroadcast, blacklist | {BS_ID}, sort_levels=True)
 
     flood = AggregationTree(parent)
     for c, p in sorted(parent.items()):
@@ -154,14 +143,9 @@ def atr_basic(
 
     # b is always kept (the BS handed it the TE itself); below it, a node
     # joins only if its parent claimed it and its own response arrived.
-    final_parent: dict[NodeId, NodeId] = {b: BS_ID}
-    stack = [b]
-    while stack:
-        u = stack.pop()
-        for c in claims.get(u, []):
-            if c in claims and c not in final_parent and c not in blacklist:
-                final_parent[c] = u
-                stack.append(c)
+    # Only a node's flood parent claims it, so the walk order cannot matter.
+    final_parent = {b: BS_ID}
+    bfs_levels(final_parent, lambda u: [c for c in claims.get(u, ()) if c in claims])
     tree = AggregationTree(final_parent)
     return _distribute(net, nonce, tree)
 
@@ -222,21 +206,11 @@ def atr_resilient_build(
         adj.setdefault(c, []).append(a)
     for nbrs in adj.values():
         nbrs.sort()
-    usable = [v for v in adj.get(BS_ID, []) if v not in blacklist]
-    if not usable:
+    b = _bs_child(adj.get(BS_ID, []), blacklist)
+    if b is None:
         return AtrOutcome(None, {}, set(net.graph.sensors))
-    b = usable[0]
-    parent: dict[NodeId, NodeId] = {b: BS_ID}
-    frontier = [b]
+    parent = {b: BS_ID}
     # Each level is sorted by id; the pinned reports depend on it.
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj.get(u, []):
-                if v == BS_ID or v in blacklist or v in parent:
-                    continue
-                parent[v] = u
-                nxt.append(v)
-        frontier = sorted(nxt)
+    bfs_levels(parent, adj.__getitem__, blacklist | {BS_ID}, sort_levels=True)
     tree = AggregationTree(parent)
     return _distribute(net, nonce, tree)

@@ -13,7 +13,7 @@ import sys
 
 from . import orchestrator
 from .errors import ConfigError, UnlocalizableFailure
-from .scenario import SCHEMA, Scenario, load_config
+from .scenario import SCHEMA, Scenario, load_config, read_json_object
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -106,14 +106,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            original = fh.read()
-        data = json.loads(original)
-    except (OSError, json.JSONDecodeError) as exc:
+        original, data = read_json_object(args.report)
+    except ConfigError as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    if not isinstance(data, dict):
-        print("refusing replay: report is not a JSON object", file=sys.stderr)
         return EXIT_PARSE_ERROR
     if data.get("schema") != SCHEMA:
         print(

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 
 from . import wire
-from .errors import ConfigError, ProtocolViolation
+from .errors import ConfigError, FrameError, ProtocolViolation
 
 NodeId = int
 
@@ -66,8 +66,10 @@ class AuthEnvelope:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AuthEnvelope":
-        payload, tag = wire.unframe(data)
-        return cls(payload, tag)
+        fields = wire.unframe(data)
+        if len(fields) != 2:
+            raise FrameError(f"auth envelope has {len(fields)} fields, not 2")
+        return cls(*fields)
 
 
 def auth_wrap(key: bytes, payload: bytes) -> AuthEnvelope:

@@ -7,7 +7,7 @@ graph edge in the congestion ledger.
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from . import wire
@@ -23,6 +23,32 @@ _LINK_OVERHEAD = wire.framed_size(0, wire.ACK_LEN)
 
 def edge_key(a: NodeId, b: NodeId) -> Edge:
     return (a, b) if a < b else (b, a)
+
+
+def bfs_levels(
+    parent: dict[NodeId, NodeId],
+    neighbors: Callable[[NodeId], Iterable[NodeId]],
+    blocked: frozenset[NodeId] = frozenset(),
+    sort_levels: bool = False,
+) -> list[list[NodeId]]:
+    """Level-order walk from `parent`'s keys; grows `parent` in place.
+
+    The first node whose `neighbors` lists `v` becomes its parent; nodes in
+    `blocked` are never entered.  Returns the levels, seeds first; each later
+    level is in discovery order, or sorted by id with `sort_levels`.
+    """
+    levels = []
+    level = list(parent)
+    while level:
+        levels.append(level)
+        nxt = []
+        for u in level:
+            for v in neighbors(u):
+                if v not in parent and v not in blocked:
+                    parent[v] = u
+                    nxt.append(v)
+        level = sorted(nxt) if sort_levels else nxt
+    return levels
 
 
 class NetworkGraph:
@@ -47,9 +73,11 @@ class NetworkGraph:
                 raise ConfigError(f"node {n} exceeds degree bound {d_max}")
         if not self._adj[BS_ID]:
             raise ConfigError("BS has no neighbors")
-        # The flood backbone of every broadcast; it spans all sensors iff
-        # the graph is connected.
-        self.flood_edges = self.bfs_spanning_edges()
+        # The flood backbone of every broadcast, in BFS discovery order from
+        # the BS; it spans all sensors iff the graph is connected.
+        parent = dict.fromkeys(self._adj[BS_ID], BS_ID)
+        bfs_levels(parent, self._adj.__getitem__, frozenset({BS_ID}))
+        self.flood_edges = [edge_key(p, c) for c, p in parent.items()]
         if len(self.flood_edges) != len(self.sensors):
             raise ConfigError("graph is not connected")
 
@@ -62,20 +90,6 @@ class NetworkGraph:
     @property
     def n(self) -> int:
         return len(self.sensors)
-
-    def bfs_spanning_edges(self) -> list[Edge]:
-        """Deterministic BFS spanning tree rooted at the BS (flood backbone)."""
-        seen = {BS_ID}
-        order = deque([BS_ID])
-        out: list[Edge] = []
-        while order:
-            u = order.popleft()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    out.append(edge_key(u, v))
-                    order.append(v)
-        return out
 
 
 class AggregationTree:
@@ -95,15 +109,11 @@ class AggregationTree:
         # Leaves-first epochs from a level walk down from the BS: deepest
         # level first, ids sorted within a level.  Every node acts after all
         # its children because a child is always strictly deeper.
-        self.epochs: list[list[NodeId]] = []
-        level = list(self.children[BS_ID])
-        while level:
-            self.epochs.append(level)
-            level = sorted(v for u in level for v in self.children[u])
-        self.epochs.reverse()
+        reached = {self.bs_child: BS_ID}
+        levels = bfs_levels(reached, self.children.__getitem__, frozenset({BS_ID}), sort_levels=True)
+        self.epochs = levels[::-1]
         # Reject cycles / orphans: every node must reach the BS, i.e. be
         # reached by the walk down from it.
-        reached = {v for epoch in self.epochs for v in epoch}
         for c in self.parent:
             if c not in reached:
                 raise ConfigError(f"node {c} does not reach the BS")
@@ -187,14 +197,12 @@ class Network:
         self.ledger.charge(frm, to, len(payload) + _LINK_OVERHEAD, self.phase)
         return payload
 
-    def bs_broadcast(self, sender: NodeId, payload: bytes) -> bytes:
-        """Network-wide authenticated broadcast (ideal oracle, BS only).
+    def bs_broadcast(self, payload: bytes) -> bytes:
+        """Network-wide authenticated broadcast from the BS (ideal oracle).
 
         Cost model: a flood over the BFS spanning backbone, each node
         relaying the payload once.
         """
-        if sender != BS_ID:
-            raise ProtocolViolation("only the BS can issue authenticated broadcasts")
         charge, nbytes, phase = self.ledger.charge, len(payload), self.phase
         for a, b in self.graph.flood_edges:
             charge(a, b, nbytes, phase)

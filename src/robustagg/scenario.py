@@ -23,6 +23,9 @@ MAX_SESSIONS = 1 << 16
 MAX_SENSORS = 0xFFFF
 MAX_COUNT = 0xFFFF  # label counts are u16
 I64_MAX = (1 << 63) - 1
+# Far deeper than any config or report nests.  Copying or re-rendering a
+# value recurses per level, so a much deeper one would overflow the stack.
+MAX_JSON_DEPTH = 32
 
 
 def canonical_json(obj: Any) -> str:
@@ -234,18 +237,34 @@ def _check_script(s: Any, lo: int, hi: int) -> None:
                 raise ConfigError(f"nl_fake {key} must be a list of node ids in 0..{MAX_SENSORS}")
 
 
-def load_config(path: str) -> dict:
-    """Read a scenario file; failing to get a JSON object is a ConfigError."""
+def read_json_object(path: str) -> tuple[str, dict]:
+    """A JSON file's text and top-level object; failing to get one is a ConfigError."""
+    too_deep = ConfigError(f"{path}: JSON nests deeper than {MAX_JSON_DEPTH} levels")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        data = json.loads(text)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise too_deep from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top-level JSON value must be an object")
-    return data
+        raise ConfigError(f"{path}: top-level value must be a JSON object")
+    stack = [(data, 1)]
+    while stack:
+        value, depth = stack.pop()
+        if depth > MAX_JSON_DEPTH:
+            raise too_deep
+        items = value.values() if isinstance(value, dict) else value
+        stack.extend((v, depth + 1) for v in items if isinstance(v, (dict, list)))
+    return text, data
+
+
+def load_config(path: str) -> dict:
+    """Read a scenario file; failing to get a JSON object is a ConfigError."""
+    return read_json_object(path)[1]
 
 
 @dataclass

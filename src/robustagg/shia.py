@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import crypto, wire
 from .adversary import garble
-from .crypto import BS_ID, NodeId
+from .crypto import NodeId
 from .errors import FrameError, ProtocolViolation
 from .netmodel import AggregationTree, Network
 
@@ -235,7 +235,7 @@ def run_shia(
 
     # --- query dissemination ---
     net.phase = "query"
-    net.bs_broadcast(BS_ID, wire.frame(nonce))
+    net.bs_broadcast(wire.frame(nonce))
 
     # --- aggregate-commit ---
     # Upward messages are keyed by sender: each node has one parent.
@@ -323,7 +323,7 @@ def run_shia(
 
     # --- result checking: off-path dissemination ---
     net.phase = "check"
-    net.bs_broadcast(BS_ID, wire.frame(nonce, root_label.raw))
+    net.bs_broadcast(wire.frame(nonce, root_label.raw))
     parsed: dict[bytes, Offpath] = {}
     offpath: dict[NodeId, Offpath | None] = {n: None for n in tree.members}
     offpath[b] = offpath_from_bytes(b"", parsed)

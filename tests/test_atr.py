@@ -34,6 +34,21 @@ def path_net(n: int) -> Network:
     return make_net(n, edges)
 
 
+# Node 6 sits two levels below both 4 and 5, and 5 is discovered first.
+ORDER_EDGES = {(0, 1), (1, 2), (1, 3), (2, 5), (3, 4), (4, 6), (5, 6)}
+
+
+def test_level_orders_are_pinned():
+    net = make_net(6, ORDER_EDGES, d_max=3)
+    # Discovery order: the flood backbone and the initial tree reach 6 via 5.
+    assert net.graph.flood_edges == [(0, 1), (1, 2), (1, 3), (2, 5), (3, 4), (5, 6)]
+    assert atr.build_initial_tree(net.graph).parent[6] == 5
+    # Sorted levels: both rebuilds walk 4 before 5.
+    rebuilt = atr.atr_resilient_build(net, net.graph.edges, frozenset(), NONCE)
+    assert rebuilt.tree.parent[6] == 4
+    assert atr.atr_basic(net, frozenset(), NONCE, Adversary(())).tree.parent[6] == 4
+
+
 class TestInitialTree:
     def test_spans_everything(self):
         net = ring_net(6)
@@ -198,7 +213,7 @@ class TestResilientRebuild:
                 ).size
                 for s in sorted(net.graph.sensors)
             )
-            backbone = net.graph.bfs_spanning_edges()
+            backbone = net.graph.flood_edges
             assert net.ledger.per_edge == {e: blob_total for e in backbone}
             assert net.ledger.per_phase == {"nl": blob_total * len(backbone)}
             assert net.ledger.max_congestion() == blob_total

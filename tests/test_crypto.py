@@ -58,9 +58,15 @@ def test_envelope_detects_any_single_byte_flip(payload, data):
     bad[idx] ^= 0x01
     try:
         env = crypto.AuthEnvelope.from_bytes(bytes(bad))
-    except (FrameError, ValueError):
+    except FrameError:
         return  # flipping a length prefix breaks framing: also detected
     assert not crypto.auth_verify(key, env)
+
+
+@pytest.mark.parametrize("fields", [(), (b"p",), (b"p", b"t", b"x")], ids=["0", "1", "3"])
+def test_envelope_with_wrong_field_count_is_a_frame_error(fields):
+    with pytest.raises(FrameError, match="not 2"):
+        crypto.AuthEnvelope.from_bytes(wire.frame(*fields))
 
 
 class TestKeyStore:

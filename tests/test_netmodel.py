@@ -12,6 +12,7 @@ from robustagg.netmodel import (
     CongestionLedger,
     Network,
     NetworkGraph,
+    bfs_levels,
     edge_key,
 )
 
@@ -51,10 +52,23 @@ class TestNetworkGraph:
     def test_neighbors_sorted_and_spanning_edges_cover(self):
         g = NetworkGraph({1, 2, 3}, {(0, 3), (3, 1), (1, 2), (2, 3)}, d_max=4)
         assert g.neighbors(3) == [0, 1, 2]
-        span = g.bfs_spanning_edges()
+        span = g.flood_edges
         assert len(span) == 3  # spanning tree over 4 nodes
         covered = {v for e in span for v in e}
         assert covered == {0, 1, 2, 3}
+
+
+def test_bfs_levels_grows_parent_in_either_level_order():
+    adj = {1: [3, 2], 2: [4], 3: [5, 4], 4: [], 5: []}
+    parent = {1: BS_ID}
+    assert bfs_levels(parent, adj.__getitem__) == [[1], [3, 2], [5, 4]]
+    assert parent == {1: BS_ID, 3: 1, 2: 1, 5: 3, 4: 3}
+    parent = {1: BS_ID}
+    assert bfs_levels(parent, adj.__getitem__, sort_levels=True) == [[1], [2, 3], [4, 5]]
+    assert parent == {1: BS_ID, 3: 1, 2: 1, 4: 2, 5: 3}
+    parent = {1: BS_ID}
+    assert bfs_levels(parent, adj.__getitem__, frozenset({3})) == [[1], [2], [4]]
+    assert parent == {1: BS_ID, 2: 1, 4: 2}
 
 
 class TestAggregationTree:
@@ -65,6 +79,10 @@ class TestAggregationTree:
     def test_cycle_rejected(self):
         with pytest.raises(ConfigError):
             AggregationTree({1: BS_ID, 2: 3, 3: 2})
+
+    def test_bs_as_a_child_rejected(self):
+        with pytest.raises(ConfigError, match="node 0 does not reach"):
+            AggregationTree({1: BS_ID, BS_ID: 1})
 
     def test_orphan_rejected(self):
         with pytest.raises(ConfigError):
@@ -178,8 +196,6 @@ class TestNetwork:
         net, _tree = net_for_tree({1: BS_ID, 2: 1, 3: 2, 4: 3, 5: 4})
         net.phase = "query"
         payload = b"q" * 10
-        assert net.bs_broadcast(BS_ID, payload) == payload
+        assert net.bs_broadcast(payload) == payload
         assert net.ledger.total() == 5 * len(payload)
         assert all(v == len(payload) for v in net.ledger.per_edge.values())
-        with pytest.raises(ProtocolViolation):
-            net.bs_broadcast(1, payload)

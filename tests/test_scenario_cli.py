@@ -1,8 +1,9 @@
+import copy
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_geometric_graph, oracle_onepass_geometric_graph
@@ -217,6 +218,34 @@ class TestCli:
             argv = ["sweep", "--template", str(path), "--sizes", "24,40"]
         assert cli.main(argv) == cli.EXIT_PARSE_ERROR
         assert "config error" in capsys.readouterr().err
+
+    def test_non_utf8_report_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_bytes(b'{"schema": "\xff\xfe"}')
+        assert cli.main(["replay", "--report", str(path)]) == cli.EXIT_PARSE_ERROR
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "replay"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            # Parses, but copying or rendering it would overflow the stack.
+            '{"seed": 1, "sessions": 1, "topology": {"kind": "chain", "n": 3}, "x": '
+            + "[" * 600 + "]" * 600 + "}",
+        ],
+        ids=["bare_100000", "in_config_600"],
+    )
+    def test_deeply_nested_json_is_a_config_error(self, tmp_path, capsys, command, content):
+        path = tmp_path / "deep.json"
+        path.write_text(content)
+        argv = {
+            "run": ["run", "--config", str(path)],
+            "sweep": ["sweep", "--template", str(path), "--sizes", "3"],
+            "replay": ["replay", "--report", str(path)],
+        }[command]
+        assert cli.main(argv) == cli.EXIT_PARSE_ERROR
+        assert "JSON nests deeper than 32 levels" in capsys.readouterr().err
 
     def test_run_builds_the_graph_once(self, tmp_path, capsys, graph_builds):
         # An override must not cost a second validation.
@@ -560,3 +589,101 @@ class TestCli:
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
         assert f"config error: {message}" in capsys.readouterr().err
+
+
+# Boundary fuzz: mutated configs and tampered reports end in an exit code,
+# never in a traceback.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 12)
+    | st.floats()
+    | st.text(max_size=4)
+    # Past the u16 and i64 limits, so their checks run without a huge network.
+    | st.sampled_from([2**16 + 1, 2**32, 2**63, -(2**63) - 1]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+FUZZ_BASES = [
+    json.loads((SCENARIOS / "geometric_forger.json").read_text()),
+    {
+        "seed": 5,
+        "sessions": 3,
+        "atr": "resilient",
+        "topology": {"kind": "edges", "n": 5, "edges": [[0, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 5]]},
+        "adversary": {
+            "faulty": [3, 4],
+            "scripts": [
+                {"node": 3, "kind": "nl_fake", "params": {"add": [2]}},
+                {"node": 4, "kind": "ack_garble", "sessions": [1]},
+            ],
+        },
+    },
+]
+
+
+def _json_paths(value, path=()):
+    """The key path of every value nested in `value`."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield (*path, key)
+        yield from _json_paths(child, (*path, key))
+
+
+def _mutate(data, value):
+    """A copy of `value` with one to three nested values replaced or deleted."""
+    value = copy.deepcopy(value)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_json_paths(value))
+        if not paths:
+            break
+        *where, key = data.draw(st.sampled_from(paths))
+        container = value
+        for k in where:
+            container = container[k]
+        if data.draw(st.booleans()):
+            container[key] = data.draw(JSON_VALUES)
+        else:
+            del container[key]
+    return value
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mutated_configs_end_in_an_exit_code(fuzz_dir, data):
+    path = fuzz_dir / "mutated.json"
+    path.write_text(json.dumps(_mutate(data, data.draw(st.sampled_from(FUZZ_BASES)))))
+    code = cli.main(["run", "--config", str(path), "--out", str(fuzz_dir / "report.json")])
+    # Exit 1 stays possible while some failed sessions mark no one.
+    assert code in (cli.EXIT_OK, cli.EXIT_AUDIT_FAIL, cli.EXIT_PARSE_ERROR, cli.EXIT_DISCONNECTED)
+
+
+@pytest.fixture(scope="module")
+def genuine_report(fuzz_dir):
+    path = fuzz_dir / "genuine.json"
+    config = str(SCENARIOS / "geometric_forger.json")
+    assert cli.main(["run", "--config", config, "--out", str(path)]) == cli.EXIT_OK
+    return path.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tampered_reports_are_refused_or_divergent(fuzz_dir, genuine_report, data):
+    raw = genuine_report
+    how = data.draw(st.sampled_from(["flip", "truncate", "mutate"]))
+    if how == "flip":
+        i = data.draw(st.integers(0, len(raw) - 1))
+        raw = raw[:i] + bytes([raw[i] ^ data.draw(st.integers(1, 255))]) + raw[i + 1 :]
+    elif how == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        raw = (json.dumps(_mutate(data, json.loads(raw)), sort_keys=True, indent=2) + "\n").encode()
+        assume(raw != genuine_report)
+    path = fuzz_dir / "tampered.json"
+    path.write_bytes(raw)
+    assert cli.main(["replay", "--report", str(path)]) in (cli.EXIT_AUDIT_FAIL, cli.EXIT_PARSE_ERROR)
