@@ -7,14 +7,17 @@ graph edge in the congestion ledger.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sized
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from . import wire
 from .crypto import BS_ID, KeyStore, NodeId
 from .errors import ConfigError, ProtocolViolation
 
 Edge = tuple[NodeId, NodeId]
+# A link payload: `bytes`, or a sized stand-in whose `len()` is its wire length.
+Payload = TypeVar("Payload", bound=Sized)
 
 # A link send's envelope around its payload: the payload's length prefix
 # and a length-prefixed 16-byte tag.
@@ -185,12 +188,15 @@ class Network:
     ledger: CongestionLedger = field(default_factory=CongestionLedger)
     phase: str = "idle"
 
-    def send_link(self, frm: NodeId, to: NodeId, payload: bytes) -> bytes:
+    def send_link(self, frm: NodeId, to: NodeId, payload: Payload) -> Payload:
         """Hop-authenticated neighbor send; returns the payload the receiver gets.
 
-        The link MAC is charged, not computed: the sender always holds the
-        link key, so the tag would always verify.  The charge is the framed
-        envelope of the payload and a 16-byte tag.
+        The payload is `bytes` or a sized stand-in whose `len()` is its wire
+        length (an unbuilt off-path blob); the receiver gets the same object
+        back, so a caller detects tampering by identity.  The link MAC is
+        charged, not computed: the sender always holds the link key, so the
+        tag would always verify.  The charge is the framed envelope of the
+        payload and a 16-byte tag.
         """
         if not self.graph.has_edge(frm, to):
             raise ConfigError(f"({frm}, {to}) is not a graph edge")

@@ -120,30 +120,71 @@ def internal_label(nonce: bytes, inputs: list[Label]) -> Label:
 
 # Off-path data: one framed step per ancestor level, bottom-up.  A step is a
 # u16 `slot`, where the recomputing node's current label goes among the
-# ancestor's inputs, then the serialized other inputs.
-@dataclass(frozen=True, eq=False)
-class Offpath:
-    """A parsed off-path blob; a session keeps one per distinct blob.
+# ancestor's inputs, then the serialized other inputs.  Its framing costs the
+# step's own length prefix and the framed slot.
+_STEP_OVERHEAD = wire.LEN_PREFIX + wire.framed_size(len(wire.u16(0)))
 
-    `raw` is the blob as received, forwarded verbatim.  A non-empty blob is
-    its first step (`slot`, `others`) framed ahead of the blob `above`; the
-    empty blob, which the BS child gets, has no step and `above` None.
-    A step that arrived unaltered also keeps the label its sender held at
-    `slot` (`held`) and the label the sender folded from those inputs
-    (`folded`), so folding `held` in needs no hash.
+
+class Offpath:
+    """An off-path blob as a chain of steps; a session keeps one per blob.
+
+    A non-empty blob is its first step (`slot`, `others`) framed ahead of
+    the blob `above`; the empty blob, which the BS child gets, has no step
+    and `above` None.  `len()` is the blob's byte length, which is all the
+    link charge reads.  The bytes (`raw`, `bytes()`) are kept when the blob
+    was parsed and otherwise built by `offpath_to_bytes` on first use, so an
+    honest check phase builds none.  A step that arrived unaltered also
+    keeps the label its sender held at `slot` (`held`) and the label the
+    sender folded from those inputs (`folded`), so folding `held` in needs
+    no hash.
     """
 
-    raw: bytes
-    slot: int = 0
-    others: tuple[Label, ...] = ()
-    above: "Offpath | None" = None
-    held: Label | None = None
-    folded: Label | None = None
+    __slots__ = ("size", "slot", "others", "above", "held", "folded", "_raw")
+
+    def __init__(
+        self,
+        size: int,
+        slot: int = 0,
+        others: tuple[Label, ...] = (),
+        above: "Offpath | None" = None,
+        held: Label | None = None,
+        folded: Label | None = None,
+        raw: bytes | None = None,
+    ):
+        self.size = size
+        self.slot = slot
+        self.others = others
+        self.above = above
+        self.held = held
+        self.folded = folded
+        self._raw = raw
+
+    def __len__(self) -> int:
+        return self.size
+
+    @property
+    def raw(self) -> bytes:
+        if self._raw is None:
+            # Build the unbuilt blobs on the way up first, top-down, without
+            # recursing: a tree can be deeper than the recursion limit.
+            unbuilt = []
+            path = self
+            while path._raw is None:
+                unbuilt.append(path)
+                path = path.above
+            for path in reversed(unbuilt):
+                others = [l.raw for l in path.others]
+                path._raw = offpath_to_bytes(path.slot, others, path.above._raw)
+        return self._raw
+
+    def __bytes__(self) -> bytes:
+        return self.raw
 
 
 def offpath_to_bytes(slot: int, others: list[bytes], above: bytes) -> bytes:
     """The blob for the child whose label sits at `slot`: one step framed
-    ahead of the blob the node received (`frame` concatenates)."""
+    ahead of the blob the node received (`frame` concatenates).  The one
+    builder of blob bytes; `Offpath.raw` calls it."""
     return wire.frame(wire.frame(wire.u16(slot), *others)) + above
 
 
@@ -155,7 +196,7 @@ def offpath_from_bytes(data: bytes, parsed: dict[bytes, Offpath]) -> Offpath:
     on junk.
     """
     if b"" not in parsed:
-        parsed[b""] = Offpath(b"")
+        parsed[b""] = Offpath(0, raw=b"")
     walked: list[tuple[bytes, int, tuple[Label, ...]]] = []
     rest = data
     while rest not in parsed:
@@ -168,7 +209,7 @@ def offpath_from_bytes(data: bytes, parsed: dict[bytes, Offpath]) -> Offpath:
         rest = tail
     path = parsed[rest]
     for raw, slot, others in reversed(walked):
-        path = parsed[raw] = Offpath(raw, slot, others, path)
+        path = parsed[raw] = Offpath(len(raw), slot, others, path, None, None, raw)
     return path
 
 
@@ -332,24 +373,28 @@ def run_shia(
             above = offpath[node]
             if above is None:
                 continue  # node got nothing, so it has nothing to forward
-            kids = accepted_children.get(node, [])
-            labels = inputs_used[node] if kids else []
-            inputs = [l.raw for l in labels]
+            kids = accepted_children.get(node)
+            if not kids:
+                continue
+            labels = inputs_used[node]
+            fold = folded[node]
+            # A child's blob frames every input but its own ahead of `above`.
+            size = _STEP_OVERHEAD + len(above) + sum(wire.LEN_PREFIX + len(l.raw) for l in labels)
             corrupt = adv.action(node, "offpath_corrupt")
             for idx, child in enumerate(kids):
-                built = offpath_to_bytes(idx, inputs[:idx] + inputs[idx + 1 :], above.raw)
+                held = labels[idx]
+                others = tuple(labels[:idx] + labels[idx + 1 :])
+                own_size = wire.LEN_PREFIX + len(held.raw)
+                built = Offpath(size - own_size, idx, others, above, held, fold)
                 msg = built
                 if corrupt is not None:
-                    msg = garble(built)
+                    msg = garble(built.raw)
                     adv.fire(node, "offpath_corrupt")
                 delivered = net.send_link(node, child, msg)
                 if delivered is built:
-                    # Unaltered (`garble` always makes a new object): build
-                    # the step from the labels the sender holds, no parse.
-                    others = tuple(labels[:idx] + labels[idx + 1 :])
-                    offpath[child] = Offpath(
-                        built, idx, others, above, held=labels[idx], folded=folded[node]
-                    )
+                    # Unaltered (`garble` always makes new bytes): the step is
+                    # the labels the sender holds, no bytes and no parse.
+                    offpath[child] = built
                     continue
                 try:
                     offpath[child] = offpath_from_bytes(delivered, parsed)

@@ -19,6 +19,16 @@ from robustagg.netmodel import (
 from helpers import net_for_tree, oracle_link_charge
 
 
+class SizedPayload:
+    """A link payload that is not bytes: its `len()` is its wire length."""
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+
 def random_parent_map(rng: random.Random, n: int) -> dict[int, int]:
     """Random rooted tree over sensors 1..n (BS above sensor 1)."""
     parent = {1: BS_ID}
@@ -176,7 +186,11 @@ class TestNetwork:
             net.send_link(1, 3, b"x")
 
     @given(
-        st.lists(st.binary(max_size=300), min_size=1, max_size=6),
+        st.lists(
+            st.one_of(st.binary(max_size=300), st.builds(SizedPayload, st.integers(0, 300))),
+            min_size=1,
+            max_size=6,
+        ),
         st.sampled_from([(1, 0), (0, 1), (3, 1), (1, 3)]),
         st.sampled_from(["commit", "check", "ack", "atr"]),
     )
@@ -186,8 +200,11 @@ class TestNetwork:
         net.phase = phase
         frm, to = link
         for payload in payloads:
-            assert net.send_link(frm, to, payload) == payload
-        want = sum(oracle_link_charge(p) for p in payloads)
+            assert net.send_link(frm, to, payload) is payload
+        # A sized stand-in is charged its length plus the 24-byte envelope.
+        want = sum(
+            oracle_link_charge(p) if isinstance(p, bytes) else len(p) + 24 for p in payloads
+        )
         assert net.ledger.per_edge == {edge_key(1, 2): 7, edge_key(frm, to): want}
         assert net.ledger.per_phase == {"query": 7, phase: want}
 

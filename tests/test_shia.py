@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustagg import crypto, orchestrator, shia, wire
-from robustagg.adversary import Adversary
+from robustagg.adversary import Adversary, garble
 from robustagg.crypto import BS_ID
 from robustagg.errors import FrameError, ProtocolViolation
 from robustagg.netmodel import AggregationTree
@@ -486,6 +486,7 @@ def _check_steps(path, nonce):
     ref = shia.offpath_from_bytes(path.raw, {})
     while path.above is not None:
         assert (path.raw, path.slot, path.others) == (ref.raw, ref.slot, ref.others)
+        assert len(path) == len(path.raw) and len(ref) == len(ref.raw)
         if path.held is not None:
             inputs = [*path.others[: path.slot], path.held, *path.others[path.slot :]]
             assert shia.internal_label(nonce, inputs).raw == path.folded.raw
@@ -499,7 +500,8 @@ def test_fast_check_phase_matches_parsing_every_blob(case):
     # The check phase builds an unaltered blob's step from the sender's
     # labels and reuses the sender's fold.  Copying every delivered blob
     # forces a parse and a hash per step; `bytes(b)` and `b[:]` would hand
-    # back the same object, so the copy goes through a bytearray.
+    # back the same object for a built blob, so the copy goes through a
+    # bytearray.
     parent, values, faulty, scripts = case
     real = shia.recompute_root
 
@@ -512,7 +514,7 @@ def test_fast_check_phase_matches_parsing_every_blob(case):
         net, tree = net_for_tree(parent)
         if copy:
             send = net.send_link
-            net.send_link = lambda frm, to, payload: bytes(bytearray(send(frm, to, payload)))
+            net.send_link = lambda frm, to, p: bytes(bytearray(bytes(send(frm, to, p))))
         adv = Adversary(faulty, scripts)
         adv.begin_session(0)
         with pytest.MonkeyPatch.context() as mp:
@@ -547,6 +549,54 @@ def test_honest_grid_session_hashes_linearly(monkeypatch):
     # folds: one hash per tree node with children, and none more.
     tree, calls = honest_grid_session(monkeypatch, shia, "internal_label")
     assert calls == sum(1 for s in tree.members if tree.children.get(s))
+
+
+def test_honest_grid_session_builds_no_blob(monkeypatch):
+    # Every blob arrives as its sender made it, so the check phase charges
+    # each blob's length and builds none of their bytes.
+    _, calls = honest_grid_session(monkeypatch, shia, "offpath_to_bytes")
+    assert calls == 0
+
+
+@pytest.mark.parametrize("node, built", [(1, 2), (3, 3)])
+def test_tampering_node_builds_the_blobs_it_garbles(monkeypatch, node, built):
+    # `garble` reads bytes, so a tampering node builds one blob per accepted
+    # child, plus each unbuilt blob it holds on its own path as their
+    # suffix (node 3 builds the one node 1 sent it).  Each child receives
+    # the garbled frame of its steps.
+    net, tree = net_for_tree(BINARY)
+    values = {s: 10 for s in tree.members}
+    calls = []
+    real = shia.offpath_to_bytes
+    monkeypatch.setattr(shia, "offpath_to_bytes", lambda *a: calls.append(1) or real(*a))
+    labels, got = {}, {}
+    send = net.send_link
+
+    def recording(frm, to, payload):
+        if net.phase == "commit":
+            labels[frm] = shia.Label.from_bytes(payload)
+        elif net.phase == "check" and frm == node:
+            got[to] = payload
+        return send(frm, to, payload)
+
+    net.send_link = recording
+    adv = Adversary({node}, [entry(node, "offpath_corrupt")])
+    adv.begin_session(0)
+    shia.run_shia(net, tree, values, adv, NONCE, (0, 100))
+
+    def steps(child):
+        out = []
+        while child != tree.bs_child:
+            up = tree.parent[child]
+            kids = tree.children[up]
+            inputs = [labels[k] for k in kids] + [shia.leaf_label(up, values[up])]
+            idx = kids.index(child)
+            out.append(PathStep(idx, tuple(inputs[:idx] + inputs[idx + 1 :])))
+            child = up
+        return out
+
+    assert len(calls) == built
+    assert got == {c: garble(oracle_offpath_to_bytes(steps(c))) for c in tree.children[node]}
 
 
 def test_honest_grid_session_macs_each_ack_once(monkeypatch):
