@@ -498,10 +498,8 @@ def _check_steps(path, nonce):
 @given(shia_sessions())
 def test_fast_check_phase_matches_parsing_every_blob(case):
     # The check phase builds an unaltered blob's step from the sender's
-    # labels and reuses the sender's fold.  Copying every delivered blob
-    # forces a parse and a hash per step; `bytes(b)` and `b[:]` would hand
-    # back the same object for a built blob, so the copy goes through a
-    # bytearray.
+    # labels and reuses the sender's fold.  Handing each child a fresh copy
+    # of the blob's bytes forces a parse and a hash per step.
     parent, values, faulty, scripts = case
     real = shia.recompute_root
 
