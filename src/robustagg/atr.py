@@ -156,8 +156,10 @@ def atr_resilient_init(
     """One-time signed neighbor-list collection.
 
     Every node floods its signed list once; the BS keeps only edges both
-    endpoints announced, plus its own observed edges, so no fabricated link
-    survives.
+    endpoints announced that are graph links, plus its own observed edges,
+    so no fabricated link survives: a one-sided claim is dropped, and so is
+    a link two colluding nodes both announce, since a link that does not
+    exist cannot carry a frame.
     """
     net.phase = "nl"
     graph = net.graph
@@ -187,7 +189,7 @@ def atr_resilient_init(
             if t == BS_ID:
                 if s in bs_nbrs:
                     edges.add(edge_key(s, BS_ID))
-            elif t in announced and s in announced[t]:
+            elif t in announced and s in announced[t] and graph.has_edge(s, t):
                 edges.add(edge_key(s, t))
     return edges
 

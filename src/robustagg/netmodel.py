@@ -90,6 +90,16 @@ class NetworkGraph:
     def has_edge(self, a: NodeId, b: NodeId) -> bool:
         return edge_key(a, b) in self.edges
 
+    def check_tree(self, tree: AggregationTree) -> None:
+        """Refuse a tree with a link the graph lacks.
+
+        Every tree-phase send rides a tree edge, so checking each tree once,
+        when it is adopted, stands in for a check on every send.
+        """
+        for c, p in tree.parent.items():
+            if edge_key(c, p) not in self.edges:
+                raise ProtocolViolation(f"tree link ({c}, {p}) is not a graph edge")
+
     @property
     def n(self) -> int:
         return len(self.sensors)
@@ -196,10 +206,11 @@ class Network:
         back, so a caller detects tampering by identity.  The link MAC is
         charged, not computed: the sender always holds the link key, so the
         tag would always verify.  The charge is the framed envelope of the
-        payload and a 16-byte tag.
+        payload and a 16-byte tag.  The link is not checked here: tree-phase
+        sends ride edges of a tree `NetworkGraph.check_tree` accepted, and
+        the basic tree rebuild sends over links its flood found through
+        `NetworkGraph.neighbors`.
         """
-        if not self.graph.has_edge(frm, to):
-            raise ConfigError(f"({frm}, {to}) is not a graph edge")
         self.ledger.charge(frm, to, len(payload) + _LINK_OVERHEAD, self.phase)
         return payload
 

@@ -175,10 +175,14 @@ def run_sessions(scenario: Scenario) -> RunResult:
     else:
         tree = atr.build_initial_tree(graph)
 
+    checked = None  # the last tree checked against the graph
     for i in range(scenario.sessions):
         if tree is None:
             result.disconnected = True
             break
+        if tree is not checked:
+            graph.check_tree(tree)
+            checked = tree
         adv.begin_session(i)
         nonce = crypto.mac(nonce_key, b"session" + wire.u16(i))[: wire.NONCE_LEN]
         values = scenario.values_for(i, graph.sensors)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import crypto, wire
 from .adversary import garble
@@ -133,34 +134,45 @@ class Offpath:
     and `above` None.  `len()` is the blob's byte length, which is all the
     link charge reads.  The bytes (`raw`, `bytes()`) are kept when the blob
     was parsed and otherwise built by `offpath_to_bytes` on first use, so an
-    honest check phase builds none.  A step that arrived unaltered also
-    keeps the label its sender held at `slot` (`held`) and the label the
-    sender folded from those inputs (`folded`), so folding `held` in needs
-    no hash.
+    honest check phase builds none.  A step that arrived unaltered keeps its
+    sender's whole input list (`inputs`), the label the sender held at
+    `slot` (`held`) and the label the sender folded from them (`folded`), so
+    folding `held` in needs no hash; its `others` tuple is made only when
+    the bytes or a hashed fold read it.
     """
 
-    __slots__ = ("size", "slot", "others", "above", "held", "folded", "_raw")
+    __slots__ = ("size", "slot", "above", "inputs", "held", "folded", "_others", "_raw")
 
     def __init__(
         self,
         size: int,
         slot: int = 0,
-        others: tuple[Label, ...] = (),
         above: "Offpath | None" = None,
+        inputs: list[Label] | None = None,
         held: Label | None = None,
         folded: Label | None = None,
+        others: tuple[Label, ...] | None = None,
         raw: bytes | None = None,
     ):
         self.size = size
         self.slot = slot
-        self.others = others
         self.above = above
+        self.inputs = inputs
         self.held = held
         self.folded = folded
+        self._others = others
         self._raw = raw
 
     def __len__(self) -> int:
         return self.size
+
+    @property
+    def others(self) -> tuple[Label, ...]:
+        """The step's inputs other than the one at `slot`."""
+        if self._others is None:
+            inputs, slot = self.inputs or (), self.slot
+            self._others = (*inputs[:slot], *inputs[slot + 1 :])
+        return self._others
 
     @property
     def raw(self) -> bytes:
@@ -209,7 +221,7 @@ def offpath_from_bytes(data: bytes, parsed: dict[bytes, Offpath]) -> Offpath:
         rest = tail
     path = parsed[rest]
     for raw, slot, others in reversed(walked):
-        path = parsed[raw] = Offpath(len(raw), slot, others, path, None, None, raw)
+        path = parsed[raw] = Offpath(len(raw), slot, path, others=others, raw=raw)
     return path
 
 
@@ -270,9 +282,13 @@ def run_shia(
     """Execute one full aggregation session over `tree`.
 
     `adv` supplies per-node deviations (see adversary.Adversary); passing a
-    no-op adversary yields the honest run.
+    no-op adversary yields the honest run.  Its hooks are consulted only at
+    the nodes in `adv.faulty`, since no other node can be scripted, and at
+    each of those in the order the phases visit the tree.
     """
     m_lo, m_hi = value_range
+    faulty = adv.faulty
+    children, parent = tree.children, tree.parent
 
     # --- query dissemination ---
     net.phase = "query"
@@ -283,35 +299,37 @@ def run_shia(
     net.phase = "commit"
     sent: dict[NodeId, Label] = {}  # the label each node's parent received
     committed: dict[NodeId, Label] = {}  # each node's outgoing label, incl. handoffs
-    extra_inputs: dict[NodeId, list[Label]] = {n: [] for n in tree.members}
-    inputs_used: dict[NodeId, list[Label]] = {}
-    folded: dict[NodeId, Label] = {}  # each node's label before any forgery
-    accepted_children: dict[NodeId, list[NodeId]] = {}
+    handoffs: dict[NodeId, list[Label]] = {}  # labels handed to parent_switch targets
+    # Each node that accepted a child: those children, its inputs (their
+    # labels first, in order) and its label before any forgery.
+    steps: dict[NodeId, tuple[list[NodeId], list[Label], Label]] = {}
 
-    for epoch in tree.epochs:
-        for node in epoch:
-            own_val = values[node]
+    for node in chain.from_iterable(tree.epochs):
+        bad = node in faulty
+        own_val = values[node]
+        if bad:
             forge_val = adv.action(node, "own_value_forge")
             if forge_val is not None:
                 own_val = forge_val.params["value"]  # legal, never traced
 
-            kept: list[NodeId] = []
-            child_labels: list[Label] = []
-            for child in tree.children.get(node, []):
-                lab = sent.get(child)
-                if lab is None:
-                    continue  # silent child: exclude its subtree
-                if lab.count < 1 or not (m_lo * lab.count <= lab.value <= m_hi * lab.count):
-                    continue  # implausible label: treat as silent
-                kept.append(child)
-                child_labels.append(lab)
-            extras = extra_inputs[node]
-            inputs = child_labels + extras + [leaf_label(node, own_val)]
-            label = inputs[0] if len(inputs) == 1 else internal_label(nonce, inputs)
-            inputs_used[node] = inputs
-            accepted_children[node] = kept
-            folded[node] = label
+        kept: list[NodeId] = []
+        inputs: list[Label] = []
+        for child in children[node]:
+            lab = sent.get(child)
+            if lab is None:
+                continue  # silent child: exclude its subtree
+            if lab.count < 1 or not (m_lo * lab.count <= lab.value <= m_hi * lab.count):
+                continue  # implausible label: treat as silent
+            kept.append(child)
+            inputs.append(lab)
+        if node in handoffs:
+            inputs += handoffs[node]
+        inputs.append(leaf_label(node, own_val))
+        label = inputs[0] if len(inputs) == 1 else internal_label(nonce, inputs)
+        if kept:
+            steps[node] = (kept, inputs, label)
 
+        if bad:
             act = adv.action(node, "label_forge")
             if act is not None:
                 p = act.params
@@ -325,25 +343,27 @@ def run_shia(
             if adv.action(node, "label_drop") is not None:
                 adv.fire(node, "label_drop")
                 continue
-            committed[node] = label
             switch = adv.action(node, "parent_switch")
             if switch is not None:
                 # Covert handoff between colluding faulty nodes; the real
                 # parent sees silence, the target folds the label in.  If
-                # the accomplice is no longer in the tree, the label is lost.
+                # the accomplice is no longer in the tree, or has already
+                # committed, the label is lost.
+                committed[node] = label
                 target = switch.params["target"]
-                if target in extra_inputs:
-                    extra_inputs[target].append(label)
+                if target in parent:
+                    handoffs.setdefault(target, []).append(label)
                 adv.fire(node, "parent_switch")
                 continue
-            net.send_link(node, tree.parent[node], label.raw)
-            sent[node] = label
+        committed[node] = label
+        net.send_link(node, parent[node], label.raw)
+        sent[node] = label
 
     b = tree.bs_child
     root_label = sent.get(b)
     # Each member's ack, MACed once: the BS's expectation and the ack phase
     # both read it.
-    node_acks = {s: crypto.node_ack(net.keys.bs_key(s), nonce) for s in sorted(tree.members)}
+    node_acks = {s: crypto.node_ack(net.keys.bs_key(s), nonce) for s in sorted(parent)}
     expected = crypto.xor_acks(list(node_acks.values()))
 
     if root_label is None:
@@ -353,12 +373,12 @@ def run_shia(
             root_ok=False,
             agg_ack=None,
             expected_ack=expected,
-            acked={n: False for n in tree.members},
+            acked=dict.fromkeys(parent, False),
         )
 
     # BS-side plausibility: the root count must cover the whole tree and the
     # root value must be achievable from in-range measurements.
-    root_ok = root_label.count == len(tree.members) and (
+    root_ok = root_label.count == len(parent) and (
         m_lo * root_label.count <= root_label.value <= m_hi * root_label.count
     )
 
@@ -366,72 +386,65 @@ def run_shia(
     net.phase = "check"
     net.bs_broadcast(wire.frame(nonce, root_label.raw))
     parsed: dict[bytes, Offpath] = {}
-    offpath: dict[NodeId, Offpath | None] = {n: None for n in tree.members}
-    offpath[b] = offpath_from_bytes(b"", parsed)
-    for epoch in reversed(tree.epochs):
-        for node in epoch:
-            above = offpath[node]
-            if above is None:
-                continue  # node got nothing, so it has nothing to forward
-            kids = accepted_children.get(node)
-            if not kids:
+    offpath: dict[NodeId, Offpath] = {b: offpath_from_bytes(b"", parsed)}  # nodes that got one
+    for node in chain.from_iterable(reversed(tree.epochs)):
+        above = offpath.get(node)
+        step = steps.get(node)
+        if above is None or step is None:
+            continue  # nothing received to forward, or no child to forward to
+        kids, labels, fold = step
+        # A child's blob frames every input but its own ahead of `above`.
+        size = _STEP_OVERHEAD + len(above) + sum(wire.LEN_PREFIX + len(l.raw) for l in labels)
+        corrupt = adv.action(node, "offpath_corrupt") if node in faulty else None
+        for idx, child in enumerate(kids):
+            held = labels[idx]
+            built = Offpath(size - wire.LEN_PREFIX - len(held.raw), idx, above, labels, held, fold)
+            msg = built
+            if corrupt is not None:
+                msg = garble(built.raw)
+                adv.fire(node, "offpath_corrupt")
+            delivered = net.send_link(node, child, msg)
+            if delivered is built:
+                # Unaltered (`garble` always makes new bytes): the step is
+                # the labels the sender holds, no bytes and no parse.
+                offpath[child] = built
                 continue
-            labels = inputs_used[node]
-            fold = folded[node]
-            # A child's blob frames every input but its own ahead of `above`.
-            size = _STEP_OVERHEAD + len(above) + sum(wire.LEN_PREFIX + len(l.raw) for l in labels)
-            corrupt = adv.action(node, "offpath_corrupt")
-            for idx, child in enumerate(kids):
-                held = labels[idx]
-                others = tuple(labels[:idx] + labels[idx + 1 :])
-                own_size = wire.LEN_PREFIX + len(held.raw)
-                built = Offpath(size - own_size, idx, others, above, held, fold)
-                msg = built
-                if corrupt is not None:
-                    msg = garble(built.raw)
-                    adv.fire(node, "offpath_corrupt")
-                delivered = net.send_link(node, child, msg)
-                if delivered is built:
-                    # Unaltered (`garble` always makes new bytes): the step is
-                    # the labels the sender holds, no bytes and no parse.
-                    offpath[child] = built
-                    continue
-                try:
-                    offpath[child] = offpath_from_bytes(delivered, parsed)
-                except FrameError:
-                    offpath[child] = None
+            try:
+                offpath[child] = offpath_from_bytes(delivered, parsed)
+            except FrameError:
+                pass  # junk: the child has no path to check
 
     # --- acknowledgement aggregation ---
     net.phase = "ack"
     acked: dict[NodeId, bool] = {}
     acks_up: dict[NodeId, bytes] = {}
     roots: dict[tuple[Label, Offpath], Label] = {}
-    for epoch in tree.epochs:
-        for node in epoch:
-            own = committed.get(node)
-            path = offpath[node]
-            match = own is not None and path is not None and (
-                recompute_root(own, path, nonce, roots) == root_label
-            )
-            out_ack = node_acks[node] if match else None
-            if out_ack is not None and adv.action(node, "ack_drop") is not None:
-                adv.fire(node, "ack_drop")
-                out_ack = None
-            acked[node] = out_ack is not None
-            if out_ack is not None and adv.action(node, "ack_garble") is not None:
-                adv.fire(node, "ack_garble")
-                out_ack = garble(out_ack)
+    for node in chain.from_iterable(tree.epochs):
+        bad = node in faulty
+        own = committed.get(node)
+        path = offpath.get(node)
+        match = own is not None and path is not None and (
+            recompute_root(own, path, nonce, roots) == root_label
+        )
+        out_ack = node_acks[node] if match else None
+        if bad and out_ack is not None and adv.action(node, "ack_drop") is not None:
+            adv.fire(node, "ack_drop")
+            out_ack = None
+        acked[node] = out_ack is not None
+        if bad and out_ack is not None and adv.action(node, "ack_garble") is not None:
+            adv.fire(node, "ack_garble")
+            out_ack = garble(out_ack)
 
-            parts = [acks_up[c] for c in tree.children.get(node, []) if c in acks_up]
-            if out_ack is not None:
-                parts.append(out_ack)
-            up = crypto.xor_acks(parts) if parts else None
-            if adv.action(node, "agg_ack_garble") is not None:
-                adv.fire(node, "agg_ack_garble")
-                up = garble(crypto.ZERO_ACK if up is None else up)
-            if up is not None:
-                net.send_link(node, tree.parent[node], up)
-                acks_up[node] = up
+        parts = [acks_up[c] for c in children[node] if c in acks_up]
+        if out_ack is not None:
+            parts.append(out_ack)
+        up = crypto.xor_acks(parts) if parts else None
+        if bad and adv.action(node, "agg_ack_garble") is not None:
+            adv.fire(node, "agg_ack_garble")
+            up = garble(crypto.ZERO_ACK if up is None else up)
+        if up is not None:
+            net.send_link(node, parent[node], up)
+            acks_up[node] = up
 
     agg_ack = acks_up.get(b)
     return ShiaResult(

@@ -169,6 +169,18 @@ class TestResilientRebuild:
         out = atr.atr_resilient_build(net, edges, frozenset(), NONCE)
         assert out.tree.parent[4] == 3  # still the real topology
 
+    def test_colluding_fabricated_edge_rejected(self):
+        # 1 and 4 both announce a link that does not exist: mutual, but no
+        # graph edge, so it can carry no frame and is not kept.
+        net = path_net(4)
+        adv = Adversary({1, 4}, [entry(1, "nl_fake", add=[4]), entry(4, "nl_fake", add=[1])])
+        adv.begin_session(-1)
+        edges = atr.atr_resilient_init(net, SignatureOracle(b"atr-test"), adv)
+        assert edges == net.graph.edges
+        out = atr.atr_resilient_build(net, edges, frozenset(), NONCE)
+        assert out.tree.parent[4] == 3
+        net.graph.check_tree(out.tree)
+
     def test_withheld_edge_disappears_both_ways(self):
         net = path_net(4)
         adv = Adversary({3}, [entry(3, "nl_fake", remove=[4])])

@@ -67,6 +67,14 @@ class TestNetworkGraph:
         covered = {v for e in span for v in e}
         assert covered == {0, 1, 2, 3}
 
+    def test_tree_off_the_graph_rejected(self):
+        # A send is not checked on its own: the tree it rides is checked
+        # once, and a tree with a link the graph lacks is refused.
+        net, tree = net_for_tree({1: BS_ID, 2: 1, 3: 2})
+        net.graph.check_tree(tree)
+        with pytest.raises(ProtocolViolation, match=r"\(3, 1\) is not a graph edge"):
+            net.graph.check_tree(AggregationTree({1: BS_ID, 2: 1, 3: 1}))
+
 
 def test_bfs_levels_grows_parent_in_either_level_order():
     adj = {1: [3, 2], 2: [4], 3: [5, 4], 4: [], 5: []}
@@ -179,11 +187,6 @@ class TestNetwork:
         assert out == b"payload"
         expect = wire.framed_size(len(b"payload"), wire.ACK_LEN)
         assert net.ledger.per_edge[edge_key(1, 2)] == expect
-
-    def test_send_on_non_edge_rejected(self):
-        net, _tree = net_for_tree({1: BS_ID, 2: 1, 3: 2})
-        with pytest.raises(ConfigError):
-            net.send_link(1, 3, b"x")
 
     @given(
         st.lists(

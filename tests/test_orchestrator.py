@@ -1,6 +1,7 @@
 import pytest
 
 from robustagg import orchestrator
+from robustagg.netmodel import NetworkGraph
 from robustagg.orchestrator import (
     RunResult,
     SessionGroundTruth,
@@ -122,6 +123,26 @@ class TestFaultyRuns:
         assert {1, 2} <= result.blacklist
         assert len(result.records) < 4
         assert result.audits()["failure_bound"]
+
+    @pytest.mark.parametrize("variant", ["basic", "resilient"])
+    def test_each_adopted_tree_is_checked_against_the_graph_once(self, monkeypatch, variant):
+        checked = []
+        real = NetworkGraph.check_tree
+        monkeypatch.setattr(
+            NetworkGraph, "check_tree", lambda self, tree: checked.append(tree) or real(self, tree)
+        )
+        adversary = {
+            "faulty": [7, 12],
+            "scripts": [
+                {"node": 7, "kind": "label_drop", "sessions": [0]},
+                {"node": 12, "kind": "ack_drop", "sessions": [2]},
+            ],
+        }
+        result = run(grid_config(sessions=5, atr=variant, adversary=adversary))
+        trees = [gt.tree for gt in result.truths]
+        adopted = [t for i, t in enumerate(trees) if i == 0 or t is not trees[i - 1]]
+        assert len(adopted) == 1 + result.failures > 1
+        assert checked == adopted
 
 
 class TestSecurityAudit:

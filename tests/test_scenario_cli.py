@@ -21,6 +21,22 @@ from robustagg.scenario import (
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
+# Two colluding faulty nodes announce a link between them that the grid
+# does not have.
+COLLUDING_NL_FAKE = {
+    "seed": 7,
+    "sessions": 3,
+    "topology": {"kind": "grid", "rows": 4, "cols": 5},
+    "atr": "resilient",
+    "adversary": {
+        "faulty": [1, 20],
+        "scripts": [
+            {"node": 1, "kind": "nl_fake", "params": {"add": [20]}},
+            {"node": 20, "kind": "nl_fake", "params": {"add": [1]}},
+        ],
+    },
+}
+
 
 def base_config(**overrides) -> dict:
     cfg = {
@@ -516,6 +532,16 @@ class TestCli:
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
         assert f"config error: {message}" in capsys.readouterr().err
 
+    def test_colluding_fake_link_is_dropped_not_a_traceback(self, tmp_path, capsys):
+        # A mutually announced link that is no graph edge stays out of the
+        # resilient tree, so no session sends over it.
+        cfg_path = write_config(tmp_path, COLLUDING_NL_FAKE)
+        out_path = tmp_path / "report.json"
+        assert cli.main(["run", "--config", cfg_path, "--out", str(out_path)]) == cli.EXIT_OK
+        report = json.loads(out_path.read_text())
+        assert report["audits"]["all_pass"]
+        assert [s["verdict"] for s in report["sessions"]] == ["success"] * 3
+
     def test_forgers_in_disjoint_sessions_are_bounded_per_session(self, tmp_path, capsys):
         # Two forgers whose counts would overflow u16 in one label, but
         # never in the same session: no label sums both, so the config runs.
@@ -619,6 +645,7 @@ FUZZ_BASES = [
             ],
         },
     },
+    COLLUDING_NL_FAKE,
 ]
 
 

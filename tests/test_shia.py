@@ -634,3 +634,119 @@ def test_acked_is_the_ack_each_node_adds_to_what_it_sends_up(kind, node):
     assert all(len(a) == wire.ACK_LEN for a in sres.acks_up.values())
     assert sres.agg_ack == sres.acks_up.get(tree.bs_child)
     assert sres.accepted == (kind is None)
+
+
+def test_honest_grid_session_consults_no_adversary_hook(monkeypatch):
+    # Only a faulty node can be scripted, so an honest session asks the
+    # adversary nothing.
+    _, calls = honest_grid_session(monkeypatch, Adversary, "action")
+    assert calls == 0
+
+
+def test_honest_grid_session_reads_no_others(monkeypatch):
+    # An unaltered step keeps its sender's inputs; the tuple of the others
+    # is made only when its bytes or a hashed fold read it, and an honest
+    # session does neither.
+    reads = []
+    real = shia.Offpath.others
+    monkeypatch.setattr(shia.Offpath, "others", property(lambda p: reads.append(1) or real.fget(p)))
+    tree, calls = honest_grid_session(monkeypatch, shia, "recompute_root")
+    assert calls == len(tree.members) and not reads
+
+
+class RecordingAdversary(Adversary):
+    """An adversary that records every hook consulted, in order."""
+
+    def __init__(self, faulty, scripts):
+        super().__init__(faulty, scripts)
+        self.consulted = []
+
+    def action(self, node, kind):
+        self.consulted.append((node, kind))
+        return super().action(node, kind)
+
+
+@pytest.mark.parametrize(
+    "scripts",
+    [
+        [entry(2, "label_forge", value=35)],
+        [entry(3, "offpath_corrupt")],
+        [entry(4, "parent_switch", target=5), entry(5, "ack_garble")],
+        [entry(5, "ack_drop"), entry(6, "own_value_forge", value=3)],
+        [entry(2, "agg_ack_garble"), entry(7, "label_drop")],
+    ],
+    ids=["label_forge", "offpath_corrupt", "parent_switch", "ack_drop", "agg_ack_garble"],
+)
+def test_hooks_run_at_faulty_nodes_in_the_per_node_order(scripts):
+    # Marking every sensor faulty makes the session consult every hook at
+    # every node.  With only the scripted nodes faulty, each of them sees
+    # the same hooks in the same order, and the session ends the same.
+    runs = []
+    for faulty in (set(BINARY), {e.node for e in scripts}):
+        net, tree = net_for_tree(BINARY)
+        adv = RecordingAdversary(faulty, scripts)
+        adv.begin_session(0)
+        sres = shia.run_shia(net, tree, {s: 10 for s in tree.members}, adv, NONCE, (0, 100))
+        root_raw = None if sres.root_label is None else sres.root_label.raw
+        outcome = (sres.accepted, root_raw, sres.agg_ack, sres.acked, sres.acks_up)
+        runs.append((adv, outcome, net.ledger.per_edge, net.ledger.per_phase))
+    (every, *want), (only, *got) = runs
+    assert {node for node, _ in every.consulted} == set(BINARY)
+    assert only.consulted == [c for c in every.consulted if c[0] in only.faulty]
+    assert only.trace == every.trace and only.trace
+    assert got == want
+
+
+def test_tampered_path_sees_each_step_as_its_sender_held_it(monkeypatch):
+    # 2 forges its label, so 4 and 5 fold through 1's step by hashing its
+    # others; 3 garbles its blobs, so their bytes are built from them.  Every
+    # path handed to recompute_root carries, at each step, the sender's
+    # inputs but the recomputing node's own, in the bytes as well.
+    net, tree = net_for_tree(BINARY)
+    values = {s: 10 for s in tree.members}
+    labels = {}
+    send = net.send_link
+
+    def recording(frm, to, payload):
+        if net.phase == "commit":
+            labels[frm] = shia.Label.from_bytes(payload)
+        return send(frm, to, payload)
+
+    net.send_link = recording
+    seen = []
+    real = shia.recompute_root
+
+    def watching(own, path, nonce, roots):
+        steps, step = [], path
+        while step.above is not None:
+            steps.append(PathStep(step.slot, step.others))
+            step = step.above
+        seen.append((own, steps, path.raw))
+        return real(own, path, nonce, roots)
+
+    monkeypatch.setattr(shia, "recompute_root", watching)
+    scripts = [entry(2, "label_forge", value=35), entry(3, "offpath_corrupt")]
+    adv = Adversary({2, 3}, scripts)
+    adv.begin_session(0)
+    sres = shia.run_shia(net, tree, values, adv, NONCE, (0, 100))
+
+    def sent_steps(child):
+        out = []
+        while child != tree.bs_child:
+            up = tree.parent[child]
+            kids = tree.children[up]
+            inputs = [labels[k] for k in kids] + [shia.leaf_label(up, values[up])]
+            idx = kids.index(child)
+            out.append(PathStep(idx, tuple(inputs[:idx] + inputs[idx + 1 :])))
+            child = up
+        return out
+
+    node_of = {lab: node for node, lab in labels.items()}
+    checked = set()
+    for own, steps, raw in seen:
+        node = node_of[own]
+        assert steps == sent_steps(node), node
+        assert raw == oracle_offpath_to_bytes(steps), node
+        checked.add(node)
+    assert checked == {1, 2, 3, 4, 5}  # 6 and 7 got junk
+    assert sres.acked == {1: True, 2: True, 3: True, 4: False, 5: False, 6: False, 7: False}
