@@ -4,6 +4,11 @@ Two variants: the basic flood-and-respond protocol, and a resilient one
 that collects signed neighbor lists once up front and lets the BS compute
 trees centrally.  Both end with the BS distributing the finished tree in a
 single authenticated broadcast so every node's view matches the BS's.
+
+The BS-keyed responses of the basic variant and the signed lists of the
+resilient one are charged by their byte size, not computed: no deviation
+can alter either in flight, so each would always verify.  The distributed
+tree keeps its bytes, because every node's view is parsed from them.
 """
 
 from __future__ import annotations
@@ -11,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
-from . import crypto, wire
-from .crypto import BS_ID, NodeId, SignatureOracle
-from .errors import FrameError
+from . import wire
+from .crypto import BS_ID, NodeId
 from .netmodel import AggregationTree, Network, NetworkGraph, bfs_levels, edge_key
 
 
@@ -109,57 +113,44 @@ def atr_basic(
     # Upward response relay, deepest levels first: a node passes its own
     # response and everything its children forwarded to its parent, and the
     # link is charged once for all of it, one link envelope per message.  A
-    # dropping node cuts off its whole subtree.
-    upward: dict[NodeId, list[bytes]] = {u: [] for u in (BS_ID, *parent)}
-    carried: dict[NodeId, int] = dict.fromkeys(upward, 0)  # bytes children sent up
+    # dropping node cuts off its whole subtree.  A response is the nonce, the
+    # node's id and its flood children's ids, MACed with its BS key.  Each
+    # node sends one, blacklisted nodes never join the flood, and nothing
+    # alters a response in flight, so every response that reaches the BS
+    # verifies and is the first from its node: it is charged, not built.
+    carried: dict[NodeId, int] = dict.fromkeys((BS_ID, *parent), 0)  # bytes children sent up
+    dropped: set[NodeId] = set()
     for u in chain.from_iterable(flood.epochs):
         if adv.action(u, "response_drop") is not None:
             adv.fire(u, "response_drop")
+            dropped.add(u)
             continue
-        resp = crypto.auth_wrap(
-            net.keys.bs_key(u),
-            wire.frame(nonce, wire.u16(u), *[wire.u16(c) for c in flood.children[u]]),
-        ).to_bytes()
+        ids = [wire.NODE_ID_LEN] * (1 + len(flood.children[u]))
+        resp = wire.framed_size(wire.framed_size(len(nonce), *ids), wire.ACK_LEN)
         p = parent[u]
-        nbytes = carried[u] + wire.framed_size(len(resp), wire.ACK_LEN)
+        nbytes = carried[u] + wire.framed_size(resp, wire.ACK_LEN)
         net.ledger.charge(u, p, nbytes, net.phase)
         carried[p] += nbytes
-        upward[p] += [resp, *upward[u]]
-
-    # BS assembly: first verified response per node wins.
-    claims: dict[NodeId, list[NodeId]] = {}
-    for raw in upward[BS_ID]:
-        try:
-            env = crypto.AuthEnvelope.from_bytes(raw)
-            fields = wire.unframe(env.payload)
-            node = wire.read_u16(fields[1])
-        except (FrameError, IndexError):
-            continue
-        if node in claims or node in blacklist or node not in graph.sensors:
-            continue
-        if not crypto.auth_verify(net.keys.bs_key(node), env) or fields[0] != nonce:
-            continue
-        claims[node] = [wire.read_u16(f) for f in fields[2:]]
 
     # b is always kept (the BS handed it the TE itself); below it, a node
-    # joins only if its parent claimed it and its own response arrived.
-    # Only a node's flood parent claims it, so the walk order cannot matter.
+    # joins only if its response arrived: no node on its flood path dropped.
     final_parent = {b: BS_ID}
-    bfs_levels(final_parent, lambda u: [c for c in claims.get(u, ()) if c in claims])
+    if b not in dropped:
+        bfs_levels(final_parent, flood.children.__getitem__, frozenset(dropped))
     tree = AggregationTree(final_parent)
     return _distribute(net, nonce, tree)
 
 
-def atr_resilient_init(
-    net: Network, oracle: SignatureOracle, adv
-) -> set[tuple[NodeId, NodeId]]:
+def atr_resilient_init(net: Network, adv) -> set[tuple[NodeId, NodeId]]:
     """One-time signed neighbor-list collection.
 
     Every node floods its signed list once; the BS keeps only edges both
     endpoints announced that are graph links, plus its own observed edges,
     so no fabricated link survives: a one-sided claim is dropped, and so is
     a link two colluding nodes both announce, since a link that does not
-    exist cannot carry a frame.
+    exist cannot carry a frame.  A faked list is faked before it is signed,
+    and no one can alter a signed list, so each list arrives as announced
+    and its signature is charged, not computed.
     """
     net.phase = "nl"
     graph = net.graph
@@ -167,19 +158,15 @@ def atr_resilient_init(
     # Every list crosses every backbone edge, so each edge carries the sum.
     list_bytes = 0
     for s in sorted(graph.sensors):
-        nbrs = list(graph.neighbors(s))
+        nbrs = set(graph.neighbors(s))
         fake = adv.action(s, "nl_fake")
         if fake is not None:
             adv.fire(s, "nl_fake")
-            nbrs = sorted(
-                (set(nbrs) | set(fake.params.get("add", ())))
-                - set(fake.params.get("remove", ()))
-            )
-        blob = oracle.sign(s, wire.frame(b"nl", *[wire.u16(v) for v in nbrs]))
-        list_bytes += blob.size
-        if oracle.verify(s, blob):
-            fields = wire.unframe(blob.payload)
-            announced[s] = {wire.read_u16(f) for f in fields[1:]}
+            nbrs = (nbrs | set(fake.params.get("add", ()))) - set(fake.params.get("remove", ()))
+        announced[s] = nbrs
+        # The signer's id, the list framed behind a 2-byte b"nl" tag, the signature.
+        listed = wire.framed_size(2, *[wire.NODE_ID_LEN] * len(nbrs))
+        list_bytes += wire.framed_size(wire.NODE_ID_LEN, listed, wire.ACK_LEN)
     for a, c in graph.flood_edges:
         net.ledger.charge(a, c, list_bytes, net.phase)
     edges: set[tuple[NodeId, NodeId]] = set()

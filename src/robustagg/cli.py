@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import orchestrator
-from .errors import ConfigError, UnlocalizableFailure
+from .errors import ConfigError, ProtocolViolation, UnlocalizableFailure
 from .scenario import SCHEMA, Scenario, load_config, read_json_object
 
 EXIT_OK = 0
@@ -167,11 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Typed errors raised mid-run end the command before any report is written.
     try:
         return args.func(args)
-    except UnlocalizableFailure as exc:
-        # A failed session that no one was marked for: the localization
-        # guarantee the audit checks has failed.
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except (ProtocolViolation, UnlocalizableFailure) as exc:
+        # A broken protocol invariant, or a failed session that no one was
+        # marked for: a guarantee the audit checks has failed.
         print(f"audit failed: {exc}", file=sys.stderr)
         return EXIT_AUDIT_FAIL
 

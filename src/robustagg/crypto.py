@@ -1,9 +1,6 @@
 """Deterministic cryptographic primitives and the shared key store.
 
-Hashing is SHA-256; MACs are keyed BLAKE2b truncated to 16 bytes.  Node
-signatures (used only by the resilient tree-rebuild variant) are an ideal
-oracle: verification succeeds exactly for blobs the oracle issued, standing
-in for real public-key signatures.
+Hashing is SHA-256; MACs are keyed BLAKE2b truncated to 16 bytes.
 """
 
 from __future__ import annotations
@@ -111,34 +108,3 @@ class KeyStore:
             return self._link_keys[(lo, hi)]
         except KeyError:
             raise ConfigError(f"no link key for edge ({a}, {b})") from None
-
-
-@dataclass(frozen=True)
-class SignedBlob:
-    signer: NodeId
-    payload: bytes
-    token: bytes
-
-    @property
-    def size(self) -> int:
-        return wire.framed_size(wire.NODE_ID_LEN, len(self.payload), len(self.token))
-
-
-class SignatureOracle:
-    """Ideal signatures: a simulation-private secret no node can read.
-
-    Unforgeable within a run because only the oracle (the engine) holds the
-    secret; faulty nodes can replay blobs but never mint one for another id.
-    """
-
-    def __init__(self, master_seed: bytes):
-        self._secret = mac_long(b"\x01" * KEY_LEN, b"sig" + master_seed)
-
-    def sign(self, node: NodeId, payload: bytes) -> SignedBlob:
-        token = mac(self._secret, wire.u16(node) + payload)
-        return SignedBlob(node, payload, token)
-
-    def verify(self, node: NodeId, blob: SignedBlob) -> bool:
-        if blob.signer != node:
-            return False
-        return blob.token == mac(self._secret, wire.u16(node) + blob.payload)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import als, atr, crypto, shia, wire
 from .adversary import Adversary
-from .crypto import BS_ID, KeyStore, NodeId, SignatureOracle
+from .crypto import BS_ID, KeyStore, NodeId
 from .errors import ProtocolViolation, UnlocalizableFailure
 from .netmodel import AggregationTree, CongestionLedger, Network
 from .scenario import Scenario
@@ -162,11 +162,10 @@ def run_sessions(scenario: Scenario) -> RunResult:
 
     result = RunResult(scenario=scenario, faulty=adv.faulty)
     blacklist: set[NodeId] = set()
-    oracle = SignatureOracle(seed_bytes)
     bs_graph = None
     if scenario.atr_variant == "resilient":
         adv.begin_session(-1)
-        bs_graph = atr.atr_resilient_init(net, oracle, adv)
+        bs_graph = atr.atr_resilient_init(net, adv)
         result.setup_congestion = net.ledger.max_congestion()
         net.ledger.reset()
         outcome = atr.atr_resilient_build(net, bs_graph, frozenset(), b"\x00" * wire.NONCE_LEN)

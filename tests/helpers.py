@@ -12,7 +12,7 @@ from itertools import chain, product
 from robustagg import als, crypto, shia, wire
 from robustagg.adversary import Adversary, ScriptEntry
 from robustagg.atr import AtrOutcome, _distribute
-from robustagg.crypto import BS_ID, KeyStore, NodeId
+from robustagg.crypto import BS_ID, KEY_LEN, KeyStore, NodeId, mac, mac_long
 from robustagg.errors import ConfigError, FrameError
 from robustagg.netmodel import AggregationTree, Network, NetworkGraph, edge_key
 
@@ -484,3 +484,82 @@ def oracle_atr_basic(net: Network, blacklist: frozenset[NodeId], nonce: bytes, a
                 stack.append(c)
     tree = AggregationTree(final_parent)
     return _distribute(net, nonce, tree)
+
+
+# --- resilient ATR reference: every neighbor list is signed by an ideal
+# signature oracle, then verified and unframed before the BS reads it ---
+
+
+@dataclass(frozen=True)
+class SignedBlob:
+    signer: NodeId
+    payload: bytes
+    token: bytes
+
+    @property
+    def size(self) -> int:
+        return wire.framed_size(wire.NODE_ID_LEN, len(self.payload), len(self.token))
+
+
+class SignatureOracle:
+    """Ideal signatures: a simulation-private secret no node can read.
+
+    Unforgeable within a run because only the oracle (the engine) holds the
+    secret; faulty nodes can replay blobs but never mint one for another id.
+    """
+
+    def __init__(self, master_seed: bytes):
+        self._secret = mac_long(b"\x01" * KEY_LEN, b"sig" + master_seed)
+
+    def sign(self, node: NodeId, payload: bytes) -> SignedBlob:
+        token = mac(self._secret, wire.u16(node) + payload)
+        return SignedBlob(node, payload, token)
+
+    def verify(self, node: NodeId, blob: SignedBlob) -> bool:
+        if blob.signer != node:
+            return False
+        return blob.token == mac(self._secret, wire.u16(node) + blob.payload)
+
+
+def oracle_atr_resilient_init(
+    net: Network, oracle: SignatureOracle, adv
+) -> set[tuple[NodeId, NodeId]]:
+    """One-time signed neighbor-list collection.
+
+    Every node floods its signed list once; the BS keeps only edges both
+    endpoints announced that are graph links, plus its own observed edges,
+    so no fabricated link survives: a one-sided claim is dropped, and so is
+    a link two colluding nodes both announce, since a link that does not
+    exist cannot carry a frame.
+    """
+    net.phase = "nl"
+    graph = net.graph
+    announced: dict[NodeId, set[NodeId]] = {}
+    # Every list crosses every backbone edge, so each edge carries the sum.
+    list_bytes = 0
+    for s in sorted(graph.sensors):
+        nbrs = list(graph.neighbors(s))
+        fake = adv.action(s, "nl_fake")
+        if fake is not None:
+            adv.fire(s, "nl_fake")
+            nbrs = sorted(
+                (set(nbrs) | set(fake.params.get("add", ())))
+                - set(fake.params.get("remove", ()))
+            )
+        blob = oracle.sign(s, wire.frame(b"nl", *[wire.u16(v) for v in nbrs]))
+        list_bytes += blob.size
+        if oracle.verify(s, blob):
+            fields = wire.unframe(blob.payload)
+            announced[s] = {wire.read_u16(f) for f in fields[1:]}
+    for a, c in graph.flood_edges:
+        net.ledger.charge(a, c, list_bytes, net.phase)
+    edges: set[tuple[NodeId, NodeId]] = set()
+    bs_nbrs = set(graph.neighbors(BS_ID))
+    for s, nbrs in announced.items():
+        for t in nbrs:
+            if t == BS_ID:
+                if s in bs_nbrs:
+                    edges.add(edge_key(s, BS_ID))
+            elif t in announced and s in announced[t] and graph.has_edge(s, t):
+                edges.add(edge_key(s, t))
+    return edges

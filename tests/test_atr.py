@@ -3,10 +3,10 @@ from hypothesis import strategies as st
 
 from robustagg import atr, wire
 from robustagg.adversary import Adversary
-from robustagg.crypto import BS_ID, KeyStore, SignatureOracle
+from robustagg.crypto import BS_ID, KeyStore
 from robustagg.netmodel import Network, NetworkGraph, edge_key
 
-from helpers import entry, oracle_atr_basic
+from helpers import SignatureOracle, entry, oracle_atr_basic, oracle_atr_resilient_init
 
 NONCE = b"\x09" * 8
 
@@ -112,14 +112,20 @@ class TestBasicRebuild:
         assert out.unreached == {1, 2, 3}
 
 
-@st.composite
-def rebuild_cases(draw):
-    """A small connected graph, a blacklist and scripted ATR misbehavers."""
+def draw_graph(draw) -> tuple[int, set[tuple[int, int]]]:
+    """A connected graph over sensors 1..n (n <= 12) with 1-3 BS links."""
     n = draw(st.integers(1, 12))
     edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
     extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
     edges |= {edge_key(a, b) for a, b in extra if a != b}
     edges |= {(BS_ID, v) for v in draw(st.sets(st.integers(1, n), min_size=1, max_size=3))}
+    return n, edges
+
+
+@st.composite
+def rebuild_cases(draw):
+    """A small connected graph, a blacklist and scripted ATR misbehavers."""
+    n, edges = draw_graph(draw)
     blacklist = draw(st.frozensets(st.integers(1, n), max_size=n))
     kinds = st.sets(st.sampled_from(["response_drop", "te_suppress"]), min_size=1)
     faulty = {v: draw(kinds) for v in draw(st.sets(st.integers(1, n), max_size=n))}
@@ -149,11 +155,44 @@ def test_basic_rebuild_matches_hop_by_hop_oracle(case):
     assert runs[0] == runs[1]
 
 
+@st.composite
+def announcement_cases(draw):
+    """A small connected graph and faked neighbor lists.
+
+    Announced ids range over the BS (0), every sensor whether a neighbor or
+    not, and two ids no node has; some faulty pairs fake a link together.
+    """
+    n, edges = draw_graph(draw)
+    faulty = sorted(draw(st.sets(st.integers(1, n), max_size=n)))
+    ids = st.lists(st.integers(0, n + 2), max_size=4)
+    fakes = {v: (draw(ids), draw(ids)) for v in faulty if draw(st.booleans())}
+    if faulty:
+        for a, c in draw(st.lists(st.tuples(*[st.sampled_from(faulty)] * 2), max_size=3)):
+            for v, w in ((a, c), (c, a)):
+                fakes.setdefault(v, ([], []))[0].append(w)
+    return n, edges, faulty, fakes
+
+
+@settings(max_examples=200, deadline=None)
+@given(announcement_cases())
+def test_resilient_init_matches_signature_oracle(case):
+    n, edges, faulty, fakes = case
+    runs = []
+    signed = lambda net, adv: oracle_atr_resilient_init(net, SignatureOracle(b"atr"), adv)
+    for init in (atr.atr_resilient_init, signed):
+        net = make_net(n, edges, d_max=n + 1)
+        scripts = [entry(v, "nl_fake", add=add, remove=rm) for v, (add, rm) in fakes.items()]
+        adv = Adversary(faulty, scripts)
+        adv.begin_session(-1)
+        found = init(net, adv)
+        runs.append((found, list(net.ledger.per_edge.items()), net.ledger.per_phase, adv.trace))
+    assert runs[0] == runs[1]
+
+
 class TestResilientRebuild:
     def test_mutual_announcement_reproduces_graph(self):
         net = ring_net(6)
-        oracle = SignatureOracle(b"atr-test")
-        edges = atr.atr_resilient_init(net, oracle, Adversary(()))
+        edges = atr.atr_resilient_init(net, Adversary(()))
         assert edges == net.graph.edges
         out = atr.atr_resilient_build(net, edges, frozenset(), NONCE)
         assert out.tree.members == net.graph.sensors
@@ -163,8 +202,7 @@ class TestResilientRebuild:
         # 4 claims a shortcut straight to 1; 1 never confirms it.
         adv = Adversary({4}, [entry(4, "nl_fake", add=[1])])
         adv.begin_session(0)
-        oracle = SignatureOracle(b"atr-test")
-        edges = atr.atr_resilient_init(net, oracle, adv)
+        edges = atr.atr_resilient_init(net, adv)
         assert (1, 4) not in edges
         out = atr.atr_resilient_build(net, edges, frozenset(), NONCE)
         assert out.tree.parent[4] == 3  # still the real topology
@@ -175,7 +213,7 @@ class TestResilientRebuild:
         net = path_net(4)
         adv = Adversary({1, 4}, [entry(1, "nl_fake", add=[4]), entry(4, "nl_fake", add=[1])])
         adv.begin_session(-1)
-        edges = atr.atr_resilient_init(net, SignatureOracle(b"atr-test"), adv)
+        edges = atr.atr_resilient_init(net, adv)
         assert edges == net.graph.edges
         out = atr.atr_resilient_build(net, edges, frozenset(), NONCE)
         assert out.tree.parent[4] == 3
@@ -185,8 +223,7 @@ class TestResilientRebuild:
         net = path_net(4)
         adv = Adversary({3}, [entry(3, "nl_fake", remove=[4])])
         adv.begin_session(0)
-        oracle = SignatureOracle(b"atr-test")
-        edges = atr.atr_resilient_init(net, oracle, adv)
+        edges = atr.atr_resilient_init(net, adv)
         assert (3, 4) not in edges
         out = atr.atr_resilient_build(net, edges, frozenset(), NONCE)
         assert out.tree.members == {1, 2, 3}
@@ -194,8 +231,7 @@ class TestResilientRebuild:
 
     def test_blacklist_respected_and_views_match(self):
         net = ring_net(8)
-        oracle = SignatureOracle(b"atr-test")
-        edges = atr.atr_resilient_init(net, oracle, Adversary(()))
+        edges = atr.atr_resilient_init(net, Adversary(()))
         out = atr.atr_resilient_build(net, edges, frozenset({1}), NONCE)
         assert 1 not in out.tree.members
         for node in out.tree.members:
@@ -215,7 +251,7 @@ class TestResilientRebuild:
             net = ring_net(6)
             oracle = SignatureOracle(b"atr-test")
             adv.begin_session(-1)
-            atr.atr_resilient_init(net, oracle, adv)
+            atr.atr_resilient_init(net, adv)
             blob_total = sum(
                 oracle.sign(
                     s,

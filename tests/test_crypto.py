@@ -101,22 +101,3 @@ class TestKeyStore:
         with pytest.raises(ConfigError):
             ks.register_node(crypto.BS_ID)
 
-
-class TestSignatureOracle:
-    def test_sign_verify(self):
-        oracle = crypto.SignatureOracle(b"seed")
-        blob = oracle.sign(3, b"hello")
-        assert oracle.verify(3, blob)
-
-    def test_rejects_wrong_signer_claim(self):
-        oracle = crypto.SignatureOracle(b"seed")
-        blob = oracle.sign(3, b"hello")
-        assert not oracle.verify(4, blob)
-        forged = crypto.SignedBlob(4, blob.payload, blob.token)
-        assert not oracle.verify(4, forged)
-
-    def test_rejects_payload_substitution(self):
-        oracle = crypto.SignatureOracle(b"seed")
-        blob = oracle.sign(3, b"hello")
-        forged = crypto.SignedBlob(3, b"other", blob.token)
-        assert not oracle.verify(3, forged)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import oracle_geometric_graph, oracle_onepass_geometric_graph
 from robustagg import cli, orchestrator, scenario
 from robustagg.crypto import BS_ID
-from robustagg.errors import ConfigError
+from robustagg.errors import ConfigError, ProtocolViolation
 from robustagg.scenario import (
     SCHEMA,
     Scenario,
@@ -377,6 +377,37 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_AUDIT_FAIL
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["audit failed: session 0: aggregation failed but no node was marked"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "replay"])
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [(ConfigError, cli.EXIT_PARSE_ERROR, "config error"),
+         (ProtocolViolation, cli.EXIT_AUDIT_FAIL, "audit failed")],
+        ids=["config_error", "protocol_violation"],
+    )
+    def test_typed_error_mid_run_is_one_line_and_no_report(
+        self, tmp_path, capsys, monkeypatch, command, error, code, prefix
+    ):
+        cfg_path = write_config(tmp_path, base_config())
+        report = str(tmp_path / "report.json")
+        cli.main(["run", "--config", cfg_path, "--out", report])
+        capsys.readouterr()
+
+        def raising(scenario):
+            raise error("raised mid-run")
+
+        monkeypatch.setattr(orchestrator, "run_sessions", raising)
+        out = str(tmp_path / "out.json")
+        argv = {
+            "run": ["run", "--config", cfg_path, "--out", out],
+            "sweep": ["sweep", "--template", cfg_path, "--sizes", "20,30", "--out", out],
+            "replay": ["replay", "--report", report],
+        }[command]
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"{prefix}: raised mid-run"]
+        assert captured.out == ""
+        assert not (tmp_path / "out.json").exists()
 
     def test_sweep_empty_sizes_is_a_noop(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
