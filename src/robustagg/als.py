@@ -5,21 +5,36 @@ acknowledged the result and recursively checks them at the BS; phase II
 collects the per-child acks nodes stored during result checking and hunts
 for inconsistencies.  Both produce a set of marks, in (child, parent)
 pairs except when the parent is the BS.
+
+Both phases' envelopes are charged by their byte size, not built.  A
+confirmation is the nonce and one slot per child, the child's confirmation
+or a 1-byte "none received" placeholder that never verifies; a report is
+the nonce, the nested reports of the non-leaf children and one ack per
+child.  Each is MACed with the sender's BS key and tagged with one byte.
+A sender always holds its own key, and the one deviation that alters an
+envelope in flight, `confirm_tamper`, flips the tag byte of a child's slot,
+so the BS rejects that slot on its tag alone.  The collect phases therefore
+hand the BS what it would verify: the child slots each confirmation carried
+intact, and the acks each report listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import crypto, wire
 from .adversary import garble
 from .crypto import BS_ID, KeyStore, NodeId
-from .errors import FrameError
-from .netmodel import AggregationTree, Network
+from .netmodel import LINK_OVERHEAD, AggregationTree, Network
 
-# Wire tags for confirmation slots.
-NR = b"\x00"  # "no message received from this child"; always illegitimate
-_ENV = b"\x01"
+# Wire size of the "no message received from this child" placeholder slot.
+_NR_SIZE = 1
+
+
+def _envelope_size(nonce: bytes, field_sizes: list[int]) -> int:
+    """Bytes of a tagged, BS-keyed envelope around the nonce and fields."""
+    return 1 + wire.framed_size(wire.framed_size(len(nonce), *field_sizes), wire.ACK_LEN)
 
 
 @dataclass(frozen=True)
@@ -49,96 +64,62 @@ class MarkSet:
         return bool(self.marks)
 
 
-def _wrap(key: bytes, payload: bytes) -> bytes:
-    return _ENV + crypto.auth_wrap(key, payload).to_bytes()
-
-
-def _open(key: bytes, data: bytes | None) -> bytes | None:
-    """Envelope payload if the blob verifies under `key`, else None (an
-    absent blob or the NR placeholder never verifies)."""
-    if data is None or data[0:1] != _ENV:
-        return None
-    try:
-        env = crypto.AuthEnvelope.from_bytes(data[1:])
-    except FrameError:
-        return None
-    return env.payload if crypto.auth_verify(key, env) else None
-
-
 def als1_collect(
     net: Network,
     tree: AggregationTree,
     acked: dict[NodeId, bool],
     adv,
     nonce: bytes,
-) -> bytes | None:
-    """Hierarchical confirmation collection; returns the blob the BS receives.
+) -> dict[NodeId, list[NodeId]]:
+    """Hierarchical confirmation collection.
 
-    Only nodes that acknowledged in result checking (`acked[s]`) take part;
-    silent nodes send nothing and their parents substitute the NR placeholder.
+    Returns, for each node whose confirmation reached its parent, the
+    children whose slots it carried intact.  Only nodes that acknowledged in
+    result checking (`acked[s]`) take part; silent nodes send nothing and
+    their parents substitute the placeholder.
     """
-    net.phase = "als1"
-    sent: dict[NodeId, bytes] = {}  # keyed by sender: each node has one parent
-    for epoch in tree.epochs:
-        for node in epoch:
-            if not acked[node]:
-                continue
-            key = net.keys.bs_key(node)
-            kids = tree.children.get(node, [])
-            if not kids:
-                msg = _wrap(key, wire.frame(nonce))
-            else:
-                slots = [sent.get(c, NR) for c in kids]
-                tamper = adv.action(node, "confirm_tamper")
-                if tamper is not None:
-                    idx = tamper.params.get("slot", len(slots) - 1) % len(slots)
-                    slots[idx] = garble(slots[idx])
-                    adv.fire(node, "confirm_tamper")
-                msg = _wrap(key, wire.frame(nonce, *slots))
+    net.phase = phase = "als1"
+    charge, faulty = net.ledger.charge, adv.faulty
+    size: dict[NodeId, int] = {}  # keyed by sender: each node has one parent
+    intact: dict[NodeId, list[NodeId]] = {}
+    for node in chain.from_iterable(tree.epochs):
+        if not acked[node]:
+            continue
+        kids = tree.children[node]
+        carried = [c for c in kids if c in size]
+        if node in faulty:
+            tamper = adv.action(node, "confirm_tamper") if kids else None
+            if tamper is not None:
+                victim = kids[tamper.params.get("slot", len(kids) - 1) % len(kids)]
+                carried = [c for c in carried if c != victim]
+                adv.fire(node, "confirm_tamper")
             if adv.action(node, "confirm_drop") is not None:
                 adv.fire(node, "confirm_drop")
                 continue
-            sent[node] = net.send_link(node, tree.parent[node], msg)
-    return sent.get(tree.bs_child)
+        size[node] = _envelope_size(nonce, [size.get(c, _NR_SIZE) for c in kids])
+        charge(node, tree.parent[node], size[node] + LINK_OVERHEAD, phase)
+        intact[node] = carried
+    return intact
 
 
-def _fields(
-    keys: KeyStore, node: NodeId, data: bytes | None, nonce: bytes, count: int
-) -> list[bytes] | None:
-    """The `count` fields after the nonce in a legitimate report from `node`,
-    or None (incl. the NR case)."""
-    payload = _open(keys.bs_key(node), data)
-    if payload is None:
-        return None
-    try:
-        fields = wire.unframe(payload)
-    except FrameError:
-        return None
-    if len(fields) != 1 + count or fields[0] != nonce:
-        return None
-    return fields[1:]
-
-
-def als1_process(
-    keys: KeyStore, tree: AggregationTree, m_b: bytes | None, nonce: bytes
-) -> MarkSet:
+def als1_process(tree: AggregationTree, intact: dict[NodeId, list[NodeId]]) -> MarkSet:
     """BS-side recursive confirmation check."""
     marks = MarkSet()
     b = tree.bs_child
-    if m_b is None:
+    if b not in intact:
         marks.add(b, BS_ID, "absent")
         return marks
 
-    # Pre-order walk, children in tree order: the stack holds them reversed.
-    stack: list[tuple[NodeId, NodeId, bytes | None]] = [(b, BS_ID, m_b)]
+    # Pre-order walk, children in tree order: the stack holds them reversed,
+    # each with whether its parent carried its confirmation intact.
+    stack: list[tuple[NodeId, NodeId, bool]] = [(b, BS_ID, True)]
     while stack:
-        node, parent, data = stack.pop()
-        slots = _fields(keys, node, data, nonce, len(tree.children.get(node, [])))
-        if slots is None:
+        node, parent, ok = stack.pop()
+        if not ok:
             marks.add(node, parent, "structural")
             continue
-        kids = list(zip(tree.children.get(node, []), slots))
-        stack.extend((child, node, slot) for child, slot in reversed(kids))
+        carried = intact[node]
+        stack.extend((c, node, c in carried) for c in reversed(tree.children[node]))
     return marks
 
 
@@ -165,22 +146,24 @@ def als2_collect(
     acks_up: dict[NodeId, bytes],
     adv,
     nonce: bytes,
-) -> bytes | None:
+) -> dict[NodeId, list[bytes]]:
     """Hierarchical ack-report collection; leaves stay silent.
 
     A report carries nested reports for non-leaf children and the ack every
     child sent up in stage one (`acks_up`, keyed by sender; a never-received
-    ack is reported as all zeros).
+    ack is reported as all zeros).  Returns, for each node whose report
+    reached its parent, the acks it reported, in child order.
     """
-    net.phase = "als2"
-    sent: dict[NodeId, bytes] = {}  # keyed by sender: each node has one parent
-    for epoch in tree.epochs:
-        for node in epoch:
-            kids = tree.children.get(node, [])
-            if not kids:
-                continue
-            reports = [sent.get(c, NR) for c in kids if not tree.is_leaf(c)]
-            acks = [acks_up.get(c, crypto.ZERO_ACK) for c in kids]
+    net.phase = phase = "als2"
+    charge, faulty, children = net.ledger.charge, adv.faulty, tree.children
+    size: dict[NodeId, int] = {}  # keyed by sender: each node has one parent
+    reported: dict[NodeId, list[bytes]] = {}
+    for node in chain.from_iterable(tree.epochs):
+        kids = children[node]
+        if not kids:
+            continue
+        acks = [acks_up.get(c, crypto.ZERO_ACK) for c in kids]
+        if node in faulty:
             forge = adv.action(node, "ack_report_forge")
             if forge is not None:
                 idx = forge.params.get("slot", 0) % len(acks)
@@ -189,30 +172,17 @@ def als2_collect(
             if adv.action(node, "report_drop") is not None:
                 adv.fire(node, "report_drop")
                 continue
-            msg = _wrap(net.keys.bs_key(node), wire.frame(nonce, *reports, *acks))
-            sent[node] = net.send_link(node, tree.parent[node], msg)
-    return sent.get(tree.bs_child)
-
-
-def _extract2(
-    keys: KeyStore, tree: AggregationTree, node: NodeId, data: bytes | None, nonce: bytes
-) -> tuple[dict[NodeId, bytes], dict[NodeId, bytes]] | None:
-    """(nested reports by non-leaf child, reported acks by child), or None."""
-    kids = tree.children.get(node, [])
-    nonleaf = [c for c in kids if not tree.is_leaf(c)]
-    fields = _fields(keys, node, data, nonce, len(nonleaf) + len(kids))
-    if fields is None:
-        return None
-    ack_fields = fields[len(nonleaf) :]
-    if any(len(a) != wire.ACK_LEN for a in ack_fields):
-        return None
-    return dict(zip(nonleaf, fields)), dict(zip(kids, ack_fields))
+        nested = [size.get(c, _NR_SIZE) for c in kids if children[c]]
+        size[node] = _envelope_size(nonce, nested + [wire.ACK_LEN] * len(kids))
+        charge(node, tree.parent[node], size[node] + LINK_OVERHEAD, phase)
+        reported[node] = acks
+    return reported
 
 
 def als2_process(
     keys: KeyStore,
     tree: AggregationTree,
-    m_b: bytes | None,
+    reported: dict[NodeId, list[bytes]],
     agg_ack: bytes,
     nonce: bytes,
 ) -> MarkSet:
@@ -228,29 +198,22 @@ def als2_process(
     expect = expected_acks(keys, tree, nonce)
 
     # Pre-order walk, children in tree order: the stack holds them reversed.
-    stack: list[tuple[NodeId, NodeId, bytes | None, bytes]] = [
-        (tree.bs_child, BS_ID, m_b, agg_ack)
-    ]
+    stack: list[tuple[NodeId, NodeId, bytes]] = [(tree.bs_child, BS_ID, agg_ack)]
     while stack:
-        node, parent, data, reported = stack.pop()
-        if reported == expect[node]:
+        node, parent, claimed = stack.pop()
+        if claimed == expect[node]:
             continue  # consistent subtree: not processed further
         if tree.is_leaf(node):
-            if reported != crypto.node_ack(keys.bs_key(node), nonce):
+            if claimed != crypto.node_ack(keys.bs_key(node), nonce):
                 marks.add(node, parent, "type_i")
             continue
-        extracted = _extract2(keys, tree, node, data, nonce)
-        if extracted is None:
+        acks = reported.get(node)
+        if acks is None:
             marks.add(node, parent, "structural")
             continue
-        reports, acks = extracted
-        recombined = crypto.xor_acks(
-            [crypto.node_ack(keys.bs_key(node), nonce)] + list(acks.values())
-        )
-        if reported != recombined:
+        recombined = crypto.xor_acks([crypto.node_ack(keys.bs_key(node), nonce), *acks])
+        if claimed != recombined:
             marks.add(node, parent, "type_ii")
-        stack.extend(
-            (child, node, reports.get(child), acks[child])
-            for child in reversed(tree.children.get(node, []))
-        )
+        kids = tree.children[node]
+        stack.extend((c, node, a) for c, a in zip(reversed(kids), reversed(acks)))
     return marks

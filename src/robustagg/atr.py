@@ -18,7 +18,7 @@ from itertools import chain
 
 from . import wire
 from .crypto import BS_ID, NodeId
-from .netmodel import AggregationTree, Network, NetworkGraph, bfs_levels, edge_key
+from .netmodel import LINK_OVERHEAD, AggregationTree, Network, NetworkGraph, bfs_levels, edge_key
 
 
 @dataclass
@@ -79,7 +79,7 @@ def atr_basic(
 ) -> AtrOutcome:
     """Flooded tree-establishment plus upward response collection."""
     net.phase = "atr"
-    graph = net.graph
+    graph, faulty = net.graph, adv.faulty
     te = wire.frame(nonce, *[wire.u16(x) for x in sorted(blacklist)], wire.u16(graph.n))
     te_size = len(te) + wire.framed_size(wire.ACK_LEN)  # hop-by-hop auth tag
 
@@ -89,7 +89,7 @@ def atr_basic(
     net.send_link(BS_ID, b, te)
 
     def rebroadcast(u: NodeId) -> list[NodeId]:
-        if adv.action(u, "te_suppress") is not None:
+        if u in faulty and adv.action(u, "te_suppress") is not None:
             adv.fire(u, "te_suppress")
             return []
         nbrs = graph.neighbors(u)
@@ -121,14 +121,14 @@ def atr_basic(
     carried: dict[NodeId, int] = dict.fromkeys((BS_ID, *parent), 0)  # bytes children sent up
     dropped: set[NodeId] = set()
     for u in chain.from_iterable(flood.epochs):
-        if adv.action(u, "response_drop") is not None:
+        if u in faulty and adv.action(u, "response_drop") is not None:
             adv.fire(u, "response_drop")
             dropped.add(u)
             continue
         ids = [wire.NODE_ID_LEN] * (1 + len(flood.children[u]))
         resp = wire.framed_size(wire.framed_size(len(nonce), *ids), wire.ACK_LEN)
         p = parent[u]
-        nbytes = carried[u] + wire.framed_size(resp, wire.ACK_LEN)
+        nbytes = carried[u] + resp + LINK_OVERHEAD
         net.ledger.charge(u, p, nbytes, net.phase)
         carried[p] += nbytes
 
@@ -159,7 +159,7 @@ def atr_resilient_init(net: Network, adv) -> set[tuple[NodeId, NodeId]]:
     list_bytes = 0
     for s in sorted(graph.sensors):
         nbrs = set(graph.neighbors(s))
-        fake = adv.action(s, "nl_fake")
+        fake = adv.action(s, "nl_fake") if s in adv.faulty else None
         if fake is not None:
             adv.fire(s, "nl_fake")
             nbrs = (nbrs | set(fake.params.get("add", ()))) - set(fake.params.get("remove", ()))

@@ -6,10 +6,9 @@ Hashing is SHA-256; MACs are keyed BLAKE2b truncated to 16 bytes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from . import wire
-from .errors import ConfigError, FrameError, ProtocolViolation
+from .errors import ConfigError, ProtocolViolation
 
 NodeId = int
 
@@ -51,30 +50,6 @@ def xor_acks(acks: list[bytes]) -> bytes:
             raise ProtocolViolation(f"ack of length {len(a)}, expected {wire.ACK_LEN}")
         out ^= int.from_bytes(a, "big")
     return out.to_bytes(wire.ACK_LEN, "big")
-
-
-@dataclass(frozen=True)
-class AuthEnvelope:
-    payload: bytes
-    tag: bytes
-
-    def to_bytes(self) -> bytes:
-        return wire.frame(self.payload, self.tag)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AuthEnvelope":
-        fields = wire.unframe(data)
-        if len(fields) != 2:
-            raise FrameError(f"auth envelope has {len(fields)} fields, not 2")
-        return cls(*fields)
-
-
-def auth_wrap(key: bytes, payload: bytes) -> AuthEnvelope:
-    return AuthEnvelope(payload, mac(key, payload))
-
-
-def auth_verify(key: bytes, envelope: AuthEnvelope) -> bool:
-    return envelope.tag == mac(key, envelope.payload)
 
 
 class KeyStore:

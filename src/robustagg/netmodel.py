@@ -19,9 +19,11 @@ Edge = tuple[NodeId, NodeId]
 # A link payload: `bytes`, or a sized stand-in whose `len()` is its wire length.
 Payload = TypeVar("Payload", bound=Sized)
 
-# A link send's envelope around its payload: the payload's length prefix
-# and a length-prefixed 16-byte tag.
-_LINK_OVERHEAD = wire.framed_size(0, wire.ACK_LEN)
+# A hop-authenticated send's envelope around its payload: the payload's
+# length prefix and a length-prefixed 16-byte link MAC.  Every link charge,
+# sent through `Network.send_link` or charged by size, adds it once per
+# message.
+LINK_OVERHEAD = wire.framed_size(0, wire.ACK_LEN)
 
 
 def edge_key(a: NodeId, b: NodeId) -> Edge:
@@ -211,7 +213,7 @@ class Network:
         the basic tree rebuild sends over links its flood found through
         `NetworkGraph.neighbors`.
         """
-        self.ledger.charge(frm, to, len(payload) + _LINK_OVERHEAD, self.phase)
+        self.ledger.charge(frm, to, len(payload) + LINK_OVERHEAD, self.phase)
         return payload
 
     def bs_broadcast(self, payload: bytes) -> bytes:

@@ -194,14 +194,14 @@ def run_sessions(scenario: Scenario) -> RunResult:
         if sres.accepted:
             verdict, value = "success", sres.value
         else:
-            m_b = als.als1_collect(net, tree, sres.acked, adv, nonce)
-            marks = als.als1_process(keys, tree, m_b, nonce)
+            intact = als.als1_collect(net, tree, sres.acked, adv, nonce)
+            marks = als.als1_process(tree, intact)
             if not marks:
                 als2_ran = True
                 if sres.agg_ack is None:
                     raise ProtocolViolation(f"session {i}: ALS.II requires an aggregated ack")
-                m_b2 = als.als2_collect(net, tree, sres.acks_up, adv, nonce)
-                marks = als.als2_process(keys, tree, m_b2, sres.agg_ack, nonce)
+                reported = als.als2_collect(net, tree, sres.acks_up, adv, nonce)
+                marks = als.als2_process(keys, tree, reported, sres.agg_ack, nonce)
             if not marks:
                 raise UnlocalizableFailure(
                     f"session {i}: aggregation failed but no node was marked"

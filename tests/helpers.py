@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 
 from robustagg import als, crypto, shia, wire
-from robustagg.adversary import Adversary, ScriptEntry
+from robustagg.adversary import Adversary, ScriptEntry, garble
 from robustagg.atr import AtrOutcome, _distribute
 from robustagg.crypto import BS_ID, KEY_LEN, KeyStore, NodeId, mac, mac_long
 from robustagg.errors import ConfigError, FrameError
@@ -97,13 +97,13 @@ def all_rooted_trees(n: int):
 
 def run_localization(net: Network, tree: AggregationTree, sres: shia.ShiaResult, adv, nonce: bytes):
     """The post-failure flow: confirmations, then ack reports if needed."""
-    m_b = als.als1_collect(net, tree, sres.acked, adv, nonce)
-    marks = als.als1_process(net.keys, tree, m_b, nonce)
+    intact = als.als1_collect(net, tree, sres.acked, adv, nonce)
+    marks = als.als1_process(tree, intact)
     als2_ran = False
     if not marks:
         als2_ran = True
-        m_b2 = als.als2_collect(net, tree, sres.acks_up, adv, nonce)
-        marks = als.als2_process(net.keys, tree, m_b2, sres.agg_ack, nonce)
+        reported = als.als2_collect(net, tree, sres.acks_up, adv, nonce)
+        marks = als.als2_process(net.keys, tree, reported, sres.agg_ack, nonce)
     return marks, als2_ran
 
 
@@ -391,6 +391,33 @@ def oracle_onepass_geometric_graph(n: int, d_max: int, seed: int) -> NetworkGrap
     return NetworkGraph(set(range(1, n + 1)), edges, d_max)
 
 
+# --- the BS-keyed envelope codec: a payload framed with its MAC ---
+
+
+@dataclass(frozen=True)
+class AuthEnvelope:
+    payload: bytes
+    tag: bytes
+
+    def to_bytes(self) -> bytes:
+        return wire.frame(self.payload, self.tag)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "AuthEnvelope":
+        fields = wire.unframe(data)
+        if len(fields) != 2:
+            raise FrameError(f"auth envelope has {len(fields)} fields, not 2")
+        return cls(*fields)
+
+
+def auth_wrap(key: bytes, payload: bytes) -> AuthEnvelope:
+    return AuthEnvelope(payload, mac(key, payload))
+
+
+def auth_verify(key: bytes, envelope: AuthEnvelope) -> bool:
+    return envelope.tag == mac(key, envelope.payload)
+
+
 # --- basic ATR reference: every response crosses every hop of its path as
 # its own link send, and each node forwards at most n relayed responses ---
 
@@ -439,7 +466,7 @@ def oracle_atr_basic(net: Network, blacklist: frozenset[NodeId], nonce: bytes, a
     upward: dict[NodeId, list[bytes]] = {u: [] for u in parent}
     for u in chain.from_iterable(flood.epochs):
         kid_ids = flood.children[u]
-        resp = crypto.auth_wrap(
+        resp = auth_wrap(
             net.keys.bs_key(u),
             wire.frame(nonce, wire.u16(u), *[wire.u16(c) for c in kid_ids]),
         ).to_bytes()
@@ -461,14 +488,14 @@ def oracle_atr_basic(net: Network, blacklist: frozenset[NodeId], nonce: bytes, a
     claims: dict[NodeId, list[NodeId]] = {}
     for raw in upward.get(BS_ID, []):
         try:
-            env = crypto.AuthEnvelope.from_bytes(raw)
+            env = AuthEnvelope.from_bytes(raw)
             fields = wire.unframe(env.payload)
             node = wire.read_u16(fields[1])
         except (FrameError, IndexError):
             continue
         if node in claims or node in blacklist or node not in graph.sensors:
             continue
-        if not crypto.auth_verify(net.keys.bs_key(node), env) or fields[0] != nonce:
+        if not auth_verify(net.keys.bs_key(node), env) or fields[0] != nonce:
             continue
         claims[node] = [wire.read_u16(f) for f in fields[2:]]
 
@@ -563,3 +590,214 @@ def oracle_atr_resilient_init(
             elif t in announced and s in announced[t] and graph.has_edge(s, t):
                 edges.add(edge_key(s, t))
     return edges
+
+
+# --- ALS reference: every confirmation and ack report is built as bytes,
+# MACed into a tagged envelope, nested in its parent's, and parsed and
+# verified at the BS ---
+
+# Wire tags for confirmation slots.
+NR = b"\x00"  # "no message received from this child"; always illegitimate
+_ENV = b"\x01"
+
+
+def _wrap(key: bytes, payload: bytes) -> bytes:
+    return _ENV + auth_wrap(key, payload).to_bytes()
+
+
+def _open(key: bytes, data: bytes | None) -> bytes | None:
+    """Envelope payload if the blob verifies under `key`, else None (an
+    absent blob or the NR placeholder never verifies)."""
+    if data is None or data[0:1] != _ENV:
+        return None
+    try:
+        env = AuthEnvelope.from_bytes(data[1:])
+    except FrameError:
+        return None
+    return env.payload if auth_verify(key, env) else None
+
+
+def oracle_als1_collect(
+    net: Network,
+    tree: AggregationTree,
+    acked: dict[NodeId, bool],
+    adv,
+    nonce: bytes,
+) -> bytes | None:
+    """Hierarchical confirmation collection; returns the blob the BS receives.
+
+    Only nodes that acknowledged in result checking (`acked[s]`) take part;
+    silent nodes send nothing and their parents substitute the NR placeholder.
+    """
+    net.phase = "als1"
+    sent: dict[NodeId, bytes] = {}  # keyed by sender: each node has one parent
+    for epoch in tree.epochs:
+        for node in epoch:
+            if not acked[node]:
+                continue
+            key = net.keys.bs_key(node)
+            kids = tree.children.get(node, [])
+            if not kids:
+                msg = _wrap(key, wire.frame(nonce))
+            else:
+                slots = [sent.get(c, NR) for c in kids]
+                tamper = adv.action(node, "confirm_tamper")
+                if tamper is not None:
+                    idx = tamper.params.get("slot", len(slots) - 1) % len(slots)
+                    slots[idx] = garble(slots[idx])
+                    adv.fire(node, "confirm_tamper")
+                msg = _wrap(key, wire.frame(nonce, *slots))
+            if adv.action(node, "confirm_drop") is not None:
+                adv.fire(node, "confirm_drop")
+                continue
+            sent[node] = net.send_link(node, tree.parent[node], msg)
+    return sent.get(tree.bs_child)
+
+
+def _fields(
+    keys: KeyStore, node: NodeId, data: bytes | None, nonce: bytes, count: int
+) -> list[bytes] | None:
+    """The `count` fields after the nonce in a legitimate report from `node`,
+    or None (incl. the NR case)."""
+    payload = _open(keys.bs_key(node), data)
+    if payload is None:
+        return None
+    try:
+        fields = wire.unframe(payload)
+    except FrameError:
+        return None
+    if len(fields) != 1 + count or fields[0] != nonce:
+        return None
+    return fields[1:]
+
+
+def oracle_als1_process(
+    keys: KeyStore, tree: AggregationTree, m_b: bytes | None, nonce: bytes
+) -> als.MarkSet:
+    """BS-side recursive confirmation check."""
+    marks = als.MarkSet()
+    b = tree.bs_child
+    if m_b is None:
+        marks.add(b, BS_ID, "absent")
+        return marks
+
+    # Pre-order walk, children in tree order: the stack holds them reversed.
+    stack: list[tuple[NodeId, NodeId, bytes | None]] = [(b, BS_ID, m_b)]
+    while stack:
+        node, parent, data = stack.pop()
+        slots = _fields(keys, node, data, nonce, len(tree.children.get(node, [])))
+        if slots is None:
+            marks.add(node, parent, "structural")
+            continue
+        kids = list(zip(tree.children.get(node, []), slots))
+        stack.extend((child, node, slot) for child, slot in reversed(kids))
+    return marks
+
+
+def oracle_als2_collect(
+    net: Network,
+    tree: AggregationTree,
+    acks_up: dict[NodeId, bytes],
+    adv,
+    nonce: bytes,
+) -> bytes | None:
+    """Hierarchical ack-report collection; leaves stay silent.
+
+    A report carries nested reports for non-leaf children and the ack every
+    child sent up in stage one (`acks_up`, keyed by sender; a never-received
+    ack is reported as all zeros).
+    """
+    net.phase = "als2"
+    sent: dict[NodeId, bytes] = {}  # keyed by sender: each node has one parent
+    for epoch in tree.epochs:
+        for node in epoch:
+            kids = tree.children.get(node, [])
+            if not kids:
+                continue
+            reports = [sent.get(c, NR) for c in kids if not tree.is_leaf(c)]
+            acks = [acks_up.get(c, crypto.ZERO_ACK) for c in kids]
+            forge = adv.action(node, "ack_report_forge")
+            if forge is not None:
+                idx = forge.params.get("slot", 0) % len(acks)
+                acks[idx] = garble(acks[idx])
+                adv.fire(node, "ack_report_forge")
+            if adv.action(node, "report_drop") is not None:
+                adv.fire(node, "report_drop")
+                continue
+            msg = _wrap(net.keys.bs_key(node), wire.frame(nonce, *reports, *acks))
+            sent[node] = net.send_link(node, tree.parent[node], msg)
+    return sent.get(tree.bs_child)
+
+
+def _extract2(
+    keys: KeyStore, tree: AggregationTree, node: NodeId, data: bytes | None, nonce: bytes
+) -> tuple[dict[NodeId, bytes], dict[NodeId, bytes]] | None:
+    """(nested reports by non-leaf child, reported acks by child), or None."""
+    kids = tree.children.get(node, [])
+    nonleaf = [c for c in kids if not tree.is_leaf(c)]
+    fields = _fields(keys, node, data, nonce, len(nonleaf) + len(kids))
+    if fields is None:
+        return None
+    ack_fields = fields[len(nonleaf) :]
+    if any(len(a) != wire.ACK_LEN for a in ack_fields):
+        return None
+    return dict(zip(nonleaf, fields)), dict(zip(kids, ack_fields))
+
+
+def oracle_als2_process(
+    keys: KeyStore,
+    tree: AggregationTree,
+    m_b: bytes | None,
+    agg_ack: bytes,
+    nonce: bytes,
+) -> als.MarkSet:
+    """BS-side recursive ack analysis.
+
+    `agg_ack` is the aggregated ack the BS received in stage one.  A child
+    whose reported ack matches its expected value is not descended into;
+    mismatches at a leaf (wrong individual ack) or at an internal node
+    (report does not recombine to the claimed aggregate) mark the pair, and
+    recursion continues where the structure allows.
+    """
+    marks = als.MarkSet()
+    expect = als.expected_acks(keys, tree, nonce)
+
+    # Pre-order walk, children in tree order: the stack holds them reversed.
+    stack: list[tuple[NodeId, NodeId, bytes | None, bytes]] = [
+        (tree.bs_child, BS_ID, m_b, agg_ack)
+    ]
+    while stack:
+        node, parent, data, reported = stack.pop()
+        if reported == expect[node]:
+            continue  # consistent subtree: not processed further
+        if tree.is_leaf(node):
+            if reported != crypto.node_ack(keys.bs_key(node), nonce):
+                marks.add(node, parent, "type_i")
+            continue
+        extracted = _extract2(keys, tree, node, data, nonce)
+        if extracted is None:
+            marks.add(node, parent, "structural")
+            continue
+        reports, acks = extracted
+        recombined = crypto.xor_acks(
+            [crypto.node_ack(keys.bs_key(node), nonce)] + list(acks.values())
+        )
+        if reported != recombined:
+            marks.add(node, parent, "type_ii")
+        stack.extend(
+            (child, node, reports.get(child), acks[child])
+            for child in reversed(tree.children.get(node, []))
+        )
+    return marks
+
+
+def oracle_run_localization(net: Network, tree: AggregationTree, sres: shia.ShiaResult, adv, nonce: bytes):
+    """`run_localization` over the byte-level reference phases."""
+    m_b = oracle_als1_collect(net, tree, sres.acked, adv, nonce)
+    marks = oracle_als1_process(net.keys, tree, m_b, nonce)
+    als2_ran = False
+    if not marks:
+        als2_ran = True
+        m_b2 = oracle_als2_collect(net, tree, sres.acks_up, adv, nonce)
+        marks = oracle_als2_process(net.keys, tree, m_b2, sres.agg_ack, nonce)
+    return marks, als2_ran

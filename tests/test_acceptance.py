@@ -178,11 +178,11 @@ def run_tiny(net, tree, scripts, faulty):
     sres = shia.run_shia(net, tree, values, adv, NONCE, VRANGE)
     marks1 = marks2 = None
     if not sres.accepted:
-        m_b = als.als1_collect(net, tree, sres.acked, adv, NONCE)
-        marks1 = als.als1_process(net.keys, tree, m_b, NONCE)
+        intact = als.als1_collect(net, tree, sres.acked, adv, NONCE)
+        marks1 = als.als1_process(tree, intact)
         if not marks1:
-            m_b2 = als.als2_collect(net, tree, sres.acks_up, adv, NONCE)
-            marks2 = als.als2_process(net.keys, tree, m_b2, sres.agg_ack, NONCE)
+            reported = als.als2_collect(net, tree, sres.acks_up, adv, NONCE)
+            marks2 = als.als2_process(net.keys, tree, reported, sres.agg_ack, NONCE)
     return sres, marks1, marks2, adv
 
 

@@ -2,12 +2,21 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustagg import als, crypto, shia
+from robustagg import als, crypto, shia, wire
 from robustagg.adversary import Adversary, garble
 from robustagg.crypto import BS_ID
 
-from helpers import entry, net_for_tree, oracle_xor, run_session
+from helpers import (
+    entry,
+    net_for_tree,
+    oracle_run_localization,
+    oracle_xor,
+    run_localization,
+    run_session,
+)
 
 NONCE = b"\x07" * 8
 
@@ -19,8 +28,8 @@ TWO_BRANCH = {1: BS_ID, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
 
 def run_als1_only(net, tree, sres, adv):
-    m_b = als.als1_collect(net, tree, sres.acked, adv, NONCE)
-    return als.als1_process(net.keys, tree, m_b, NONCE)
+    intact = als.als1_collect(net, tree, sres.acked, adv, NONCE)
+    return als.als1_process(tree, intact)
 
 
 class TestExpectedAcks:
@@ -45,7 +54,7 @@ class TestExpectedAcks:
 class TestConfirmationAnalysis:
     def test_missing_root_confirmation_marks_root_child_alone(self):
         net, tree = net_for_tree(FANOUT)
-        marks = als.als1_process(net.keys, tree, None, NONCE)
+        marks = als.als1_process(tree, {})  # no confirmation reached the BS
         assert len(marks.marks) == 1
         (m,) = marks.marks
         assert (m.node, m.partner, m.rule) == (1, None, "absent")
@@ -201,8 +210,8 @@ def test_processing_walks_chains_deeper_than_the_recursion_limit():
     adv.begin_session(0)
     # Phase I: the bottom node stays silent, so the walk reaches it via an NR slot.
     acked = {s: s != n for s in tree.members}
-    m_b = als.als1_collect(net, tree, acked, adv, NONCE)
-    marks = als.als1_process(net.keys, tree, m_b, NONCE)
+    intact = als.als1_collect(net, tree, acked, adv, NONCE)
+    marks = als.als1_process(tree, intact)
     assert [(m.node, m.partner, m.rule) for m in marks.marks] == [(n, n - 1, "structural")]
     # Phase II: the bottom node's ack is garbled, so every aggregate above it
     # is off and the walk descends the whole chain to a type (i) mark.
@@ -210,6 +219,102 @@ def test_processing_walks_chains_deeper_than_the_recursion_limit():
     for s in range(n - 1, 0, -1):
         agg[s] = crypto.xor_acks([crypto.node_ack(net.keys.bs_key(s), NONCE), agg[s + 1]])
     acks_up = {s: agg[s] for s in range(2, n + 1)}
-    m_b = als.als2_collect(net, tree, acks_up, adv, NONCE)
-    marks = als.als2_process(net.keys, tree, m_b, agg[1], NONCE)
+    reported = als.als2_collect(net, tree, acks_up, adv, NONCE)
+    marks = als.als2_process(net.keys, tree, reported, agg[1], NONCE)
     assert [(m.node, m.partner, m.rule) for m in marks.marks] == [(n, n - 1, "type_i")]
+
+
+@pytest.mark.parametrize(
+    "scripts",
+    [
+        [entry(2, "ack_garble"), entry(2, "confirm_tamper", slot=1)],
+        [entry(2, "agg_ack_garble"), entry(2, "ack_report_forge", slot=0)],
+    ],
+    ids=["als1_marks", "als2_marks"],
+)
+def test_localization_frames_and_parses_nothing(monkeypatch, scripts):
+    net, tree = net_for_tree(FANOUT)
+    adv = Adversary(frozenset({2}), scripts)
+    adv.begin_session(0)
+    sres = shia.run_shia(net, tree, {s: 10 for s in tree.members}, adv, NONCE, (0, 100))
+    assert not sres.accepted
+    calls = []
+    for name in ("frame", "unframe"):
+        real = getattr(wire, name)
+        monkeypatch.setattr(wire, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    marks, _ = run_localization(net, tree, sres, adv, NONCE)
+    assert marks
+    assert calls == []
+
+
+SHIA_KINDS = (
+    "own_value_forge", "label_forge", "label_drop", "parent_switch",
+    "offpath_corrupt", "ack_drop", "ack_garble", "agg_ack_garble",
+)
+ALS_KINDS = ("confirm_tamper", "confirm_drop", "ack_report_forge", "report_drop")
+
+
+@st.composite
+def localization_cases(draw):
+    """A random tree with shuffled ids, 1-4 scripts over SHIA's and ALS's
+    deviations (slots of any sign), in-range values and a nonce of any
+    length from 1 to 16 bytes."""
+    n = draw(st.integers(1, 14))
+    ids = draw(st.permutations(range(1, n + 1)))
+    parent = {ids[0]: BS_ID}
+    for i in range(1, n):
+        parent[ids[i]] = ids[draw(st.integers(0, i - 1))]
+    faulty = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
+    # One or two SHIA deviations, which most often fail the session, then
+    # up to two ALS ones, which only a failed session reaches.
+    kinds = draw(st.lists(st.sampled_from(SHIA_KINDS), min_size=1, max_size=2))
+    kinds += draw(st.lists(st.sampled_from(ALS_KINDS), max_size=2))
+    # Tampering, forging a report and dropping one act only at nodes with
+    # children, so they go there when a faulty node has any.
+    parents = [f for f in faulty if f in parent.values()] or faulty
+    scripts = []
+    for kind in kinds:
+        at_parent = kind in ALS_KINDS and kind != "confirm_drop"
+        node = draw(st.sampled_from(parents if at_parent else faulty))
+        if kind == "own_value_forge":
+            params = {"value": draw(st.integers(0, 100))}
+        elif kind == "label_forge":
+            params = draw(
+                st.fixed_dictionaries(
+                    {},
+                    optional={
+                        "count": st.integers(0, n + 2),
+                        "value": st.integers(-50, 100 * n + 50),
+                        "value_add": st.integers(-60, 60),
+                    },
+                )
+            )
+        elif kind == "parent_switch":
+            params = {"target": draw(st.sampled_from(faulty))}
+        elif kind in ("confirm_tamper", "ack_report_forge"):
+            params = draw(st.fixed_dictionaries({}, optional={"slot": st.integers(-20, 20)}))
+        else:
+            params = {}
+        scripts.append(entry(node, kind, **params))
+    values = {s: draw(st.integers(0, 100)) for s in ids}
+    nonce = draw(st.binary(min_size=1, max_size=16))
+    return parent, values, frozenset(faulty), scripts, nonce
+
+
+@settings(max_examples=300, deadline=None)
+@given(localization_cases())
+def test_localization_matches_byte_level_envelopes(case):
+    # The reference builds, MACs, nests, parses and verifies every
+    # confirmation and report; charging them by size must leave the marks,
+    # the bytes on every edge and in every phase, and the trace unchanged.
+    parent, values, faulty, scripts, nonce = case
+    runs = []
+    for localize in (run_localization, oracle_run_localization):
+        net, tree = net_for_tree(parent)
+        adv = Adversary(faulty, scripts)
+        adv.begin_session(0)
+        sres = shia.run_shia(net, tree, values, adv, nonce, (0, 100))
+        marks, als2_ran = (None, False) if sres.accepted else localize(net, tree, sres, adv, nonce)
+        runs.append((marks, als2_ran, net.ledger.per_edge, net.ledger.per_phase, adv.trace))
+    assert runs[0] == runs[1]
+

@@ -1,6 +1,7 @@
 import pytest
 
 from robustagg import orchestrator
+from robustagg.adversary import Adversary
 from robustagg.netmodel import NetworkGraph
 from robustagg.orchestrator import (
     RunResult,
@@ -143,6 +144,29 @@ class TestFaultyRuns:
         adopted = [t for i, t in enumerate(trees) if i == 0 or t is not trees[i - 1]]
         assert len(adopted) == 1 + result.failures > 1
         assert checked == adopted
+
+
+    @pytest.mark.parametrize("variant", ["basic", "resilient"])
+    def test_adversary_is_consulted_only_at_faulty_nodes(self, monkeypatch, variant):
+        consulted = []
+        real = Adversary.action
+        monkeypatch.setattr(
+            Adversary,
+            "action",
+            lambda self, node, kind: consulted.append((node in self.faulty, kind))
+            or real(self, node, kind),
+        )
+        # Session 0 fails on the ack path, so both ALS phases run, then a
+        # rebuild; 12 stays in the tree, faulty but idle.
+        adversary = {
+            "faulty": [7, 12],
+            "scripts": [{"node": 7, "kind": "agg_ack_garble", "sessions": [0]}],
+        }
+        result = run(grid_config(sessions=3, atr=variant, adversary=adversary))
+        assert result.failures == 1 and result.records[0].als2_ran
+        assert all(at_faulty for at_faulty, _ in consulted)
+        rebuild = {"basic": "response_drop", "resilient": "nl_fake"}[variant]
+        assert {"confirm_drop", "report_drop", rebuild} <= {kind for _, kind in consulted}
 
 
 class TestSecurityAudit:
