@@ -88,6 +88,15 @@ class Adversary:
                 return entry
         return None
 
+    def quiet(self, members: set[NodeId], session: int) -> bool:
+        """Whether stage one over a tree of `members` runs honestly in
+        `session`: no member has an active script of a SHIA phase."""
+        shia = ("commit", "offpath", "ack")
+        return not any(
+            e.node in members and CATALOG[e.kind] in shia and e.active(session)
+            for e in self.scripts
+        )
+
     def fire(self, node: NodeId, kind: str) -> None:
         if kind == "own_value_forge":
             raise ProtocolViolation("own-value forgery is legal, never traced")

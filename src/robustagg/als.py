@@ -123,14 +123,11 @@ def als1_process(tree: AggregationTree, intact: dict[NodeId, list[NodeId]]) -> M
     return marks
 
 
-def expected_acks(keys: KeyStore, tree: AggregationTree, nonce: bytes) -> dict[NodeId, bytes]:
-    """Per-node expected aggregated ack: XOR of acks over the node's subtree."""
+def subtree_acks(tree: AggregationTree, node_acks: dict[NodeId, bytes]) -> dict[NodeId, bytes]:
+    """Each node's expected aggregated ack: the XOR of its subtree's own acks."""
     out: dict[NodeId, bytes] = {}
-    for epoch in tree.epochs:
-        for node in epoch:
-            parts = [crypto.node_ack(keys.bs_key(node), nonce)]
-            parts.extend(out[c] for c in tree.children.get(node, []))
-            out[node] = crypto.xor_acks(parts)
+    for node in chain.from_iterable(tree.epochs):
+        out[node] = crypto.xor_acks([node_acks[node], *(out[c] for c in tree.children[node])])
     return out
 
 
@@ -180,22 +177,22 @@ def als2_collect(
 
 
 def als2_process(
-    keys: KeyStore,
+    node_acks: dict[NodeId, bytes],
     tree: AggregationTree,
     reported: dict[NodeId, list[bytes]],
     agg_ack: bytes,
-    nonce: bytes,
 ) -> MarkSet:
     """BS-side recursive ack analysis.
 
-    `agg_ack` is the aggregated ack the BS received in stage one.  A child
+    `node_acks` is each member's own ack, as stage one MACed it, and
+    `agg_ack` the aggregated ack the BS received in stage one.  A child
     whose reported ack matches its expected value is not descended into;
     mismatches at a leaf (wrong individual ack) or at an internal node
     (report does not recombine to the claimed aggregate) mark the pair, and
     recursion continues where the structure allows.
     """
     marks = MarkSet()
-    expect = expected_acks(keys, tree, nonce)
+    expect = subtree_acks(tree, node_acks)
 
     # Pre-order walk, children in tree order: the stack holds them reversed.
     stack: list[tuple[NodeId, NodeId, bytes]] = [(tree.bs_child, BS_ID, agg_ack)]
@@ -204,14 +201,14 @@ def als2_process(
         if claimed == expect[node]:
             continue  # consistent subtree: not processed further
         if tree.is_leaf(node):
-            if claimed != crypto.node_ack(keys.bs_key(node), nonce):
+            if claimed != node_acks[node]:
                 marks.add(node, parent, "type_i")
             continue
         acks = reported.get(node)
         if acks is None:
             marks.add(node, parent, "structural")
             continue
-        recombined = crypto.xor_acks([crypto.node_ack(keys.bs_key(node), nonce), *acks])
+        recombined = crypto.xor_acks([node_acks[node], *acks])
         if claimed != recombined:
             marks.add(node, parent, "type_ii")
         kids = tree.children[node]

@@ -175,19 +175,38 @@ def run_sessions(scenario: Scenario) -> RunResult:
         tree = atr.build_initial_tree(graph)
 
     checked = None  # the last tree checked against the graph
+    # A quiet session's charges on `checked`, per (edge, phase): stage one then
+    # runs honestly, succeeds with the members' sum and charges by tree alone.
+    record: dict[tuple[NodeId, NodeId, str], int] | None = None
     for i in range(scenario.sessions):
         if tree is None:
             result.disconnected = True
             break
         if tree is not checked:
             graph.check_tree(tree)
-            checked = tree
+            checked, record = tree, None
         adv.begin_session(i)
         nonce = crypto.mac(nonce_key, b"session" + wire.u16(i))[: wire.NONCE_LEN]
         values = scenario.values_for(i, graph.sensors)
         net.ledger.reset()
 
-        sres = shia.run_shia(net, tree, values, adv, nonce, scenario.value_range)
+        members = tree.members
+        quiet = adv.quiet(members, i)
+        if quiet and record is not None:
+            charge = net.ledger.charge
+            for (a, b, phase), nbytes in record.items():
+                charge(a, b, nbytes, phase)
+            sres = shia.ShiaResult(
+                accepted=True, value=sum(values[s] for s in members), root_label=None,
+                root_ok=True, agg_ack=None, expected_ack=None, node_acks={},
+                acked=dict.fromkeys(members, True),
+            )
+        elif quiet and i + 1 < scenario.sessions and adv.quiet(members, i + 1):
+            # A quiet session keeps the tree, so the next one reads the record.
+            record = {}
+            sres = _recorded(net, record, tree, values, adv, nonce, scenario.value_range)
+        else:
+            sres = shia.run_shia(net, tree, values, adv, nonce, scenario.value_range)
         marks = als.MarkSet()
         als2_ran = False
         atr_outcome: atr.AtrOutcome | None = None
@@ -201,7 +220,7 @@ def run_sessions(scenario: Scenario) -> RunResult:
                 if sres.agg_ack is None:
                     raise ProtocolViolation(f"session {i}: ALS.II requires an aggregated ack")
                 reported = als.als2_collect(net, tree, sres.acks_up, adv, nonce)
-                marks = als.als2_process(keys, tree, reported, sres.agg_ack, nonce)
+                marks = als.als2_process(sres.node_acks, tree, reported, sres.agg_ack)
             if not marks:
                 raise UnlocalizableFailure(
                     f"session {i}: aggregation failed but no node was marked"
@@ -250,6 +269,22 @@ def run_sessions(scenario: Scenario) -> RunResult:
 
     result.blacklist = blacklist
     return result
+
+
+def _recorded(net: Network, record: dict, *args) -> shia.ShiaResult:
+    """Run stage one, adding each of its charges to `record` per (edge, phase)."""
+    charge = net.ledger.charge
+
+    def recording(a: NodeId, b: NodeId, nbytes: int, phase: str) -> None:
+        key = (a, b, phase) if a < b else (b, a, phase)
+        record[key] = record.get(key, 0) + nbytes
+        charge(a, b, nbytes, phase)
+
+    net.ledger.charge = recording  # shadows the method for this session only
+    try:
+        return shia.run_shia(net, *args)
+    finally:
+        del net.ledger.charge
 
 
 def success_cost_ok(max_congestion: int, height: int, degree: int) -> bool:

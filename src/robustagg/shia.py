@@ -257,18 +257,17 @@ def recompute_root(
 @dataclass
 class ShiaResult:
     accepted: bool
+    value: int | None  # the root label's value; None when none arrived
     root_label: Label | None
     root_ok: bool
     agg_ack: bytes | None
-    expected_ack: bytes
+    expected_ack: bytes | None
+    # Each member's own ack, MACed once per session; ALS II reads it.
+    node_acks: dict[NodeId, bytes]
     # Whether each tree node released its ack, keyed by sensor NodeId.
-    acked: dict[NodeId, bool] = field(default_factory=dict)
+    acked: dict[NodeId, bool]
     # The aggregated ack each node sent its parent, keyed by sender.
     acks_up: dict[NodeId, bytes] = field(default_factory=dict)
-
-    @property
-    def value(self) -> int | None:
-        return self.root_label.value if self.root_label else None
 
 
 def run_shia(
@@ -361,18 +360,20 @@ def run_shia(
 
     b = tree.bs_child
     root_label = sent.get(b)
-    # Each member's ack, MACed once: the BS's expectation and the ack phase
-    # both read it.
+    # Each member's ack, MACed once: the BS's expectation, the ack phase and
+    # ALS II read it.
     node_acks = {s: crypto.node_ack(net.keys.bs_key(s), nonce) for s in sorted(parent)}
     expected = crypto.xor_acks(list(node_acks.values()))
 
     if root_label is None:
         return ShiaResult(
             accepted=False,
+            value=None,
             root_label=None,
             root_ok=False,
             agg_ack=None,
             expected_ack=expected,
+            node_acks=node_acks,
             acked=dict.fromkeys(parent, False),
         )
 
@@ -449,10 +450,12 @@ def run_shia(
     agg_ack = acks_up.get(b)
     return ShiaResult(
         accepted=root_ok and agg_ack == expected,
+        value=root_label.value,
         root_label=root_label,
         root_ok=root_ok,
         agg_ack=agg_ack,
         expected_ack=expected,
+        node_acks=node_acks,
         acked=acked,
         acks_up=acks_up,
     )

@@ -103,7 +103,7 @@ def run_localization(net: Network, tree: AggregationTree, sres: shia.ShiaResult,
     if not marks:
         als2_ran = True
         reported = als.als2_collect(net, tree, sres.acks_up, adv, nonce)
-        marks = als.als2_process(net.keys, tree, reported, sres.agg_ack, nonce)
+        marks = als.als2_process(sres.node_acks, tree, reported, sres.agg_ack)
     return marks, als2_ran
 
 
@@ -744,6 +744,17 @@ def _extract2(
     return dict(zip(nonleaf, fields)), dict(zip(kids, ack_fields))
 
 
+def oracle_expected_acks(keys: KeyStore, tree: AggregationTree, nonce: bytes) -> dict[NodeId, bytes]:
+    """Per-node expected aggregated ack: XOR of acks over the node's subtree."""
+    out: dict[NodeId, bytes] = {}
+    for epoch in tree.epochs:
+        for node in epoch:
+            parts = [crypto.node_ack(keys.bs_key(node), nonce)]
+            parts.extend(out[c] for c in tree.children.get(node, []))
+            out[node] = crypto.xor_acks(parts)
+    return out
+
+
 def oracle_als2_process(
     keys: KeyStore,
     tree: AggregationTree,
@@ -760,7 +771,7 @@ def oracle_als2_process(
     recursion continues where the structure allows.
     """
     marks = als.MarkSet()
-    expect = als.expected_acks(keys, tree, nonce)
+    expect = oracle_expected_acks(keys, tree, nonce)
 
     # Pre-order walk, children in tree order: the stack holds them reversed.
     stack: list[tuple[NodeId, NodeId, bytes | None, bytes]] = [

@@ -182,7 +182,7 @@ def run_tiny(net, tree, scripts, faulty):
         marks1 = als.als1_process(tree, intact)
         if not marks1:
             reported = als.als2_collect(net, tree, sres.acks_up, adv, NONCE)
-            marks2 = als.als2_process(net.keys, tree, reported, sres.agg_ack, NONCE)
+            marks2 = als.als2_process(sres.node_acks, tree, reported, sres.agg_ack)
     return sres, marks1, marks2, adv
 
 

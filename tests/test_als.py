@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustagg import als, crypto, shia, wire
+from robustagg import als, crypto, orchestrator, shia, wire
 from robustagg.adversary import Adversary, garble
 from robustagg.crypto import BS_ID
+from robustagg.scenario import Scenario
 
 from helpers import (
     entry,
@@ -32,10 +33,18 @@ def run_als1_only(net, tree, sres, adv):
     return als.als1_process(tree, intact)
 
 
+def session_ack_table(parent):
+    """The tree and the per-subtree table built from an honest session's acks."""
+    net, tree = net_for_tree(parent)
+    adv = Adversary(frozenset(), [])
+    adv.begin_session(0)
+    sres = shia.run_shia(net, tree, {s: 10 for s in tree.members}, adv, NONCE, (0, 100))
+    return net, tree, als.subtree_acks(tree, sres.node_acks)
+
+
 class TestExpectedAcks:
     def test_matches_subtree_xor_oracle(self):
-        net, tree = net_for_tree(TWO_BRANCH)
-        table = als.expected_acks(net.keys, tree, NONCE)
+        net, tree, table = session_ack_table(TWO_BRANCH)
         for node in tree.members:
             parts = [
                 crypto.node_ack(net.keys.bs_key(u), NONCE) for u in tree.subtree(node)
@@ -44,8 +53,7 @@ class TestExpectedAcks:
             assert table[node] == als.expected_ack(net.keys, tree, node, NONCE)
 
     def test_root_expectation_covers_everyone(self):
-        net, tree = net_for_tree(FANOUT)
-        table = als.expected_acks(net.keys, tree, NONCE)
+        net, tree, table = session_ack_table(FANOUT)
         assert table[1] == crypto.xor_acks(
             [crypto.node_ack(net.keys.bs_key(s), NONCE) for s in tree.members]
         )
@@ -220,7 +228,8 @@ def test_processing_walks_chains_deeper_than_the_recursion_limit():
         agg[s] = crypto.xor_acks([crypto.node_ack(net.keys.bs_key(s), NONCE), agg[s + 1]])
     acks_up = {s: agg[s] for s in range(2, n + 1)}
     reported = als.als2_collect(net, tree, acks_up, adv, NONCE)
-    marks = als.als2_process(net.keys, tree, reported, agg[1], NONCE)
+    node_acks = {s: crypto.node_ack(net.keys.bs_key(s), NONCE) for s in tree.members}
+    marks = als.als2_process(node_acks, tree, reported, agg[1])
     assert [(m.node, m.partner, m.rule) for m in marks.marks] == [(n, n - 1, "type_i")]
 
 
@@ -245,6 +254,22 @@ def test_localization_frames_and_parses_nothing(monkeypatch, scripts):
     marks, _ = run_localization(net, tree, sres, adv, NONCE)
     assert marks
     assert calls == []
+
+
+def test_ack_analysis_macs_no_ack_again(monkeypatch):
+    # ALS II reads the acks stage one MACed, once per member per session.
+    calls = []
+    real = crypto.node_ack
+    monkeypatch.setattr(crypto, "node_ack", lambda *a: calls.append(1) or real(*a))
+    config = {
+        "seed": 1234,
+        "sessions": 1,
+        "topology": {"kind": "grid", "rows": 4, "cols": 5},
+        "adversary": {"faulty": [7], "scripts": [{"node": 7, "kind": "agg_ack_garble"}]},
+    }
+    result = orchestrator.run_sessions(Scenario.from_dict(config))
+    assert result.records[0].als2_ran and result.records[0].marks
+    assert len(calls) == len(result.truths[0].tree.members)
 
 
 SHIA_KINDS = (

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustagg import orchestrator
-from robustagg.adversary import Adversary
-from robustagg.netmodel import NetworkGraph
+from robustagg import cli, crypto, orchestrator, shia
+from robustagg.adversary import CATALOG, Adversary
+from robustagg.crypto import BS_ID
+from robustagg.errors import RobustAggError
+from robustagg.netmodel import CongestionLedger, NetworkGraph
 from robustagg.orchestrator import (
     RunResult,
     SessionGroundTruth,
@@ -248,3 +252,146 @@ def test_report_dict_is_json_ready_and_complete():
     assert len(d["sessions"]) == 2
     assert d["audits"]["all_pass"]
     assert d["totals"]["failures"] == 0
+
+
+SHIA_PHASES = ("commit", "offpath", "ack")
+SHIA_KINDS = sorted(k for k, phase in CATALOG.items() if phase in SHIA_PHASES)
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Patch `module.name` to record each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+class TestQuietSessions:
+    # A quiet session (no faulty tree member has an active SHIA script) on
+    # a tree that already ran one is charged from that session's record.
+
+    @pytest.mark.parametrize("kind", SHIA_KINDS)
+    def test_session_with_an_active_shia_script_is_never_skipped(self, monkeypatch, kind):
+        calls = count_calls(monkeypatch, shia, "run_shia")
+        params = {
+            "own_value_forge": {"value": 55},
+            "label_forge": {"value_add": 7},
+            "parent_switch": {"target": 12},
+        }.get(kind, {})
+        adversary = {
+            "faulty": [7, 12],
+            "scripts": [{"node": 7, "kind": kind, "params": params, "sessions": [2]}],
+        }
+        result = run(grid_config(sessions=4, adversary=adversary))
+        # Session 0 records for session 1, which is skipped; session 2 runs.
+        ran = [nonce.hex() for _, _, _, _, nonce, _ in calls]
+        assert ran[:2] == [result.records[0].nonce, result.records[2].nonce]
+
+    def test_honest_grid_macs_each_ack_once_over_three_sessions(self, monkeypatch):
+        calls = count_calls(monkeypatch, crypto, "node_ack")
+        config = {"seed": 3, "sessions": 3, "topology": {"kind": "grid", "rows": 30, "cols": 30}}
+        result = run(config)
+        assert [r.verdict for r in result.records] == ["success"] * 3
+        assert len(calls) == len(result.truths[0].tree.members)
+
+    def test_runs_on_one_scenario_make_the_same_stage_one_calls(self, monkeypatch):
+        calls = count_calls(monkeypatch, shia, "run_shia")
+        scenario = Scenario.from_dict(grid_config(sessions=5))
+        per_run = []
+        for _ in range(2):
+            before = len(calls)
+            run_sessions(scenario)
+            per_run.append(len(calls) - before)
+        assert per_run == [1, 1]
+
+
+@st.composite
+def fuzzed_configs(draw) -> dict:
+    """A connected graph over sensors 1..n (n 2-12) with 1-3 BS links, 4-8
+    sessions, either ATR, and 1-3 faulty nodes with 1-3 scripts each, each
+    script active in every session or in a random few."""
+    n = draw(st.integers(2, 12))
+    sessions = draw(st.integers(4, 8))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    edges |= {(BS_ID, v) for v in draw(st.sets(st.integers(1, n), min_size=1, max_size=3))}
+    faulty = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(3, n - 1), unique=True))
+    ids = st.lists(st.integers(0, n + 2), max_size=3)
+    params = {
+        "own_value_forge": st.fixed_dictionaries({"value": st.integers(0, 100)}),
+        "label_forge": st.fixed_dictionaries(
+            {},
+            optional={
+                "count": st.integers(0, n + 2),
+                "value": st.integers(-50, 100 * n + 50),
+                "value_add": st.integers(-60, 60),
+            },
+        ),
+        "parent_switch": st.fixed_dictionaries({"target": st.sampled_from(faulty)}),
+        "confirm_tamper": st.fixed_dictionaries({}, optional={"slot": st.integers(-3, 3)}),
+        "ack_report_forge": st.fixed_dictionaries({}, optional={"slot": st.integers(-3, 3)}),
+        "nl_fake": st.fixed_dictionaries({}, optional={"add": ids, "remove": ids}),
+    }
+    # Each node's first script deviates in one of stage one's phases, drawn
+    # evenly, so that quiet and scripted sessions alternate; the other two
+    # come from the whole catalog.
+    scripts = []
+    for node in faulty:
+        phase = draw(st.sampled_from(SHIA_PHASES))
+        kinds = [draw(st.sampled_from([k for k in SHIA_KINDS if CATALOG[k] == phase]))]
+        for kind in kinds + draw(st.lists(st.sampled_from(sorted(CATALOG)), max_size=2)):
+            script = {"node": node, "kind": kind, "params": draw(params.get(kind, st.just({})))}
+            # Mostly one to three sessions, with quiet ones around them.
+            if draw(st.integers(0, 3)):
+                script["sessions"] = draw(
+                    st.lists(st.integers(0, sessions - 1), unique=True, min_size=1, max_size=3)
+                )
+            scripts.append(script)
+    return {
+        "seed": draw(st.integers(0, 10**6)),
+        "sessions": sessions,
+        "topology": {"kind": "edges", "n": n, "edges": sorted(map(list, edges)), "d_max": n + 1},
+        "atr": draw(st.sampled_from(["basic", "resilient"])),
+        "adversary": {"faulty": faulty, "scripts": scripts},
+    }
+
+
+def observed_run(config: dict, skip_quiet: bool):
+    """The rendered report (or the error the run raised), the ledger of
+    every session and setup step, in insertion order, and the trace."""
+    ledgers, seen, advs = [], [], []
+    real_reset, real_build = CongestionLedger.reset, Scenario.build_adversary
+
+    def snapshot(ledger):
+        ledgers.append((list(ledger.per_edge.items()), list(ledger.per_phase.items())))
+
+    def reset(ledger):
+        seen.append(ledger)
+        snapshot(ledger)
+        real_reset(ledger)
+
+    def build(scenario):
+        advs.append(real_build(scenario))
+        return advs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CongestionLedger, "reset", reset)
+        mp.setattr(Scenario, "build_adversary", build)
+        if not skip_quiet:
+            mp.setattr(Adversary, "quiet", lambda self, members, session: False)
+        scenario = Scenario.from_dict(config)
+        try:
+            outcome = cli.render_report(run_sessions(scenario))
+        except RobustAggError as exc:
+            outcome = (type(exc).__name__, str(exc))
+    if seen:
+        snapshot(seen[-1])  # the last session's ledger is never reset
+    return outcome, ledgers, advs[-1].trace
+
+
+@settings(max_examples=400, deadline=None)
+@given(fuzzed_configs())
+def test_skipping_quiet_sessions_changes_nothing(config):
+    # The oracle runs stage one in full in every session.
+    assert observed_run(config, skip_quiet=True) == observed_run(config, skip_quiet=False)
