@@ -21,7 +21,7 @@ intact, and the acks each report listed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 from . import crypto, wire
 from .adversary import garble
@@ -32,9 +32,10 @@ from .netmodel import LINK_OVERHEAD, AggregationTree, Network
 _NR_SIZE = 1
 
 
-def _envelope_size(nonce: bytes, field_sizes: list[int]) -> int:
-    """Bytes of a tagged, BS-keyed envelope around the nonce and fields."""
-    return 1 + wire.framed_size(wire.framed_size(len(nonce), *field_sizes), wire.ACK_LEN)
+def _bare_envelope(nonce: bytes) -> int:
+    """Bytes of a tagged, BS-keyed envelope around the nonce alone; each
+    field it carries adds that field's framed size."""
+    return 1 + wire.framed_size(wire.framed_size(len(nonce)), wire.ACK_LEN)
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,18 @@ def als1_collect(
     """
     net.phase = phase = "als1"
     charge, faulty = net.ledger.charge, adv.faulty
-    size: dict[NodeId, int] = {}  # keyed by sender: each node has one parent
+    bare = _bare_envelope(nonce)
+    # The framed slot each sent confirmation fills in its parent's, keyed by
+    # sender (each node has one parent); a child that sent none fills the
+    # placeholder's.
+    slot: dict[NodeId, int] = {}
+    placeholder = repeat(wire.framed_size(_NR_SIZE))
     intact: dict[NodeId, list[NodeId]] = {}
     for node in chain.from_iterable(tree.epochs):
         if not acked[node]:
             continue
         kids = tree.children[node]
-        carried = [c for c in kids if c in size]
+        carried = [c for c in kids if c in slot]
         if node in faulty:
             tamper = adv.action(node, "confirm_tamper") if kids else None
             if tamper is not None:
@@ -96,8 +102,9 @@ def als1_collect(
             if adv.action(node, "confirm_drop") is not None:
                 adv.fire(node, "confirm_drop")
                 continue
-        size[node] = _envelope_size(nonce, [size.get(c, _NR_SIZE) for c in kids])
-        charge(node, tree.parent[node], size[node] + LINK_OVERHEAD, phase)
+        size = bare + sum(map(slot.get, kids, placeholder))
+        charge(node, tree.parent[node], size + LINK_OVERHEAD, phase)
+        slot[node] = wire.framed_size(size)
         intact[node] = carried
     return intact
 
@@ -153,11 +160,18 @@ def als2_collect(
     """
     net.phase = phase = "als2"
     charge, faulty, children = net.ledger.charge, adv.faulty, tree.children
-    size: dict[NodeId, int] = {}  # keyed by sender: each node has one parent
+    bare = _bare_envelope(nonce)
+    ack_field = wire.framed_size(wire.ACK_LEN)
+    # Each child's framed nested-report slot in its parent's report, keyed
+    # by sender (each node has one parent): none for a leaf, and the
+    # placeholder's for a non-leaf child whose report never came.
+    slot: dict[NodeId, int] = {}
+    placeholder = repeat(wire.framed_size(_NR_SIZE))
     reported: dict[NodeId, list[bytes]] = {}
     for node in chain.from_iterable(tree.epochs):
         kids = children[node]
         if not kids:
+            slot[node] = 0
             continue
         acks = [acks_up.get(c, crypto.ZERO_ACK) for c in kids]
         if node in faulty:
@@ -169,9 +183,9 @@ def als2_collect(
             if adv.action(node, "report_drop") is not None:
                 adv.fire(node, "report_drop")
                 continue
-        nested = [size.get(c, _NR_SIZE) for c in kids if children[c]]
-        size[node] = _envelope_size(nonce, nested + [wire.ACK_LEN] * len(kids))
-        charge(node, tree.parent[node], size[node] + LINK_OVERHEAD, phase)
+        size = bare + sum(map(slot.get, kids, placeholder)) + ack_field * len(kids)
+        charge(node, tree.parent[node], size + LINK_OVERHEAD, phase)
+        slot[node] = wire.framed_size(size)
         reported[node] = acks
     return reported
 

@@ -13,12 +13,14 @@ tree keeps its bytes, because every node's view is parsed from them.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from itertools import chain
 
 from . import wire
 from .crypto import BS_ID, NodeId
-from .netmodel import LINK_OVERHEAD, AggregationTree, Network, NetworkGraph, bfs_levels, edge_key
+from .errors import FrameError
+from .netmodel import LINK_OVERHEAD, AggregationTree, Network, NetworkGraph, bfs_levels
 
 
 @dataclass
@@ -47,16 +49,28 @@ def build_initial_tree(graph: NetworkGraph, blacklist: frozenset[NodeId] = froze
     return AggregationTree(parent)
 
 
+# One framed (child, parent) field of the distributed tree: the 4-byte length
+# prefix, whose value is always 4, then the two u16 ids.
+_PAIR = struct.Struct(">IHH")
+_PAIR_LEN = 2 * wire.NODE_ID_LEN
+
+
 def _serialize_tree(nonce: bytes, parent: dict[NodeId, NodeId]) -> bytes:
-    pairs = [wire.u16(c) + wire.u16(p) for c, p in sorted(parent.items())]
-    return wire.frame(nonce, *pairs)
+    pairs = [_PAIR.pack(_PAIR_LEN, c, p) for c, p in sorted(parent.items())]
+    return wire.frame(nonce) + b"".join(pairs)
 
 
 def _parse_tree(payload: bytes) -> dict[NodeId, NodeId]:
-    fields = wire.unframe(payload)
+    if not payload:
+        return {}  # no nonce field and no pair: an empty tree
+    _, pairs = wire.split_field(payload)
+    if len(pairs) % _PAIR.size:
+        raise FrameError("truncated tree pair")
     out = {}
-    for pair in fields[1:]:
-        out[wire.read_u16(pair[:2])] = wire.read_u16(pair[2:])
+    for length, c, p in _PAIR.iter_unpack(pairs):
+        if length != _PAIR_LEN:
+            raise FrameError(f"tree pair of {length} bytes, expected {_PAIR_LEN}")
+        out[c] = p
     return out
 
 
@@ -105,10 +119,12 @@ def atr_basic(
     bfs_levels(parent, rebroadcast, blacklist | {BS_ID}, sort_levels=True)
 
     flood = AggregationTree(parent)
+    # Childhood confirmation back to the chosen parent: the nonce and the
+    # child's id, charged by size.
+    confirm = wire.framed_size(len(nonce), wire.NODE_ID_LEN) + LINK_OVERHEAD
     for c, p in sorted(parent.items()):
         if p != BS_ID:
-            # childhood confirmation back to the chosen parent
-            net.send_link(c, p, wire.frame(nonce, wire.u16(c)))
+            net.ledger.charge(c, p, confirm, net.phase)
 
     # Upward response relay, deepest levels first: a node passes its own
     # response and everything its children forwarded to its parent, and the
@@ -120,13 +136,15 @@ def atr_basic(
     # verifies and is the first from its node: it is charged, not built.
     carried: dict[NodeId, int] = dict.fromkeys((BS_ID, *parent), 0)  # bytes children sent up
     dropped: set[NodeId] = set()
+    # A response with no id yet (its framed nonce, MACed), and each framed id.
+    resp_base = wire.framed_size(wire.framed_size(len(nonce)), wire.ACK_LEN)
+    id_field = wire.framed_size(wire.NODE_ID_LEN)
     for u in chain.from_iterable(flood.epochs):
         if u in faulty and adv.action(u, "response_drop") is not None:
             adv.fire(u, "response_drop")
             dropped.add(u)
             continue
-        ids = [wire.NODE_ID_LEN] * (1 + len(flood.children[u]))
-        resp = wire.framed_size(wire.framed_size(len(nonce), *ids), wire.ACK_LEN)
+        resp = resp_base + id_field * (1 + len(flood.children[u]))
         p = parent[u]
         nbytes = carried[u] + resp + LINK_OVERHEAD
         net.ledger.charge(u, p, nbytes, net.phase)
@@ -141,61 +159,63 @@ def atr_basic(
     return _distribute(net, nonce, tree)
 
 
-def atr_resilient_init(net: Network, adv) -> set[tuple[NodeId, NodeId]]:
+def atr_resilient_init(net: Network, adv) -> dict[NodeId, list[NodeId]]:
     """One-time signed neighbor-list collection.
 
-    Every node floods its signed list once; the BS keeps only edges both
-    endpoints announced that are graph links, plus its own observed edges,
-    so no fabricated link survives: a one-sided claim is dropped, and so is
-    a link two colluding nodes both announce, since a link that does not
-    exist cannot carry a frame.  A faked list is faked before it is signed,
-    and no one can alter a signed list, so each list arrives as announced
-    and its signature is charged, not computed.
+    Every node floods its signed list once.  Returns the BS's mutual
+    adjacency, the BS included: a sensor keeps a graph neighbor that it
+    announced and that announced it back, or the BS, which observes its own
+    links.  So no fabricated link survives: a one-sided claim is dropped,
+    and so is a link two colluding nodes both announce, since a link that
+    does not exist cannot carry a frame.  Each list is sorted and the
+    adjacency is symmetric.  A faked list is faked before it is signed, and
+    no one can alter a signed list, so each list arrives as announced and
+    its signature is charged, not computed.
     """
     net.phase = "nl"
     graph = net.graph
-    announced: dict[NodeId, set[NodeId]] = {}
-    # Every list crosses every backbone edge, so each edge carries the sum.
+    sensors = sorted(graph.sensors)
+    # The lists faulty nodes faked; every other node announces exactly its
+    # graph neighbors.
+    faked: dict[NodeId, set[NodeId]] = {}
+    # Every list crosses every backbone edge, so each edge carries the sum:
+    # per list, the signer's id, the framed ids behind a 2-byte b"nl" tag,
+    # and the signature.
+    empty_list = wire.framed_size(wire.NODE_ID_LEN, wire.framed_size(2), wire.ACK_LEN)
+    id_field = wire.framed_size(wire.NODE_ID_LEN)
     list_bytes = 0
-    for s in sorted(graph.sensors):
-        nbrs = set(graph.neighbors(s))
+    for s in sensors:
+        nbrs = graph.neighbors(s)
         fake = adv.action(s, "nl_fake") if s in adv.faulty else None
         if fake is not None:
             adv.fire(s, "nl_fake")
-            nbrs = (nbrs | set(fake.params.get("add", ()))) - set(fake.params.get("remove", ()))
-        announced[s] = nbrs
-        # The signer's id, the list framed behind a 2-byte b"nl" tag, the signature.
-        listed = wire.framed_size(2, *[wire.NODE_ID_LEN] * len(nbrs))
-        list_bytes += wire.framed_size(wire.NODE_ID_LEN, listed, wire.ACK_LEN)
+            add, remove = set(fake.params.get("add", ())), set(fake.params.get("remove", ()))
+            nbrs = faked[s] = (set(nbrs) | add) - remove
+        list_bytes += empty_list + id_field * len(nbrs)
     for a, c in graph.flood_edges:
         net.ledger.charge(a, c, list_bytes, net.phase)
-    edges: set[tuple[NodeId, NodeId]] = set()
-    bs_nbrs = set(graph.neighbors(BS_ID))
-    for s, nbrs in announced.items():
-        for t in nbrs:
-            if t == BS_ID:
-                if s in bs_nbrs:
-                    edges.add(edge_key(s, BS_ID))
-            elif t in announced and s in announced[t] and graph.has_edge(s, t):
-                edges.add(edge_key(s, t))
-    return edges
+    # A link is kept when each end announced the other; the BS announces no
+    # list and keeps each of its links whose sensor end announced it.
+    adj: dict[NodeId, list[NodeId]] = {}
+    for s in (BS_ID, *sensors):
+        own = faked.get(s)
+        adj[s] = [
+            t for t in graph.neighbors(s)
+            if (own is None or t in own) and (t not in faked or s in faked[t])
+        ]
+    return adj
 
 
 def atr_resilient_build(
     net: Network,
-    edges: set[tuple[NodeId, NodeId]],
+    adj: dict[NodeId, list[NodeId]],
     blacklist: frozenset[NodeId],
     nonce: bytes,
 ) -> AtrOutcome:
-    """Centralized BFS over the mutually-announced graph, then distribution."""
+    """Centralized BFS over the mutual adjacency `atr_resilient_init` returned,
+    then distribution."""
     net.phase = "atr"
-    adj: dict[NodeId, list[NodeId]] = {}
-    for a, c in edges:
-        adj.setdefault(a, []).append(c)
-        adj.setdefault(c, []).append(a)
-    for nbrs in adj.values():
-        nbrs.sort()
-    b = _bs_child(adj.get(BS_ID, []), blacklist)
+    b = _bs_child(adj[BS_ID], blacklist)
     if b is None:
         return AtrOutcome(None, {}, set(net.graph.sensors))
     parent = {b: BS_ID}

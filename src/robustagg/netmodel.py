@@ -89,9 +89,6 @@ class NetworkGraph:
     def neighbors(self, node: NodeId) -> list[NodeId]:
         return self._adj[node]
 
-    def has_edge(self, a: NodeId, b: NodeId) -> bool:
-        return edge_key(a, b) in self.edges
-
     def check_tree(self, tree: AggregationTree) -> None:
         """Refuse a tree with a link the graph lacks.
 
@@ -115,10 +112,9 @@ class AggregationTree:
         self.children: dict[NodeId, list[NodeId]] = {BS_ID: []}
         for c in self.parent:
             self.children.setdefault(c, [])
+        # Appended in id order, so each child list is sorted.
         for c, p in sorted(self.parent.items()):
             self.children.setdefault(p, []).append(c)
-        for kids in self.children.values():
-            kids.sort()
         if len(self.children[BS_ID]) != 1:
             raise ConfigError("BS must have exactly one child")
         # Leaves-first epochs from a level walk down from the BS: deepest

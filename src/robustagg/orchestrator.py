@@ -162,13 +162,13 @@ def run_sessions(scenario: Scenario) -> RunResult:
 
     result = RunResult(scenario=scenario, faulty=adv.faulty)
     blacklist: set[NodeId] = set()
-    bs_graph = None
+    bs_adj = None
     if scenario.atr_variant == "resilient":
         adv.begin_session(-1)
-        bs_graph = atr.atr_resilient_init(net, adv)
+        bs_adj = atr.atr_resilient_init(net, adv)
         result.setup_congestion = net.ledger.max_congestion()
         net.ledger.reset()
-        outcome = atr.atr_resilient_build(net, bs_graph, frozenset(), b"\x00" * wire.NONCE_LEN)
+        outcome = atr.atr_resilient_build(net, bs_adj, frozenset(), b"\x00" * wire.NONCE_LEN)
         tree = outcome.tree
         net.ledger.reset()
     else:
@@ -233,7 +233,7 @@ def run_sessions(scenario: Scenario) -> RunResult:
             else:
                 verdict, value = "failure", None
             if scenario.atr_variant == "resilient":
-                atr_outcome = atr.atr_resilient_build(net, bs_graph, frozenset(blacklist), nonce)
+                atr_outcome = atr.atr_resilient_build(net, bs_adj, frozenset(blacklist), nonce)
             else:
                 atr_outcome = atr.atr_basic(net, frozenset(blacklist), nonce, adv)
 

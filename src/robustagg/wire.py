@@ -83,4 +83,4 @@ def split_field(data: bytes) -> tuple[bytes, bytes]:
 
 def framed_size(*field_lengths: int) -> int:
     """Size of a frame built from fields of the given lengths."""
-    return sum(LEN_PREFIX + l for l in field_lengths)
+    return LEN_PREFIX * len(field_lengths) + sum(field_lengths)

@@ -11,10 +11,10 @@ from itertools import chain, product
 
 from robustagg import als, crypto, shia, wire
 from robustagg.adversary import Adversary, ScriptEntry, garble
-from robustagg.atr import AtrOutcome, _distribute
+from robustagg.atr import AtrOutcome
 from robustagg.crypto import BS_ID, KEY_LEN, KeyStore, NodeId, mac, mac_long
 from robustagg.errors import ConfigError, FrameError
-from robustagg.netmodel import AggregationTree, Network, NetworkGraph, edge_key
+from robustagg.netmodel import AggregationTree, Network, NetworkGraph, bfs_levels, edge_key
 
 
 def complete_net(n: int) -> Network:
@@ -418,6 +418,37 @@ def auth_verify(key: bytes, envelope: AuthEnvelope) -> bool:
     return envelope.tag == mac(key, envelope.payload)
 
 
+# --- tree distribution reference: the tree framed one (child, parent) field
+# at a time through the general frame path, and unframed field by field ---
+
+
+def oracle_serialize_tree(nonce: bytes, parent: dict[NodeId, NodeId]) -> bytes:
+    pairs = [wire.u16(c) + wire.u16(p) for c, p in sorted(parent.items())]
+    return wire.frame(nonce, *pairs)
+
+
+def oracle_parse_tree(payload: bytes) -> dict[NodeId, NodeId]:
+    fields = wire.unframe(payload)
+    out = {}
+    for pair in fields[1:]:
+        out[wire.read_u16(pair[:2])] = wire.read_u16(pair[2:])
+    return out
+
+
+def oracle_distribute(net: Network, nonce: bytes, tree: AggregationTree) -> AtrOutcome:
+    payload = oracle_serialize_tree(nonce, tree.parent)
+    delivered = net.bs_broadcast(payload)
+    adopted = oracle_parse_tree(delivered)
+    views: dict[NodeId, tuple[NodeId, tuple[NodeId, ...]]] = {}
+    children: dict[NodeId, list[NodeId]] = {}
+    for c, p in sorted(adopted.items()):
+        children.setdefault(p, []).append(c)
+    for node, p in adopted.items():
+        views[node] = (p, tuple(children.get(node, [])))
+    unreached = net.graph.sensors - set(adopted)
+    return AtrOutcome(tree, views, unreached)
+
+
 # --- basic ATR reference: every response crosses every hop of its path as
 # its own link send, and each node forwards at most n relayed responses ---
 
@@ -510,7 +541,7 @@ def oracle_atr_basic(net: Network, blacklist: frozenset[NodeId], nonce: bytes, a
                 final_parent[c] = u
                 stack.append(c)
     tree = AggregationTree(final_parent)
-    return _distribute(net, nonce, tree)
+    return oracle_distribute(net, nonce, tree)
 
 
 # --- resilient ATR reference: every neighbor list is signed by an ideal
@@ -587,9 +618,42 @@ def oracle_atr_resilient_init(
             if t == BS_ID:
                 if s in bs_nbrs:
                     edges.add(edge_key(s, BS_ID))
-            elif t in announced and s in announced[t] and graph.has_edge(s, t):
+            elif t in announced and s in announced[t] and edge_key(s, t) in graph.edges:
                 edges.add(edge_key(s, t))
     return edges
+
+
+def oracle_atr_resilient_build(
+    net: Network,
+    edges: set[tuple[NodeId, NodeId]],
+    blacklist: frozenset[NodeId],
+    nonce: bytes,
+) -> AtrOutcome:
+    """Centralized BFS over the mutually-announced edge set, its adjacency
+    derived and sorted again at every build, then distribution."""
+    net.phase = "atr"
+    adj: dict[NodeId, list[NodeId]] = {}
+    for a, c in edges:
+        adj.setdefault(a, []).append(c)
+        adj.setdefault(c, []).append(a)
+    for nbrs in adj.values():
+        nbrs.sort()
+    b = next((v for v in adj.get(BS_ID, []) if v not in blacklist), None)
+    if b is None:
+        return AtrOutcome(None, {}, set(net.graph.sensors))
+    parent = {b: BS_ID}
+    bfs_levels(parent, adj.__getitem__, blacklist | {BS_ID}, sort_levels=True)
+    tree = AggregationTree(parent)
+    return oracle_distribute(net, nonce, tree)
+
+
+def adjacency_edges(adj: dict[NodeId, list[NodeId]]) -> set[tuple[NodeId, NodeId]]:
+    """The edge set of a resilient-init adjacency, after checking that each
+    list is sorted without repeats and that every link is listed at both ends."""
+    for s, nbrs in adj.items():
+        assert nbrs == sorted(set(nbrs)), (s, nbrs)
+        assert all(s in adj[t] for t in nbrs), (s, nbrs)
+    return {edge_key(s, t) for s, nbrs in adj.items() for t in nbrs}
 
 
 # --- ALS reference: every confirmation and ack report is built as bytes,

@@ -1,12 +1,22 @@
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustagg import atr, wire
 from robustagg.adversary import Adversary
 from robustagg.crypto import BS_ID, KeyStore
+from robustagg.errors import FrameError
 from robustagg.netmodel import Network, NetworkGraph, edge_key
 
-from helpers import SignatureOracle, entry, oracle_atr_basic, oracle_atr_resilient_init
+from helpers import (
+    SignatureOracle,
+    adjacency_edges,
+    entry,
+    oracle_atr_basic,
+    oracle_atr_resilient_build,
+    oracle_atr_resilient_init,
+    oracle_parse_tree,
+    oracle_serialize_tree,
+)
 
 NONCE = b"\x09" * 8
 
@@ -44,7 +54,9 @@ def test_level_orders_are_pinned():
     assert net.graph.flood_edges == [(0, 1), (1, 2), (1, 3), (2, 5), (3, 4), (5, 6)]
     assert atr.build_initial_tree(net.graph).parent[6] == 5
     # Sorted levels: both rebuilds walk 4 before 5.
-    rebuilt = atr.atr_resilient_build(net, net.graph.edges, frozenset(), NONCE)
+    adj = atr.atr_resilient_init(net, Adversary(()))
+    assert adjacency_edges(adj) == net.graph.edges
+    rebuilt = atr.atr_resilient_build(net, adj, frozenset(), NONCE)
     assert rebuilt.tree.parent[6] == 4
     assert atr.atr_basic(net, frozenset(), NONCE, Adversary(())).tree.parent[6] == 4
 
@@ -186,15 +198,109 @@ def test_resilient_init_matches_signature_oracle(case):
         adv.begin_session(-1)
         found = init(net, adv)
         runs.append((found, list(net.ledger.per_edge.items()), net.ledger.per_phase, adv.trace))
+    adj = runs[0][0]
+    assert set(adj) == {BS_ID} | set(range(1, n + 1))
+    runs[0] = (adjacency_edges(adj), *runs[0][1:])
     assert runs[0] == runs[1]
+
+
+@st.composite
+def rebuild_schedules(draw):
+    """An announcement case and the growing blacklists of up to 4 rebuilds."""
+    n, edges, faulty, fakes = draw(announcement_cases())
+    blacklists, blacklist = [], frozenset()
+    for _ in range(draw(st.integers(1, 4))):
+        blacklist |= draw(st.frozensets(st.integers(1, n), max_size=2))
+        blacklists.append(blacklist)
+    return n, edges, faulty, fakes, blacklists
+
+
+@settings(max_examples=200, deadline=None)
+@given(rebuild_schedules())
+def test_resilient_build_matches_edge_set_reference(case):
+    """Building over the init's adjacency, run after run, matches the
+    reference that rederives the adjacency from an edge set at each build."""
+    n, edges, faulty, fakes, blacklists = case
+    scripts = [entry(v, "nl_fake", add=add, remove=rm) for v, (add, rm) in fakes.items()]
+    runs = []
+    for init, build in (
+        (atr.atr_resilient_init, atr.atr_resilient_build),
+        (lambda net, adv: oracle_atr_resilient_init(net, SignatureOracle(b"atr"), adv),
+         oracle_atr_resilient_build),
+    ):
+        net = make_net(n, edges, d_max=n + 1)
+        adv = Adversary(faulty, scripts)
+        adv.begin_session(-1)
+        bs_view = init(net, adv)
+        outs = []
+        for blacklist in blacklists:
+            net.ledger.reset()
+            out = build(net, bs_view, blacklist, NONCE)
+            tree = out.tree
+            outs.append(
+                (
+                    tree and tree.parent,
+                    tree and tree.epochs,
+                    tree and tree.children,
+                    out.node_views,
+                    out.unreached,
+                    list(net.ledger.per_edge.items()),
+                    net.ledger.per_phase,
+                )
+            )
+        runs.append(outs)
+    assert runs[0] == runs[1]
+
+
+u16s = st.integers(0, 0xFFFF)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=16), st.dictionaries(u16s, u16s, max_size=12))
+def test_tree_codec_matches_reference(nonce, parent):
+    payload = atr._serialize_tree(nonce, parent)
+    assert payload == oracle_serialize_tree(nonce, parent)
+    assert list(atr._parse_tree(payload).items()) == sorted(parent.items())
+
+
+@st.composite
+def mutated_tree_payloads(draw):
+    """A serialized tree with up to 3 bytes flipped, runs cut or bytes inserted."""
+    nonce = draw(st.binary(max_size=10))
+    data = bytearray(atr._serialize_tree(nonce, draw(st.dictionaries(u16s, u16s, max_size=6))))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["flip", "cut", "insert"]))
+        pos = draw(st.integers(0, len(data)))
+        if op == "flip" and pos < len(data):
+            data[pos] ^= draw(st.integers(1, 255))
+        elif op == "cut":
+            del data[pos : pos + draw(st.integers(1, 9))]
+        else:
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=9))
+    return bytes(data)
+
+
+def parse_outcome(parse, payload):
+    try:
+        return list(parse(payload).items())
+    except FrameError:
+        return FrameError
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=40), mutated_tree_payloads()))
+@example(b"")  # no nonce field: an empty tree, not a FrameError
+def test_tree_parser_matches_reference(payload):
+    """Same pairs in the same order, or FrameError from both."""
+    assert parse_outcome(atr._parse_tree, payload) == parse_outcome(oracle_parse_tree, payload)
 
 
 class TestResilientRebuild:
     def test_mutual_announcement_reproduces_graph(self):
         net = ring_net(6)
-        edges = atr.atr_resilient_init(net, Adversary(()))
-        assert edges == net.graph.edges
-        out = atr.atr_resilient_build(net, edges, frozenset(), NONCE)
+        adj = atr.atr_resilient_init(net, Adversary(()))
+        assert adjacency_edges(adj) == net.graph.edges
+        out = atr.atr_resilient_build(net, adj, frozenset(), NONCE)
         assert out.tree.members == net.graph.sensors
 
     def test_fabricated_edge_rejected(self):
@@ -202,9 +308,9 @@ class TestResilientRebuild:
         # 4 claims a shortcut straight to 1; 1 never confirms it.
         adv = Adversary({4}, [entry(4, "nl_fake", add=[1])])
         adv.begin_session(0)
-        edges = atr.atr_resilient_init(net, adv)
-        assert (1, 4) not in edges
-        out = atr.atr_resilient_build(net, edges, frozenset(), NONCE)
+        adj = atr.atr_resilient_init(net, adv)
+        assert (1, 4) not in adjacency_edges(adj)
+        out = atr.atr_resilient_build(net, adj, frozenset(), NONCE)
         assert out.tree.parent[4] == 3  # still the real topology
 
     def test_colluding_fabricated_edge_rejected(self):
@@ -213,9 +319,9 @@ class TestResilientRebuild:
         net = path_net(4)
         adv = Adversary({1, 4}, [entry(1, "nl_fake", add=[4]), entry(4, "nl_fake", add=[1])])
         adv.begin_session(-1)
-        edges = atr.atr_resilient_init(net, adv)
-        assert edges == net.graph.edges
-        out = atr.atr_resilient_build(net, edges, frozenset(), NONCE)
+        adj = atr.atr_resilient_init(net, adv)
+        assert adjacency_edges(adj) == net.graph.edges
+        out = atr.atr_resilient_build(net, adj, frozenset(), NONCE)
         assert out.tree.parent[4] == 3
         net.graph.check_tree(out.tree)
 
@@ -223,16 +329,16 @@ class TestResilientRebuild:
         net = path_net(4)
         adv = Adversary({3}, [entry(3, "nl_fake", remove=[4])])
         adv.begin_session(0)
-        edges = atr.atr_resilient_init(net, adv)
-        assert (3, 4) not in edges
-        out = atr.atr_resilient_build(net, edges, frozenset(), NONCE)
+        adj = atr.atr_resilient_init(net, adv)
+        assert (3, 4) not in adjacency_edges(adj)
+        out = atr.atr_resilient_build(net, adj, frozenset(), NONCE)
         assert out.tree.members == {1, 2, 3}
         assert out.unreached == {4}
 
     def test_blacklist_respected_and_views_match(self):
         net = ring_net(8)
-        edges = atr.atr_resilient_init(net, Adversary(()))
-        out = atr.atr_resilient_build(net, edges, frozenset({1}), NONCE)
+        adj = atr.atr_resilient_init(net, Adversary(()))
+        out = atr.atr_resilient_build(net, adj, frozenset({1}), NONCE)
         assert 1 not in out.tree.members
         for node in out.tree.members:
             assert out.node_views[node] == (
