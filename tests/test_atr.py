@@ -218,7 +218,7 @@ def rebuild_schedules(draw):
 @settings(max_examples=200, deadline=None)
 @given(rebuild_schedules())
 def test_resilient_build_matches_edge_set_reference(case):
-    """Building over the init's adjacency, run after run, matches the
+    """Rebuilding over one init's adjacency, build after build, matches the
     reference that rederives the adjacency from an edge set at each build."""
     n, edges, faulty, fakes, blacklists = case
     scripts = [entry(v, "nl_fake", add=add, remove=rm) for v, (add, rm) in fakes.items()]
