@@ -8,8 +8,7 @@ marked sets against ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .crypto import BS_ID, NodeId
 from .errors import ConfigError, ProtocolViolation
@@ -38,21 +37,34 @@ def catalog() -> set[str]:
     return set(CATALOG)
 
 
-@dataclass(frozen=True)
 class ScriptEntry:
-    """One scripted deviation: which node, when, and what."""
+    """One scripted deviation: which node, when, and what; never mutated."""
 
-    node: NodeId
-    kind: str
-    params: dict[str, Any] = field(default_factory=dict)
-    sessions: frozenset[int] | None = None  # None: every session
+    def __init__(
+        self,
+        node: NodeId,
+        kind: str,
+        params: dict[str, Any] | None = None,
+        sessions: frozenset[int] | None = None,  # None: every session
+    ) -> None:
+        self.node = node
+        self.kind = kind
+        self.params = {} if params is None else params
+        self.sessions = sessions
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"ScriptEntry({vars(self)})"
 
     def active(self, session: int) -> bool:
         return self.sessions is None or session in self.sessions
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     session: int
     node: NodeId
     phase: str

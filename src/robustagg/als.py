@@ -20,8 +20,8 @@ intact, and the acks each report listed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from . import crypto, wire
 from .adversary import garble
@@ -38,8 +38,7 @@ def _bare_envelope(nonce: bytes) -> int:
     return 1 + wire.framed_size(wire.framed_size(len(nonce)), wire.ACK_LEN)
 
 
-@dataclass(frozen=True)
-class Mark:
+class Mark(NamedTuple):
     node: NodeId
     partner: NodeId | None  # the paired parent; None when the parent is the BS
     rule: str  # absent | structural | type_i | type_ii
@@ -48,9 +47,19 @@ class Mark:
         return {self.node} if self.partner is None else {self.node, self.partner}
 
 
-@dataclass
 class MarkSet:
-    marks: list[Mark] = field(default_factory=list)
+    """The marks one localization phase made, in order; equal when they are."""
+
+    def __init__(self, marks: list[Mark] | None = None) -> None:
+        self.marks = [] if marks is None else marks
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.marks == other.marks
+
+    def __repr__(self) -> str:
+        return f"MarkSet({self.marks!r})"
 
     def add(self, node: NodeId, parent: NodeId, rule: str) -> None:
         self.marks.append(Mark(node, None if parent == BS_ID else parent, rule))

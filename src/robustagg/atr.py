@@ -14,7 +14,6 @@ tree keeps its bytes, because every node's view is parsed from them.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from itertools import chain
 
 from . import wire
@@ -23,14 +22,19 @@ from .errors import FrameError
 from .netmodel import LINK_OVERHEAD, AggregationTree, Network, NetworkGraph, bfs_levels
 
 
-@dataclass
 class AtrOutcome:
-    tree: AggregationTree | None
-    # What each sensor adopted from the distributed tree, for consistency
-    # checks: node -> (parent, children tuple).  Parsed from the broadcast
-    # payload, not copied from the BS structure.
-    node_views: dict[NodeId, tuple[NodeId, tuple[NodeId, ...]]] = field(default_factory=dict)
-    unreached: set[NodeId] = field(default_factory=set)
+    def __init__(
+        self,
+        tree: AggregationTree | None,
+        node_views: dict[NodeId, tuple[NodeId, tuple[NodeId, ...]]] | None = None,
+        unreached: set[NodeId] | None = None,
+    ) -> None:
+        self.tree = tree
+        # What each sensor adopted from the distributed tree, for consistency
+        # checks: node -> (parent, children tuple).  Parsed from the broadcast
+        # payload, not copied from the BS structure.
+        self.node_views = {} if node_views is None else node_views
+        self.unreached = set() if unreached is None else unreached
 
 
 def _bs_child(bs_neighbors: list[NodeId], blacklist: frozenset[NodeId]) -> NodeId | None:

@@ -65,6 +65,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         topology = template.get("topology")
         if not isinstance(topology, dict) or topology.get("kind") not in ("chain", "geometric"):
             raise ConfigError("sweep needs a topology sized by n (chain or geometric)")
+        if template.get("sessions") == 0:
+            # A point reads its tree's shape off its first session.
+            raise ConfigError("sweep needs at least one session per point")
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         if len(set(sizes)) < len(sizes):
             raise ValueError("duplicate network size")

@@ -8,7 +8,6 @@ graph edge in the congestion ledger.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sized
-from dataclasses import dataclass, field
 from typing import TypeVar
 
 from . import wire
@@ -187,14 +186,20 @@ class CongestionLedger:
         self.per_phase.clear()
 
 
-@dataclass
 class Network:
     """Channels plus accounting, shared by all protocol phases."""
 
-    graph: NetworkGraph
-    keys: KeyStore
-    ledger: CongestionLedger = field(default_factory=CongestionLedger)
-    phase: str = "idle"
+    def __init__(
+        self,
+        graph: NetworkGraph,
+        keys: KeyStore,
+        ledger: CongestionLedger | None = None,
+        phase: str = "idle",
+    ) -> None:
+        self.graph = graph
+        self.keys = keys
+        self.ledger = CongestionLedger() if ledger is None else ledger
+        self.phase = phase
 
     def send_link(self, frm: NodeId, to: NodeId, payload: Payload) -> Payload:
         """Hop-authenticated neighbor send; returns the payload the receiver gets.

@@ -9,9 +9,6 @@ congestion envelopes.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass, field
-
 from . import als, atr, crypto, shia, wire
 from .adversary import Adversary
 from .crypto import BS_ID, KeyStore, NodeId
@@ -30,20 +27,34 @@ SUCCESS_COST_C1 = 1.0
 FAILURE_COST_C2 = 4.0
 
 
-@dataclass
 class SessionRecord:
-    index: int
-    nonce: str
-    verdict: str  # "success" | "failure"
-    value: int | None
-    marks: list[tuple[NodeId, NodeId | None, str]]
-    blacklist_after: list[NodeId]
-    max_congestion: int
-    phase_congestion: dict[str, int]
-    tree_height: int
-    tree_degree: int
-    tree_size: int
-    als2_ran: bool
+    def __init__(
+        self,
+        index: int,
+        nonce: str,
+        verdict: str,  # "success" | "failure"
+        value: int | None,
+        marks: list[tuple[NodeId, NodeId | None, str]],
+        blacklist_after: list[NodeId],
+        max_congestion: int,
+        phase_congestion: dict[str, int],
+        tree_height: int,
+        tree_degree: int,
+        tree_size: int,
+        als2_ran: bool,
+    ) -> None:
+        self.index = index
+        self.nonce = nonce
+        self.verdict = verdict
+        self.value = value
+        self.marks = marks
+        self.blacklist_after = blacklist_after
+        self.max_congestion = max_congestion
+        self.phase_congestion = phase_congestion
+        self.tree_height = tree_height
+        self.tree_degree = tree_degree
+        self.tree_size = tree_size
+        self.als2_ran = als2_ran
 
     def to_dict(self) -> dict:
         return {
@@ -64,27 +75,44 @@ class SessionRecord:
         }
 
 
-@dataclass
 class SessionGroundTruth:
     """Engine-side facts for oracles and audits; never serialized."""
 
-    tree: AggregationTree
-    values: dict[NodeId, int]
-    misbehaved: set[NodeId]
-    shia_result: shia.ShiaResult
-    atr_outcome: atr.AtrOutcome | None
-    value_range: tuple[int, int] = (0, 100)
+    def __init__(
+        self,
+        tree: AggregationTree,
+        values: dict[NodeId, int],
+        misbehaved: set[NodeId],
+        shia_result: shia.ShiaResult,
+        atr_outcome: atr.AtrOutcome | None,
+        value_range: tuple[int, int] = (0, 100),
+    ) -> None:
+        self.tree = tree
+        self.values = values
+        self.misbehaved = misbehaved
+        self.shia_result = shia_result
+        self.atr_outcome = atr_outcome
+        self.value_range = value_range
 
 
-@dataclass
 class RunResult:
-    scenario: Scenario
-    records: list[SessionRecord] = field(default_factory=list)
-    truths: list[SessionGroundTruth] = field(default_factory=list)
-    blacklist: set[NodeId] = field(default_factory=set)
-    disconnected: bool = False
-    faulty: frozenset[NodeId] = frozenset()
-    setup_congestion: int = 0
+    def __init__(
+        self,
+        scenario: Scenario,
+        records: list[SessionRecord] | None = None,
+        truths: list[SessionGroundTruth] | None = None,
+        blacklist: set[NodeId] | None = None,
+        disconnected: bool = False,
+        faulty: frozenset[NodeId] = frozenset(),
+        setup_congestion: int = 0,
+    ) -> None:
+        self.scenario = scenario
+        self.records = [] if records is None else records
+        self.truths = [] if truths is None else truths
+        self.blacklist = set() if blacklist is None else blacklist
+        self.disconnected = disconnected
+        self.faulty = faulty
+        self.setup_congestion = setup_congestion
 
     @property
     def failures(self) -> int:
@@ -316,6 +344,10 @@ def cost_audit(points: list[dict]) -> dict:
     failure_ok = True
     slope = intercept = None
     if len(fail_pts) >= 2:
+        # Imported here: only a sweep fits a line, and `statistics` pulls in
+        # `fractions` and `decimal`, which a plain run would load for nothing.
+        import statistics
+
         slope, intercept = statistics.linear_regression(*zip(*fail_pts))
         # Each point within 30% of the fit, no cost ratio outgrowing its size
         # ratio by more than 30% (super-linear), and inside the envelope.

@@ -10,7 +10,6 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Any
 
 from .adversary import Adversary, ScriptEntry
@@ -267,11 +266,22 @@ def load_config(path: str) -> dict:
     return read_json_object(path)[1]
 
 
-@dataclass
 class Scenario:
-    config: dict
+    """A scenario config; equal to another exactly when their configs are."""
+
     # Built once by validate(); every run of this scenario shares it read-only.
-    graph: NetworkGraph = field(init=False, repr=False, compare=False)
+    graph: NetworkGraph
+
+    def __init__(self, config: dict) -> None:
+        self.config = config
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.config == other.config
+
+    def __repr__(self) -> str:
+        return f"Scenario(config={self.config!r})"
 
     @classmethod
     def from_dict(cls, config: dict) -> "Scenario":

@@ -9,7 +9,6 @@ upward, compared by the BS against the expected combination).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from itertools import chain
 
 from . import crypto, wire
@@ -254,20 +253,41 @@ def recompute_root(
     return cur
 
 
-@dataclass
 class ShiaResult:
-    accepted: bool
-    value: int | None  # the root label's value; None when none arrived
-    root_label: Label | None
-    root_ok: bool
-    agg_ack: bytes | None
-    expected_ack: bytes | None
-    # Each member's own ack, MACed once per session; ALS II reads it.
-    node_acks: dict[NodeId, bytes]
-    # Whether each tree node released its ack, keyed by sensor NodeId.
-    acked: dict[NodeId, bool]
-    # The aggregated ack each node sent its parent, keyed by sender.
-    acks_up: dict[NodeId, bytes] = field(default_factory=dict)
+    """One session's stage-one outcome; equal when every field is."""
+
+    def __init__(
+        self,
+        accepted: bool,
+        value: int | None,
+        root_label: Label | None,
+        root_ok: bool,
+        agg_ack: bytes | None,
+        expected_ack: bytes | None,
+        node_acks: dict[NodeId, bytes],
+        acked: dict[NodeId, bool],
+        acks_up: dict[NodeId, bytes] | None = None,
+    ) -> None:
+        self.accepted = accepted
+        self.value = value  # the root label's value; None when none arrived
+        self.root_label = root_label
+        self.root_ok = root_ok
+        self.agg_ack = agg_ack
+        self.expected_ack = expected_ack
+        # Each member's own ack, MACed once per session; ALS II reads it.
+        self.node_acks = node_acks
+        # Whether each tree node released its ack, keyed by sensor NodeId.
+        self.acked = acked
+        # The aggregated ack each node sent its parent, keyed by sender.
+        self.acks_up = {} if acks_up is None else acks_up
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"ShiaResult({vars(self)})"
 
 
 def run_shia(

@@ -1,6 +1,6 @@
 import pytest
 
-from robustagg.adversary import CATALOG, Adversary, ScriptEntry, catalog, honest
+from robustagg.adversary import CATALOG, Adversary, ScriptEntry, TraceEvent, catalog, honest
 from robustagg.errors import ConfigError, ProtocolViolation
 
 from helpers import entry
@@ -69,3 +69,33 @@ def test_honest_adversary_is_inert():
     adv.begin_session(0)
     assert adv.faulty == frozenset()
     assert adv.action(1, "label_drop") is None
+
+
+def test_trace_events_hash_and_compare_by_fields():
+    ev = TraceEvent(0, 3, "commit", "label_drop")
+    assert ev == TraceEvent(0, 3, "commit", "label_drop")
+    assert hash(ev) == hash(TraceEvent(0, 3, "commit", "label_drop"))
+    assert ev != TraceEvent(1, 3, "commit", "label_drop")
+    assert len({ev, TraceEvent(0, 3, "commit", "label_drop"), TraceEvent(0, 3, "ack", "ack_drop")}) == 2
+    with pytest.raises(AttributeError):
+        ev.session = 1
+    # Two adversaries that fire alike keep equal traces.
+    traces = []
+    for _ in range(2):
+        adv = Adversary(faulty={3}, scripts=[entry(3, "label_drop")])
+        adv.begin_session(0)
+        adv.fire(3, "label_drop")
+        traces.append(adv.trace)
+    assert traces[0] == traces[1] == [ev]
+
+
+def test_script_entry_defaults_and_activity():
+    e, f = ScriptEntry(3, "label_drop"), ScriptEntry(node=3, kind="label_drop")
+    assert e.params == {} and e.sessions is None
+    assert e.params is not f.params  # a fresh dict per entry
+    assert e == f
+    assert e != ScriptEntry(3, "label_drop", {"value": 9})
+    assert e.active(0) and e.active(1 << 16)
+    g = ScriptEntry(3, "label_drop", sessions=frozenset({2}))
+    assert g.active(2) and not g.active(1)
+    assert g != e

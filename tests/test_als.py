@@ -343,3 +343,26 @@ def test_localization_matches_byte_level_envelopes(case):
         runs.append((marks, als2_ran, net.ledger.per_edge, net.ledger.per_phase, adv.trace))
     assert runs[0] == runs[1]
 
+
+
+def test_mark_sets_compare_by_value():
+    a, b = als.MarkSet(), als.MarkSet()
+    assert a == b and not a
+    assert a.marks is not b.marks  # a fresh list per set
+    a.add(3, 2, "type_i")
+    assert a != b
+    b.add(3, 2, "type_i")
+    assert a == b and a
+    b.add(1, BS_ID, "absent")
+    assert a != b
+    assert b.marks[1] == als.Mark(1, None, "absent")
+
+
+def test_marks_hash_and_compare_by_fields():
+    m = als.Mark(3, 2, "type_i")
+    assert m == als.Mark(3, 2, "type_i") and hash(m) == hash(als.Mark(3, 2, "type_i"))
+    assert m != als.Mark(3, 2, "type_ii") and m != als.Mark(3, None, "type_i")
+    assert len({m, als.Mark(3, 2, "type_i"), als.Mark(2, 3, "type_i")}) == 2
+    assert m.pair() == {2, 3} and als.Mark(1, None, "absent").pair() == {1}
+    with pytest.raises(AttributeError):
+        m.node = 4

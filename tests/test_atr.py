@@ -373,3 +373,9 @@ class TestResilientRebuild:
             assert net.ledger.max_congestion() == blob_total
             totals.append(blob_total)
         assert totals[0] != totals[1]
+
+
+def test_default_outcomes_share_nothing():
+    a, b = atr.AtrOutcome(None), atr.AtrOutcome(None)
+    assert a.node_views == b.node_views == {} and a.unreached == b.unreached == set()
+    assert a.node_views is not b.node_views and a.unreached is not b.unreached

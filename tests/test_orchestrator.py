@@ -395,3 +395,13 @@ def observed_run(config: dict, skip_quiet: bool):
 def test_skipping_quiet_sessions_changes_nothing(config):
     # The oracle runs stage one in full in every session.
     assert observed_run(config, skip_quiet=True) == observed_run(config, skip_quiet=False)
+
+
+def test_default_run_results_share_nothing():
+    scenario = Scenario.from_dict(grid_config())
+    a, b = RunResult(scenario), RunResult(scenario=scenario)
+    assert (a.records, a.truths, a.blacklist) == ([], [], set())
+    assert (a.disconnected, a.faulty, a.setup_congestion) == (False, frozenset(), 0)
+    assert a.records is not b.records
+    assert a.truths is not b.truths
+    assert a.blacklist is not b.blacklist

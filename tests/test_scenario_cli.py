@@ -141,6 +141,13 @@ class TestGeneration:
         assert all(0 <= v <= 100 for v in one.values())
         assert sc.values_for(1, sensors) != one  # fresh draw per session
 
+    def test_scenarios_compare_by_config_alone(self):
+        a, b = Scenario.from_dict(base_config()), Scenario.from_dict(base_config())
+        assert a.graph is not b.graph
+        assert a == b
+        assert a == Scenario(base_config())  # never validated, so no graph
+        assert a != Scenario.from_dict(base_config(seed=100))
+
     def test_fixed_values_override_draws(self):
         sc = Scenario.from_dict(base_config(fixed_values={"3": 77}))
         assert sc.values_for(0, sc.graph.sensors)[3] == 77
@@ -429,6 +436,16 @@ class TestCli:
         code = cli.main(["sweep", "--template", cfg_path, "--sizes", "24,24"])
         assert code == cli.EXIT_PARSE_ERROR
         assert "duplicate network size" in capsys.readouterr().err
+
+    def test_sweep_rejects_zero_sessions(self, tmp_path, capsys):
+        # Each point reads its tree's shape off a session; with none there
+        # is nothing to read, which is the template's fault, not an audit's.
+        cfg_path = write_config(tmp_path, base_config(sessions=0))
+        code = cli.main(["sweep", "--template", cfg_path, "--sizes", "24,40"])
+        assert code == cli.EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "config error: sweep needs at least one session per point\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "topology",

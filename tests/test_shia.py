@@ -750,3 +750,20 @@ def test_tampered_path_sees_each_step_as_its_sender_held_it(monkeypatch):
         checked.add(node)
     assert checked == {1, 2, 3, 4, 5}  # 6 and 7 got junk
     assert sres.acked == {1: True, 2: True, 3: True, 4: False, 5: False, 6: False, 7: False}
+
+
+def test_results_compare_by_value():
+    def session(nonce):
+        net, tree = net_for_tree(BINARY)
+        adv = Adversary(frozenset(), [])
+        adv.begin_session(0)
+        return shia.run_shia(net, tree, {s: s for s in BINARY}, adv, nonce, (0, 100))
+
+    a, b = session(NONCE), session(NONCE)
+    assert a is not b and a == b
+    assert a != session(b"\x08" * 8)  # every ack differs
+    b.acked = {**b.acked, 7: False}
+    assert a != b
+    # An omitted `acks_up` is a fresh dict per result.
+    bare = [shia.ShiaResult(False, None, None, False, None, None, {}, {}) for _ in range(2)]
+    assert bare[0] == bare[1] and bare[0].acks_up is not bare[1].acks_up

@@ -1,7 +1,9 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, and a run loads only
+what it executes.
 
-A subprocess blocks numpy (the last third-party import the package had),
-then runs a scenario and a two-size sweep through the CLI.
+One subprocess blocks numpy (the last third-party import the package had),
+then runs a scenario and a two-size sweep through the CLI.  Another runs a
+scenario and checks which costly stdlib modules it loaded.
 """
 
 import json
@@ -35,3 +37,40 @@ def test_cli_runs_with_numpy_blocked(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, 0]
+
+
+# Each costs milliseconds to import and a run needs none: `dataclasses` pulls
+# in `inspect`, and `statistics` (which only a sweep's fit uses) pulls in
+# `fractions` and `decimal`.
+UNNEEDED = ("dataclasses", "inspect", "statistics", "fractions", "decimal")
+
+IMPORTS_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+sys.path.insert(0, {src!r})
+from robustagg import cli, orchestrator
+from robustagg.scenario import Scenario, load_config
+scenario = Scenario.from_dict(load_config({scenario!r}))
+report = cli.render_report(orchestrator.run_sessions(scenario))
+loaded = sorted(set({unneeded!r}) & (set(sys.modules) - before))
+sweep = cli.main(["sweep", "--template", {template!r}, "--sizes", "50,100", "--out", {table!r}])
+print(json.dumps([loaded, json.loads(report)["audits"]["all_pass"], sweep]))
+"""
+
+
+def test_run_loads_no_unneeded_modules(tmp_path):
+    script = IMPORTS_SCRIPT.format(
+        src=str(ROOT / "src"),
+        scenario=str(ROOT / "scenarios" / "grid_clean.json"),
+        unneeded=UNNEEDED,
+        template=str(ROOT / "scenarios" / "sweep_template.json"),
+        table=str(tmp_path / "sweep.json"),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, run_ok, sweep = json.loads(proc.stdout)
+    assert loaded == []
+    assert run_ok is True
+    assert sweep == 0  # the sweep still imports `statistics` and fits its line
