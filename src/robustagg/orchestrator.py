@@ -203,8 +203,9 @@ def run_sessions(scenario: Scenario) -> RunResult:
         tree = atr.build_initial_tree(graph)
 
     checked = None  # the last tree checked against the graph
-    # A quiet session's charges on `checked`, per (edge, phase): stage one then
-    # runs honestly, succeeds with the members' sum and charges by tree alone.
+    # A quiet session's charges on `checked`, per (edge, phase), computed when
+    # one first needs them: stage one then runs honestly, succeeds with the
+    # members' sum and charges by tree alone.
     record: dict[tuple[NodeId, NodeId, str], int] | None = None
     for i in range(scenario.sessions):
         if tree is None:
@@ -213,14 +214,16 @@ def run_sessions(scenario: Scenario) -> RunResult:
         if tree is not checked:
             graph.check_tree(tree)
             checked, record = tree, None
+            h, delta = tree.metrics()
         adv.begin_session(i)
         nonce = crypto.mac(nonce_key, b"session" + wire.u16(i))[: wire.NONCE_LEN]
         values = scenario.values_for(i, graph.sensors)
         net.ledger.reset()
 
         members = tree.members
-        quiet = adv.quiet(members, i)
-        if quiet and record is not None:
+        if adv.quiet(members, i):
+            if record is None:
+                record = shia.honest_charges(tree, graph.flood_edges)
             charge = net.ledger.charge
             for (a, b, phase), nbytes in record.items():
                 charge(a, b, nbytes, phase)
@@ -229,10 +232,6 @@ def run_sessions(scenario: Scenario) -> RunResult:
                 root_ok=True, agg_ack=None, expected_ack=None, node_acks={},
                 acked=dict.fromkeys(members, True),
             )
-        elif quiet and i + 1 < scenario.sessions and adv.quiet(members, i + 1):
-            # A quiet session keeps the tree, so the next one reads the record.
-            record = {}
-            sres = _recorded(net, record, tree, values, adv, nonce, scenario.value_range)
         else:
             sres = shia.run_shia(net, tree, values, adv, nonce, scenario.value_range)
         marks = als.MarkSet()
@@ -265,7 +264,6 @@ def run_sessions(scenario: Scenario) -> RunResult:
             else:
                 atr_outcome = atr.atr_basic(net, frozenset(blacklist), nonce, adv)
 
-        h, delta = tree.metrics()
         result.records.append(
             SessionRecord(
                 index=i,
@@ -297,22 +295,6 @@ def run_sessions(scenario: Scenario) -> RunResult:
 
     result.blacklist = blacklist
     return result
-
-
-def _recorded(net: Network, record: dict, *args) -> shia.ShiaResult:
-    """Run stage one, adding each of its charges to `record` per (edge, phase)."""
-    charge = net.ledger.charge
-
-    def recording(a: NodeId, b: NodeId, nbytes: int, phase: str) -> None:
-        key = (a, b, phase) if a < b else (b, a, phase)
-        record[key] = record.get(key, 0) + nbytes
-        charge(a, b, nbytes, phase)
-
-    net.ledger.charge = recording  # shadows the method for this session only
-    try:
-        return shia.run_shia(net, *args)
-    finally:
-        del net.ledger.charge
 
 
 def success_cost_ok(max_congestion: int, height: int, degree: int) -> bool:

@@ -405,8 +405,18 @@ class Scenario:
     def values_for(self, session: int, sensors: set[int]) -> dict[int, int]:
         lo, hi = self.value_range
         fixed = {int(k): v for k, v in self.config.get("fixed_values", {}).items()}
-        rng = random.Random(f"values:{self.seed}:{session}")
-        return {s: fixed.get(s, rng.randint(lo, hi)) for s in sorted(sensors)}
+        getrandbits = random.Random(f"values:{self.seed}:{session}").getrandbits
+        # `rng.randint(lo, hi)` per sensor, fixed ones too, by the rejection
+        # loop CPython's `randint` runs, without its per-call checks.
+        width = hi - lo + 1
+        k = width.bit_length()
+        out = {}
+        for s in sorted(sensors):
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            out[s] = fixed.get(s, lo + r)
+        return out
 
     def hash(self) -> str:
         return config_hash(self.config)

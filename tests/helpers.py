@@ -119,6 +119,25 @@ def run_session(net, tree, values, scripts, faulty, nonce=b"\x07" * 8, vrange=(0
     return sres, marks, als2_ran, adv
 
 
+def recorded_charges(net: Network, *args) -> tuple[shia.ShiaResult, dict]:
+    """Run `shia.run_shia(net, *args)`, adding each of its charges to a record
+    per (low id, high id, phase), keys in first-charge order: the oracle for
+    `shia.honest_charges`.  Returns the session's result and the record."""
+    record: dict[tuple[NodeId, NodeId, str], int] = {}
+    charge = net.ledger.charge
+
+    def recording(a: NodeId, b: NodeId, nbytes: int, phase: str) -> None:
+        key = (a, b, phase) if a < b else (b, a, phase)
+        record[key] = record.get(key, 0) + nbytes
+        charge(a, b, nbytes, phase)
+
+    net.ledger.charge = recording  # shadows the method for this run only
+    try:
+        return shia.run_shia(net, *args), record
+    finally:
+        del net.ledger.charge
+
+
 def entry(node: int, kind: str, **params) -> ScriptEntry:
     return ScriptEntry(node=node, kind=kind, params=params)
 

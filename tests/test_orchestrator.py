@@ -267,11 +267,12 @@ def count_calls(monkeypatch, module, name) -> list:
 
 
 class TestQuietSessions:
-    # A quiet session (no faulty tree member has an active SHIA script) on
-    # a tree that already ran one is charged from that session's record.
+    # A quiet session (no faulty tree member has an active SHIA script) runs
+    # no stage one: it is charged from the record `shia.honest_charges`
+    # computes from its tree.
 
     @pytest.mark.parametrize("kind", SHIA_KINDS)
-    def test_session_with_an_active_shia_script_is_never_skipped(self, monkeypatch, kind):
+    def test_stage_one_runs_in_exactly_the_scripted_session(self, monkeypatch, kind):
         calls = count_calls(monkeypatch, shia, "run_shia")
         params = {
             "own_value_forge": {"value": 55},
@@ -283,19 +284,19 @@ class TestQuietSessions:
             "scripts": [{"node": 7, "kind": kind, "params": params, "sessions": [2]}],
         }
         result = run(grid_config(sessions=4, adversary=adversary))
-        # Session 0 records for session 1, which is skipped; session 2 runs.
         ran = [nonce.hex() for _, _, _, _, nonce, _ in calls]
-        assert ran[:2] == [result.records[0].nonce, result.records[2].nonce]
+        assert ran == [result.records[2].nonce]
 
-    def test_honest_grid_macs_each_ack_once_over_three_sessions(self, monkeypatch):
-        calls = count_calls(monkeypatch, crypto, "node_ack")
+    def test_honest_grid_runs_no_stage_one_over_three_sessions(self, monkeypatch):
+        acks = count_calls(monkeypatch, crypto, "node_ack")
+        runs = count_calls(monkeypatch, shia, "run_shia")
         config = {"seed": 3, "sessions": 3, "topology": {"kind": "grid", "rows": 30, "cols": 30}}
         result = run(config)
         assert [r.verdict for r in result.records] == ["success"] * 3
-        assert len(calls) == len(result.truths[0].tree.members)
+        assert (acks, runs) == ([], [])
 
-    def test_runs_on_one_scenario_make_the_same_stage_one_calls(self, monkeypatch):
-        calls = count_calls(monkeypatch, shia, "run_shia")
+    def test_runs_on_one_scenario_each_compute_the_record_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, shia, "honest_charges")
         scenario = Scenario.from_dict(grid_config(sessions=5))
         per_run = []
         for _ in range(2):

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,29 @@ class TestGeneration:
     def test_fixed_values_override_draws(self):
         sc = Scenario.from_dict(base_config(fixed_values={"3": 77}))
         assert sc.values_for(0, sc.graph.sensors)[3] == 77
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(10**9), 10**9),
+        st.integers(0, 2**16 - 1),
+        st.one_of(
+            st.sampled_from([(0, 0), (0, 1), (-5, 5), (3, 2**40), (-(2**62), 2**62)]),
+            st.tuples(st.integers(-(2**63), 2**62), st.integers(0, 2**62)).map(
+                lambda p: (p[0], p[0] + p[1])
+            ),
+        ),
+        st.sets(st.integers(1, 40), max_size=40),
+        st.sets(st.integers(1, 40), max_size=5),
+    )
+    def test_values_are_the_draws_of_randint(self, seed, session, vrange, sensors, fixed):
+        # One `randint(lo, hi)` per sensor in id order, a fixed sensor's too.
+        lo, hi = vrange
+        fixed_values = {str(s): lo for s in fixed}
+        sc = Scenario({"seed": seed, "value_range": [lo, hi], "fixed_values": fixed_values})
+        rng = random.Random(f"values:{seed}:{session}")
+        drawn = {s: rng.randint(lo, hi) for s in sorted(sensors)}
+        expected = {s: lo if s in fixed else v for s, v in drawn.items()}
+        assert sc.values_for(session, sensors) == expected
 
     def test_geometric_topology_deterministic_per_seed(self):
         g1 = build_graph({"kind": "geometric", "n": 30, "d_max": 6}, 5)

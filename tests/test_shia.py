@@ -4,11 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robustagg import crypto, orchestrator, shia, wire
+from robustagg import atr, crypto, shia, wire
 from robustagg.adversary import Adversary, garble
 from robustagg.crypto import BS_ID
 from robustagg.errors import FrameError, ProtocolViolation
-from robustagg.netmodel import AggregationTree
+from robustagg.netmodel import AggregationTree, Network, NetworkGraph
 from robustagg.scenario import Scenario
 
 from helpers import (
@@ -25,6 +25,7 @@ from helpers import (
     oracle_offpath_to_bytes,
     oracle_recompute_root,
     oracle_root,
+    recorded_charges,
     run_session,
 )
 
@@ -524,8 +525,8 @@ def test_fast_check_phase_matches_parsing_every_blob(case):
 
 
 def honest_grid_session(monkeypatch, module, name):
-    """One honest session on a 30x30 grid (a 59-level tree), counting the
-    calls to `module.name`: (the session's tree, the call count)."""
+    """One honest stage-one session on a 30x30 grid's tree (59 levels),
+    counting the calls to `module.name`: (the tree, the call count)."""
     calls = []
     real = getattr(module, name)
 
@@ -533,12 +534,22 @@ def honest_grid_session(monkeypatch, module, name):
         calls.append(1)
         return real(*args)
 
+    scenario = Scenario.from_dict(
+        {"seed": 3, "sessions": 1, "topology": {"kind": "grid", "rows": 30, "cols": 30}}
+    )
+    graph = scenario.graph
+    keys = crypto.KeyStore(b"3")
+    for s in sorted(graph.sensors):
+        keys.register_node(s)
+    net, tree = Network(graph, keys), atr.build_initial_tree(graph)
+    adv = Adversary(faulty=())
+    adv.begin_session(0)
+    values = scenario.values_for(0, graph.sensors)
     monkeypatch.setattr(module, name, counting)
-    config = {"seed": 3, "sessions": 1, "topology": {"kind": "grid", "rows": 30, "cols": 30}}
-    result = orchestrator.run_sessions(Scenario.from_dict(config))
-    assert [r.verdict for r in result.records] == ["success"]
-    assert result.records[0].tree_height == 59
-    return result.truths[0].tree, len(calls)
+    sres = shia.run_shia(net, tree, values, adv, NONCE, scenario.value_range)
+    assert sres.accepted and sres.value == sum(values.values())
+    assert tree.height() == 59
+    return tree, len(calls)
 
 
 def test_honest_grid_session_hashes_linearly(monkeypatch):
@@ -767,3 +778,73 @@ def test_results_compare_by_value():
     # An omitted `acks_up` is a fresh dict per result.
     bare = [shia.ShiaResult(False, None, None, False, None, None, {}, {}) for _ in range(2)]
     assert bare[0] == bare[1] and bare[0].acks_up is not bare[1].acks_up
+
+
+def honest_record(net: Network, tree: AggregationTree, seed: int = 0) -> dict:
+    """What an honest `run_shia` over `tree` charges, per (edge, phase), in
+    first-charge order; the session must succeed."""
+    rng = random.Random(seed)
+    values = {s: rng.randint(0, 100) for s in tree.members}
+    adv = Adversary(faulty=())
+    adv.begin_session(0)
+    sres, record = recorded_charges(net, tree, values, adv, NONCE, (0, 100))
+    assert sres.accepted and sres.value == sum(values.values())
+    return record
+
+
+@st.composite
+def built_trees(draw) -> tuple[Network, AggregationTree]:
+    """A connected graph drawn as `fuzzed_configs` draws one (sensors 1..n,
+    n 1-12, 1-3 BS links), and a tree on it: the initial BFS tree, or a
+    basic or resilient rebuild after a random blacklist."""
+    n = draw(st.integers(1, 12))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    edges |= {(BS_ID, v) for v in draw(st.sets(st.integers(1, n), min_size=1, max_size=3))}
+    graph = NetworkGraph(set(range(1, n + 1)), edges, d_max=n + 1)
+    keys = crypto.KeyStore(b"trees")
+    for s in range(1, n + 1):
+        keys.register_node(s)
+    net = Network(graph, keys)
+    blacklist = frozenset(draw(st.sets(st.integers(1, n), max_size=n - 1)))
+    build = draw(st.sampled_from(["initial", "basic", "resilient"]))
+    if build == "initial":
+        tree = atr.build_initial_tree(graph)
+    elif build == "basic":
+        tree = atr.atr_basic(net, blacklist, NONCE, Adversary(faulty=())).tree
+    else:
+        adj = atr.atr_resilient_init(net, Adversary(faulty=()))
+        tree = atr.atr_resilient_build(net, adj, blacklist, NONCE).tree
+    assume(tree is not None)
+    net.ledger.reset()
+    return net, tree
+
+
+class TestHonestCharges:
+    # `honest_charges` is the record an honest session charges, computed
+    # from the tree's shape; the oracle runs the session and records it.
+
+    @settings(max_examples=300, deadline=None)
+    @given(built_trees(), st.integers(0, 10**6))
+    def test_matches_a_recorded_honest_session(self, case, seed):
+        net, tree = case
+        got = shia.honest_charges(tree, net.graph.flood_edges)
+        assert list(got.items()) == list(honest_record(net, tree, seed).items())
+
+    @pytest.mark.parametrize(
+        "parent",
+        [
+            {1: BS_ID},
+            {v: v - 1 for v in range(1, 9)},
+            {1: BS_ID, **{v: 1 for v in range(2, 9)}},
+            BINARY,
+        ],
+        ids=["one_member", "chain", "star", "binary"],
+    )
+    def test_matches_on_fixed_shapes(self, parent):
+        # The graph is the tree, so each broadcast rides the tree's edges and
+        # the check phase's flood and blob charges share their keys.
+        net, tree = net_for_tree(parent)
+        got = shia.honest_charges(tree, net.graph.flood_edges)
+        assert list(got.items()) == list(honest_record(net, tree).items())
