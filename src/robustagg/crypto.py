@@ -53,33 +53,44 @@ def xor_acks(acks: list[bytes]) -> bytes:
 
 
 class KeyStore:
-    """Per-node BS keys and per-edge link keys, derived from a master seed."""
+    """Per-node BS keys and per-edge link keys, derived from a master seed.
+
+    Registering a node or edge only records that it exists; its key is
+    derived the first time it is read and cached after that, so a run that
+    reads no key derives none.
+    """
 
     def __init__(self, master_seed: bytes):
         self._master = mac_long(b"\x00" * KEY_LEN, b"master" + master_seed)
-        self._bs_keys: dict[NodeId, bytes] = {}
-        self._link_keys: dict[tuple[NodeId, NodeId], bytes] = {}
+        # Each registered id maps to its key, or to None until first read.
+        self._bs_keys: dict[NodeId, bytes | None] = {}
+        self._link_keys: dict[tuple[NodeId, NodeId], bytes | None] = {}
 
     def register_node(self, node: NodeId) -> None:
         if node == BS_ID:
             raise ConfigError("the BS id cannot be registered as a sensor")
-        self._bs_keys[node] = mac_long(self._master, b"bs" + wire.u16(node))
+        self._bs_keys.setdefault(node, None)
 
     def register_edge(self, a: NodeId, b: NodeId) -> None:
-        lo, hi = min(a, b), max(a, b)
-        self._link_keys[(lo, hi)] = mac_long(
-            self._master, b"link" + wire.u16(lo) + wire.u16(hi)
-        )
+        self._link_keys.setdefault((min(a, b), max(a, b)), None)
 
     def bs_key(self, node: NodeId) -> bytes:
         try:
-            return self._bs_keys[node]
+            key = self._bs_keys[node]
         except KeyError:
             raise ConfigError(f"no BS key for node {node}") from None
+        if key is None:
+            key = self._bs_keys[node] = mac_long(self._master, b"bs" + wire.u16(node))
+        return key
 
     def link_key(self, a: NodeId, b: NodeId) -> bytes:
         lo, hi = min(a, b), max(a, b)
         try:
-            return self._link_keys[(lo, hi)]
+            key = self._link_keys[(lo, hi)]
         except KeyError:
             raise ConfigError(f"no link key for edge ({a}, {b})") from None
+        if key is None:
+            key = self._link_keys[(lo, hi)] = mac_long(
+                self._master, b"link" + wire.u16(lo) + wire.u16(hi)
+            )
+        return key

@@ -10,10 +10,9 @@ congestion envelopes.
 from __future__ import annotations
 
 from . import als, atr, crypto, shia, wire
-from .adversary import Adversary
-from .crypto import BS_ID, KeyStore, NodeId
+from .crypto import KeyStore, NodeId
 from .errors import ProtocolViolation, UnlocalizableFailure
-from .netmodel import AggregationTree, CongestionLedger, Network
+from .netmodel import AggregationTree, Network
 from .scenario import Scenario
 
 # Cost-model constants, calibrated once on desk scenarios and frozen.

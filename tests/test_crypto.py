@@ -73,3 +73,49 @@ class TestKeyStore:
         with pytest.raises(ConfigError):
             ks.register_node(crypto.BS_ID)
 
+    def test_unregistered_ids_raise_next_to_registered_ones(self):
+        ks = crypto.KeyStore(b"seed")
+        ks.register_node(1)
+        ks.register_edge(1, 2)
+        ks.bs_key(1)
+        ks.link_key(2, 1)
+        with pytest.raises(ConfigError):
+            ks.bs_key(2)
+        with pytest.raises(ConfigError):
+            ks.link_key(1, 3)
+        with pytest.raises(ConfigError):
+            ks.register_node(crypto.BS_ID)
+        with pytest.raises(ConfigError):
+            ks.bs_key(crypto.BS_ID)
+
+    @given(
+        st.binary(max_size=8),
+        st.lists(st.integers(1, 0xFFFF), min_size=1, max_size=6, unique=True),
+        st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)), max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    def test_keys_read_lazily_equal_the_eager_derivation(self, seed, nodes, edges, rnd):
+        master = crypto.mac_long(b"\x00" * crypto.KEY_LEN, b"master" + seed)
+
+        def eager_bs(v):
+            return crypto.mac_long(master, b"bs" + wire.u16(v))
+
+        def eager_link(a, b):
+            lo, hi = min(a, b), max(a, b)
+            return crypto.mac_long(master, b"link" + wire.u16(lo) + wire.u16(hi))
+
+        ks = crypto.KeyStore(seed)
+        for v in nodes:
+            ks.register_node(v)
+        for a, b in edges:
+            ks.register_edge(a, b)
+        # Every key twice, in either orientation, in a drawn order.
+        reads = [("bs", (v,)) for v in nodes] + [("link", e) for e in edges]
+        reads += [("link", (b, a)) for a, b in edges] + reads
+        rnd.shuffle(reads)
+        for kind, ids in reads:
+            if kind == "bs":
+                assert ks.bs_key(*ids) == eager_bs(*ids)
+            else:
+                assert ks.link_key(*ids) == eager_link(*ids)
+

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from robustagg.orchestrator import (
     success_cost_ok,
 )
 from robustagg.scenario import Scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def grid_config(**overrides) -> dict:
@@ -304,6 +308,28 @@ class TestQuietSessions:
             run_sessions(scenario)
             per_run.append(len(calls) - before)
         assert per_run == [1, 1]
+
+    def test_all_quiet_grid_derives_no_key(self, monkeypatch):
+        # Keys are derived on first read; a quiet session reads none, so the
+        # run derives only the master key and the nonce key.
+        derived = count_calls(monkeypatch, crypto, "mac_long")
+        config = {"seed": 3, "sessions": 3, "topology": {"kind": "grid", "rows": 30, "cols": 30}}
+        result = run(config)
+        assert [r.verdict for r in result.records] == ["success"] * 3
+        assert [msg for _, msg in derived] == [b"master3", b"nonce3"]
+
+    def test_faulty_grid_derives_only_the_bs_keys_stage_one_reads(self, monkeypatch):
+        runs = count_calls(monkeypatch, shia, "run_shia")
+        derivations = count_calls(monkeypatch, crypto, "mac_long")
+        result = run_sessions(Scenario.from_file(str(SCENARIOS / "grid30_faulty.json")))
+        trees = [tree for _, tree, *_ in runs]
+        derived = [msg for _, msg in derivations]
+        assert result.failures > 0 and trees
+        bs_nodes = [int.from_bytes(m[2:], "big") for m in derived if m.startswith(b"bs")]
+        # Each key once, for exactly the members whose ack stage one MACs.
+        assert len(bs_nodes) == len(set(bs_nodes))
+        assert set(bs_nodes) == set().union(*(t.members for t in trees))
+        assert not [m for m in derived if m.startswith(b"link")]
 
 
 @st.composite
