@@ -118,4 +118,3 @@ class TestKeyStore:
                 assert ks.bs_key(*ids) == eager_bs(*ids)
             else:
                 assert ks.link_key(*ids) == eager_link(*ids)
-
