@@ -45,11 +45,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = Scenario.from_dict(_apply_overrides(load_config(args.config), args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    scenario = Scenario.from_dict(_apply_overrides(load_config(args.config), args))
     result = orchestrator.run_sessions(scenario)
     _emit(render_report(result), args.out)
     if result.disconnected:

@@ -324,14 +324,16 @@ class Scenario:
             raise ConfigError("faulty node count must be below network size")
         if self.atr_variant not in ("basic", "resilient"):
             raise ConfigError(f"unknown ATR variant {self.atr_variant!r}")
+        if not isinstance(self.accept_on_als2, bool):
+            raise ConfigError("accept_on_als2 must be a boolean")
         fixed = c.get("fixed_values", {})
         if not isinstance(fixed, dict):
             raise ConfigError("fixed_values must be an object")
+        # Each key is a sensor's plain decimal, so no two keys name one node.
+        ids = {str(s) for s in graph.sensors} if fixed else ()
         for node, v in fixed.items():
-            try:
-                int(node)  # how values_for reads the key
-            except (TypeError, ValueError):
-                raise ConfigError(f"fixed_values key {node!r} is not a node id") from None
+            if node not in ids:
+                raise ConfigError(f"fixed_values key {node!r} is not a node id")
             if not _is_int(v):
                 raise ConfigError(f"fixed value for node {node} must be an integer")
             if not lo <= v <= hi:
@@ -382,7 +384,7 @@ class Scenario:
 
     @property
     def accept_on_als2(self) -> bool:
-        return bool(self.config.get("accept_on_als2", False))
+        return self.config.get("accept_on_als2", False)
 
     def build_adversary(self) -> Adversary:
         adv = self.config.get("adversary", {})

@@ -128,50 +128,39 @@ _STEP_OVERHEAD = wire.LEN_PREFIX + wire.framed_size(len(wire.u16(0)))
 class Offpath:
     """An off-path blob as a chain of steps; a session keeps one per blob.
 
-    A non-empty blob is its first step (`slot`, `others`) framed ahead of
-    the blob `above`; the empty blob, which the BS child gets, has no step
-    and `above` None.  `len()` is the blob's byte length, which is all the
-    link charge reads.  The bytes (`raw`, `bytes()`) are kept when the blob
-    was parsed and otherwise built by `offpath_to_bytes` on first use, so an
-    honest check phase builds none.  A step that arrived unaltered keeps its
-    sender's whole input list (`inputs`), the label the sender held at
-    `slot` (`held`) and the label the sender folded from them (`folded`), so
-    folding `held` in needs no hash; its `others` tuple is made only when
-    the bytes or a hashed fold read it.
+    A non-empty blob is its first step framed ahead of the blob `above`:
+    `slot`, where the recomputing node's label goes, and `others`, the
+    sender's other inputs.  The empty blob, which the BS child gets, has no
+    step and `above` None.  `len()` is the blob's byte length, which is all
+    the link charge reads.  The bytes (`raw`, `bytes()`) are kept when the
+    blob was parsed and otherwise built by `offpath_to_bytes` on first use,
+    so an honest check phase builds none.  A step that arrived unaltered
+    keeps the label its sender held at `slot` (`held`) and the label the
+    sender folded (`folded`), so folding `held` in needs no hash.
     """
 
-    __slots__ = ("size", "slot", "above", "inputs", "held", "folded", "_others", "_raw")
+    __slots__ = ("size", "slot", "above", "others", "held", "folded", "_raw")
 
     def __init__(
         self,
         size: int,
         slot: int = 0,
         above: "Offpath | None" = None,
-        inputs: list[Label] | None = None,
+        others: tuple[Label, ...] = (),
         held: Label | None = None,
         folded: Label | None = None,
-        others: tuple[Label, ...] | None = None,
         raw: bytes | None = None,
     ):
         self.size = size
         self.slot = slot
         self.above = above
-        self.inputs = inputs
+        self.others = others
         self.held = held
         self.folded = folded
-        self._others = others
         self._raw = raw
 
     def __len__(self) -> int:
         return self.size
-
-    @property
-    def others(self) -> tuple[Label, ...]:
-        """The step's inputs other than the one at `slot`."""
-        if self._others is None:
-            inputs, slot = self.inputs or (), self.slot
-            self._others = (*inputs[:slot], *inputs[slot + 1 :])
-        return self._others
 
     @property
     def raw(self) -> bytes:
@@ -199,18 +188,11 @@ def offpath_to_bytes(slot: int, others: list[bytes], above: bytes) -> bytes:
     return wire.frame(wire.frame(wire.u16(slot), *others)) + above
 
 
-def offpath_from_bytes(data: bytes, parsed: dict[bytes, Offpath]) -> Offpath:
-    """Parse an off-path blob, reusing this session's parses of its suffixes.
-
-    `parsed` maps every blob accepted this session to its one `Offpath`, so
-    a blob whose suffix is there parses a single step.  Raises FrameError
-    on junk.
-    """
-    if b"" not in parsed:
-        parsed[b""] = Offpath(0, raw=b"")
+def offpath_from_bytes(data: bytes) -> Offpath:
+    """Parse an off-path blob, every step of it.  Raises FrameError on junk."""
     walked: list[tuple[bytes, int, tuple[Label, ...]]] = []
     rest = data
-    while rest not in parsed:
+    while rest:
         step, tail = wire.split_field(rest)
         fields = wire.unframe(step)
         if not fields:
@@ -218,9 +200,9 @@ def offpath_from_bytes(data: bytes, parsed: dict[bytes, Offpath]) -> Offpath:
         slot = wire.read_u16(fields[0])
         walked.append((rest, slot, tuple(Label.from_bytes(f) for f in fields[1:])))
         rest = tail
-    path = parsed[rest]
+    path = Offpath(0, raw=b"")
     for raw, slot, others in reversed(walked):
-        path = parsed[raw] = Offpath(len(raw), slot, path, others=others, raw=raw)
+        path = Offpath(len(raw), slot, path, others, raw=raw)
     return path
 
 
@@ -231,9 +213,9 @@ def recompute_root(
 
     `roots` memoizes this session's (label, path) pairs; the walk stops at
     the first pair already resolved.  The pairs key by path identity: a
-    session builds one path per unaltered blob and parses altered ones
-    through one `parsed` memo.  A step whose sender's fold is known reuses
-    it when `cur` is the label the sender held.
+    session builds one path per unaltered blob and parses each altered one
+    on its own.  A step whose sender's fold is known reuses it when `cur`
+    is the label the sender held.
     """
     walked: list[tuple[Label, Offpath]] = []
     cur = own
@@ -406,8 +388,7 @@ def run_shia(
     # --- result checking: off-path dissemination ---
     net.phase = "check"
     net.bs_broadcast(wire.frame(nonce, root_label.raw))
-    parsed: dict[bytes, Offpath] = {}
-    offpath: dict[NodeId, Offpath] = {b: offpath_from_bytes(b"", parsed)}  # nodes that got one
+    offpath: dict[NodeId, Offpath] = {b: Offpath(0, raw=b"")}  # nodes that got one
     for node in chain.from_iterable(reversed(tree.epochs)):
         above = offpath.get(node)
         step = steps.get(node)
@@ -419,7 +400,8 @@ def run_shia(
         corrupt = adv.action(node, "offpath_corrupt") if node in faulty else None
         for idx, child in enumerate(kids):
             held = labels[idx]
-            built = Offpath(size - wire.LEN_PREFIX - len(held.raw), idx, above, labels, held, fold)
+            others = (*labels[:idx], *labels[idx + 1 :])
+            built = Offpath(size - wire.LEN_PREFIX - len(held.raw), idx, above, others, held, fold)
             msg = built
             if corrupt is not None:
                 msg = garble(built.raw)
@@ -431,7 +413,7 @@ def run_shia(
                 offpath[child] = built
                 continue
             try:
-                offpath[child] = offpath_from_bytes(delivered, parsed)
+                offpath[child] = offpath_from_bytes(delivered)
             except FrameError:
                 pass  # junk: the child has no path to check
 

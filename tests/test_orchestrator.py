@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from robustagg import cli, crypto, orchestrator, shia
 from robustagg.adversary import CATALOG, Adversary
 from robustagg.crypto import BS_ID
 from robustagg.errors import RobustAggError
-from robustagg.netmodel import CongestionLedger, NetworkGraph
+from robustagg.netmodel import AggregationTree, CongestionLedger, NetworkGraph
 from robustagg.orchestrator import (
     RunResult,
     SessionGroundTruth,
@@ -179,8 +180,6 @@ class TestFaultyRuns:
 
 class TestSecurityAudit:
     def make(self, value, values, faulty, vrange=(0, 100)):
-        from robustagg.netmodel import AggregationTree
-
         tree = AggregationTree({1: 0, 2: 1, 3: 1})
         rec = SessionRecord(
             index=0, nonce="", verdict="success", value=value, marks=[],
@@ -209,6 +208,88 @@ class TestSecurityAudit:
         assert not security_audit(rec, gt, frozenset({1, 2}))  # slack over bound
         rec, gt = self.make(30 - 1, values, None)
         assert not security_audit(rec, gt, frozenset({1, 2}))  # below bound
+
+
+# Node 1 neighbours the BS and three children: Δ = 4.
+AUDIT_TREE = {1: BS_ID, 2: 1, 3: 1, 4: 1, 5: 2}
+
+
+def audited_result(verdicts, faulty, blacklist=()):
+    """A hand-built run: one failing or succeeding session per verdict, each
+    on AUDIT_TREE, and success values that the security audit accepts."""
+    tree = AggregationTree(AUDIT_TREE)
+    height, degree = tree.metrics()
+    values = {s: 10 for s in tree.members}
+    records, truths = [], []
+    for i, verdict in enumerate(verdicts):
+        records.append(
+            SessionRecord(
+                index=i, nonce="", verdict=verdict,
+                value=sum(values.values()) if verdict == "success" else None, marks=[],
+                blacklist_after=sorted(blacklist), max_congestion=0, phase_congestion={},
+                tree_height=height, tree_degree=degree, tree_size=len(tree.members),
+                als2_ran=False,
+            )
+        )
+        truths.append(
+            SessionGroundTruth(
+                tree=tree, values=values, misbehaved=set(), shia_result=None, atr_outcome=None,
+            )
+        )
+    return RunResult(
+        scenario=Scenario.from_dict(grid_config(sessions=len(verdicts))),
+        records=records,
+        truths=truths,
+        blacklist=set(blacklist),
+        faulty=frozenset(faulty),
+    )
+
+
+# Each run audit exactly at its bound, then one step past it.
+AUDIT_BOUNDS = [
+    # n_a = 2 faulty nodes: 2 failures pass, 3 do not.
+    pytest.param(
+        "failure_bound", dict(verdicts=["failure"] * 2, faulty={1, 2}), True, id="failures_at_n_a"
+    ),
+    pytest.param(
+        "failure_bound", dict(verdicts=["failure"] * 3, faulty={1, 2}), False, id="failures_past_n_a"
+    ),
+    # Δ = 4 and n_a = 1: (Δ-1)·n_a = 3 correct nodes may be excluded.
+    pytest.param(
+        "exclusion_bound", dict(verdicts=["success"], faulty={1}, blacklist={1, 2, 3, 4}), True,
+        id="exclusion_at_bound",
+    ),
+    pytest.param(
+        "exclusion_bound", dict(verdicts=["success"], faulty={1}, blacklist={1, 2, 3, 4, 5}), False,
+        id="exclusion_past_bound",
+    ),
+    # A session fails only while a faulty node is in the tree.
+    pytest.param(
+        "stability", dict(verdicts=["failure"], faulty={5}), True, id="failure_with_faulty_member"
+    ),
+    pytest.param(
+        "stability", dict(verdicts=["failure"], faulty={6}), False, id="failure_without_faulty_member"
+    ),
+]
+
+
+class TestRunAudits:
+    @pytest.mark.parametrize("audit, args, passes", AUDIT_BOUNDS)
+    def test_audit_holds_at_its_bound_and_fails_past_it(self, audit, args, passes):
+        audits = audited_result(**args).audits()
+        # Every other audit passes, so the one probed decides the verdict.
+        assert audits == {**dict.fromkeys(audits, True), audit: passes, "all_pass": passes}
+
+    @pytest.mark.parametrize("audit, args, passes", AUDIT_BOUNDS)
+    def test_run_exits_1_exactly_when_an_audit_fails(
+        self, tmp_path, monkeypatch, audit, args, passes
+    ):
+        result = audited_result(**args)
+        monkeypatch.setattr(orchestrator, "run_sessions", lambda scenario: result)
+        out = tmp_path / "report.json"
+        code = cli.main(["run", "--config", str(SCENARIOS / "grid_clean.json"), "--out", str(out)])
+        assert code == (cli.EXIT_OK if passes else cli.EXIT_AUDIT_FAIL)
+        assert json.loads(out.read_text())["audits"][audit] is passes
 
 
 class TestCostModel:

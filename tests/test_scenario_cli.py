@@ -578,6 +578,10 @@ class TestCli:
                 "sensors plus label_forge counts exceed the u16 label count limit",
             ),
             ({"fixed_values": {"x": 5}}, "fixed_values key 'x' is not a node id"),
+            ({"fixed_values": {"1_0": 5}}, "fixed_values key '1_0' is not a node id"),
+            ({"fixed_values": {"999": 5}}, "fixed_values key '999' is not a node id"),
+            ({"fixed_values": {"1": 5, "01": 6}}, "fixed_values key '01' is not a node id"),
+            ({"accept_on_als2": "false"}, "accept_on_als2 must be a boolean"),
             ({"adversary": [2]}, "adversary must be an object"),
             ({"adversary": {"faulty": 2}}, "adversary faulty must be a list of integer node ids"),
             ({"adversary": {"faulty": [2], "scripts": {"node": 2}}}, "adversary scripts must be a list"),
@@ -593,7 +597,9 @@ class TestCli:
         ids=[
             "script_without_node", "list_params", "string_fixed_value", "short_value_range",
             "value_range_beyond_i64", "forged_count_beyond_u16", "forged_value_beyond_i64",
-            "forged_counts_summing_beyond_u16", "fixed_value_key", "adversary_list", "faulty_int",
+            "forged_counts_summing_beyond_u16", "fixed_value_key", "fixed_value_key_underscore",
+            "fixed_value_key_unknown", "fixed_value_key_leading_zero", "accept_on_als2_string",
+            "adversary_list", "faulty_int",
             "scripts_object", "own_value_string", "value_add_string",
         ],
     )

@@ -91,7 +91,7 @@ class TestLabels:
             with pytest.raises(FrameError):
                 shia.Label.from_bytes(bad)
             with pytest.raises(FrameError):
-                shia.offpath_from_bytes(wire.frame(wire.frame(wire.u16(0), bad)), {})
+                shia.offpath_from_bytes(wire.frame(wire.frame(wire.u16(0), bad)))
 
     def test_recompute_root_walks_sibling_steps(self):
         a, b, c = shia.leaf_label(1, 1), shia.leaf_label(2, 2), shia.leaf_label(3, 3)
@@ -104,11 +104,9 @@ class TestLabels:
         blob = shia.offpath_to_bytes(0, [b.to_bytes()], top)
         assert blob == oracle_offpath_to_bytes(steps)
         assert oracle_offpath_from_bytes(blob) == steps
-        parsed: dict = {}
-        path = shia.offpath_from_bytes(blob, parsed)
+        path = shia.offpath_from_bytes(blob)
         assert (path.raw, path.slot, path.others) == (blob, 0, (b,))
-        assert path.above is parsed[top] and path.above.above is parsed[b""]
-        assert shia.offpath_from_bytes(bytes(bytearray(blob)), parsed) is path  # one per blob
+        assert path.above.raw == top and path.above.above.raw == b""
         roots: dict = {}
         assert shia.recompute_root(a, path, NONCE, roots) == root
         assert roots[(mid, path.above)] == root  # the walk memoizes every level
@@ -425,7 +423,6 @@ def offpath_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(offpath_cases())
 def test_memoized_offpath_matches_oracle(cases):
-    parsed: dict = {}
     roots: dict = {}
     for blob, own in cases:
         try:
@@ -433,7 +430,7 @@ def test_memoized_offpath_matches_oracle(cases):
         except FrameError:
             ref = None
         try:
-            path = shia.offpath_from_bytes(blob, parsed)
+            path = shia.offpath_from_bytes(blob)
         except FrameError:
             path = None
         assert (path is None) == (ref is None)
@@ -484,7 +481,7 @@ def shia_sessions(draw):
 def _check_steps(path, nonce):
     """Every step handed to recompute_root is the parse of its own bytes,
     and a step that carries its sender's fold folds the held label into it."""
-    ref = shia.offpath_from_bytes(path.raw, {})
+    ref = shia.offpath_from_bytes(path.raw)
     while path.above is not None:
         assert (path.raw, path.slot, path.others) == (ref.raw, ref.slot, ref.others)
         assert len(path) == len(path.raw) and len(ref) == len(ref.raw)
@@ -654,15 +651,10 @@ def test_honest_grid_session_consults_no_adversary_hook(monkeypatch):
     assert calls == 0
 
 
-def test_honest_grid_session_reads_no_others(monkeypatch):
-    # An unaltered step keeps its sender's inputs; the tuple of the others
-    # is made only when its bytes or a hashed fold read it, and an honest
-    # session does neither.
-    reads = []
-    real = shia.Offpath.others
-    monkeypatch.setattr(shia.Offpath, "others", property(lambda p: reads.append(1) or real.fget(p)))
+def test_honest_grid_session_recomputes_each_root_once(monkeypatch):
+    # Every member that got a path checks it exactly once.
     tree, calls = honest_grid_session(monkeypatch, shia, "recompute_root")
-    assert calls == len(tree.members) and not reads
+    assert calls == len(tree.members)
 
 
 class RecordingAdversary(Adversary):
