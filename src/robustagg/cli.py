@@ -37,11 +37,14 @@ def _apply_overrides(scenario_dict: dict, args: argparse.Namespace) -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out} ({exc.strerror or exc})") from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -1,4 +1,4 @@
-"""Stage one: hash-committed in-network sum aggregation with ack checking.
+"""Stage one: in-network sum aggregation under hash commitments, with acks.
 
 Four phases per session: query broadcast, aggregate-commit (labels flow up
 the tree), result checking (off-path labels flow down, nodes verify their
@@ -135,11 +135,11 @@ class Offpath:
     the link charge reads.  The bytes (`raw`, `bytes()`) are kept when the
     blob was parsed and otherwise built by `offpath_to_bytes` on first use,
     so an honest check phase builds none.  A step that arrived unaltered
-    keeps the label its sender held at `slot` (`held`) and the label the
-    sender folded (`folded`), so folding `held` in needs no hash.
+    keeps the label its sender held at `slot` (`held`) and the root the
+    sender's own fold implies (`root`), so a walk that reaches `held` stops.
     """
 
-    __slots__ = ("size", "slot", "above", "others", "held", "folded", "_raw")
+    __slots__ = ("size", "slot", "above", "others", "held", "root", "_raw")
 
     def __init__(
         self,
@@ -148,7 +148,7 @@ class Offpath:
         above: "Offpath | None" = None,
         others: tuple[Label, ...] = (),
         held: Label | None = None,
-        folded: Label | None = None,
+        root: Label | None = None,
         raw: bytes | None = None,
     ):
         self.size = size
@@ -156,7 +156,7 @@ class Offpath:
         self.above = above
         self.others = others
         self.held = held
-        self.folded = folded
+        self.root = root
         self._raw = raw
 
     def __len__(self) -> int:
@@ -206,32 +206,18 @@ def offpath_from_bytes(data: bytes) -> Offpath:
     return path
 
 
-def recompute_root(
-    own: Label, path: Offpath, nonce: bytes, roots: dict[tuple[Label, Offpath], Label]
-) -> Label:
+def recompute_root(own: Label, path: Offpath, nonce: bytes) -> Label:
     """Fold `own` up the steps of `path` into the root label they imply.
 
-    `roots` memoizes this session's (label, path) pairs; the walk stops at
-    the first pair already resolved.  The pairs key by path identity: a
-    session builds one path per unaltered blob and parses each altered one
-    on its own.  A step whose sender's fold is known reuses it when `cur`
-    is the label the sender held.
+    At the first step that arrived unaltered and `held` the current fold,
+    the sender has resolved the rest of the walk: its `root` is the answer.
     """
-    walked: list[tuple[Label, Offpath]] = []
     cur = own
     while path.above is not None:
-        hit = roots.get((cur, path))
-        if hit is not None:
-            cur = hit
-            break
-        walked.append((cur, path))
         if path.held is not None and cur == path.held:
-            cur = path.folded
-        else:
-            cur = internal_label(nonce, [*path.others[: path.slot], cur, *path.others[path.slot :]])
+            return path.root
+        cur = internal_label(nonce, [*path.others[: path.slot], cur, *path.others[path.slot :]])
         path = path.above
-    for key in walked:
-        roots[key] = cur
     return cur
 
 
@@ -299,7 +285,6 @@ def run_shia(
     # Upward messages are keyed by sender: each node has one parent.
     net.phase = "commit"
     sent: dict[NodeId, Label] = {}  # the label each node's parent received
-    committed: dict[NodeId, Label] = {}  # each node's outgoing label, incl. handoffs
     handoffs: dict[NodeId, list[Label]] = {}  # labels handed to parent_switch targets
     # Each node that accepted a child: those children, its inputs (their
     # labels first, in order) and its label before any forgery.
@@ -349,14 +334,12 @@ def run_shia(
                 # Covert handoff between colluding faulty nodes; the real
                 # parent sees silence, the target folds the label in.  If
                 # the accomplice is no longer in the tree, or has already
-                # committed, the label is lost.
-                committed[node] = label
+                # had its turn, the label is lost.
                 target = switch.params["target"]
                 if target in parent:
                     handoffs.setdefault(target, []).append(label)
                 adv.fire(node, "parent_switch")
                 continue
-        committed[node] = label
         net.send_link(node, parent[node], label.raw)
         sent[node] = label
 
@@ -386,22 +369,34 @@ def run_shia(
     )
 
     # --- result checking: off-path dissemination ---
+    # Top-down, so each node checks the path it got before forwarding it.
+    # A node that got a path is one whose label its parent kept.
     net.phase = "check"
     net.bs_broadcast(wire.frame(nonce, root_label.raw))
     offpath: dict[NodeId, Offpath] = {b: Offpath(0, raw=b"")}  # nodes that got one
+    matched: set[NodeId] = set()  # nodes whose label the root commits to
     for node in chain.from_iterable(reversed(tree.epochs)):
         above = offpath.get(node)
+        if above is None:
+            continue  # nothing received to check or forward
+        mine = recompute_root(sent[node], above, nonce)
+        if mine == root_label:
+            matched.add(node)
         step = steps.get(node)
-        if above is None or step is None:
-            continue  # nothing received to forward, or no child to forward to
+        if step is None:
+            continue  # no child to forward to
         kids, labels, fold = step
         # A child's blob frames every input but its own ahead of `above`.
         size = _STEP_OVERHEAD + len(above) + sum(wire.LEN_PREFIX + len(l.raw) for l in labels)
         corrupt = adv.action(node, "offpath_corrupt") if node in faulty else None
+        root = None
+        if corrupt is None:
+            # The root the node's own fold implies; a forger walks it anew.
+            root = mine if fold is sent[node] else recompute_root(fold, above, nonce)
         for idx, child in enumerate(kids):
             held = labels[idx]
             others = (*labels[:idx], *labels[idx + 1 :])
-            built = Offpath(size - wire.LEN_PREFIX - len(held.raw), idx, above, others, held, fold)
+            built = Offpath(size - wire.LEN_PREFIX - len(held.raw), idx, above, others, held, root)
             msg = built
             if corrupt is not None:
                 msg = garble(built.raw)
@@ -421,15 +416,9 @@ def run_shia(
     net.phase = "ack"
     acked: dict[NodeId, bool] = {}
     acks_up: dict[NodeId, bytes] = {}
-    roots: dict[tuple[Label, Offpath], Label] = {}
     for node in chain.from_iterable(tree.epochs):
         bad = node in faulty
-        own = committed.get(node)
-        path = offpath.get(node)
-        match = own is not None and path is not None and (
-            recompute_root(own, path, nonce, roots) == root_label
-        )
-        out_ack = node_acks[node] if match else None
+        out_ack = node_acks[node] if node in matched else None
         if bad and out_ack is not None and adv.action(node, "ack_drop") is not None:
             adv.fire(node, "ack_drop")
             out_ack = None

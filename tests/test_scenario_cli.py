@@ -266,6 +266,18 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_PARSE_ERROR
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, base_config(sessions=2))
+        out = str(tmp_path / "missing" / "out.json")
+        argv = ["run", "--config", cfg_path, "--out", out]
+        if command == "sweep":
+            argv = ["sweep", "--template", cfg_path, "--sizes", "24,40", "--out", out]
+        assert cli.main(argv) == cli.EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: cannot write {out} (No such file or directory)\n"
+        assert captured.out == ""
+
     def test_non_utf8_report_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_bytes(b'{"schema": "\xff\xfe"}')

@@ -107,9 +107,7 @@ class TestLabels:
         path = shia.offpath_from_bytes(blob)
         assert (path.raw, path.slot, path.others) == (blob, 0, (b,))
         assert path.above.raw == top and path.above.above.raw == b""
-        roots: dict = {}
-        assert shia.recompute_root(a, path, NONCE, roots) == root
-        assert roots[(mid, path.above)] == root  # the walk memoizes every level
+        assert shia.recompute_root(a, path, NONCE) == root
 
 
 # --- the one-struct label codec against the general frame path ---
@@ -361,7 +359,7 @@ def test_parent_switch_routes_label_through_accomplice():
     assert marks.nodes() == {4, 2}
 
 
-# --- memoized off-path parsing and root recomputation against the oracle ---
+# --- off-path parsing and root recomputation against the oracle ---
 
 small_labels = st.one_of(
     st.builds(shia.leaf_label, st.integers(1, 9), st.integers(-50, 50)),
@@ -422,8 +420,7 @@ def offpath_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(offpath_cases())
-def test_memoized_offpath_matches_oracle(cases):
-    roots: dict = {}
+def test_parsed_offpath_matches_oracle(cases):
     for blob, own in cases:
         try:
             ref = oracle_offpath_from_bytes(blob)
@@ -436,7 +433,7 @@ def test_memoized_offpath_matches_oracle(cases):
         assert (path is None) == (ref is None)
         if path is not None:
             assert path.raw == blob
-            assert shia.recompute_root(own, path, NONCE, roots) == oracle_recompute_root(own, ref, NONCE)
+            assert shia.recompute_root(own, path, NONCE) == oracle_recompute_root(own, ref, NONCE)
 
 
 SHIA_KINDS = (
@@ -478,16 +475,16 @@ def shia_sessions(draw):
     return parent, values, frozenset(faulty), scripts
 
 
-def _check_steps(path, nonce):
+def _check_steps(path, nonce, recompute):
     """Every step handed to recompute_root is the parse of its own bytes,
-    and a step that carries its sender's fold folds the held label into it."""
+    and a step that carries its sender's root is the root that the held
+    label folds into through the parsed steps."""
     ref = shia.offpath_from_bytes(path.raw)
     while path.above is not None:
         assert (path.raw, path.slot, path.others) == (ref.raw, ref.slot, ref.others)
         assert len(path) == len(path.raw) and len(ref) == len(ref.raw)
         if path.held is not None:
-            inputs = [*path.others[: path.slot], path.held, *path.others[path.slot :]]
-            assert shia.internal_label(nonce, inputs).raw == path.folded.raw
+            assert recompute(path.held, ref, nonce).raw == path.root.raw
         path, ref = path.above, ref.above
     assert ref.above is None
 
@@ -496,14 +493,15 @@ def _check_steps(path, nonce):
 @given(shia_sessions())
 def test_fast_check_phase_matches_parsing_every_blob(case):
     # The check phase builds an unaltered blob's step from the sender's
-    # labels and reuses the sender's fold.  Handing each child a fresh copy
-    # of the blob's bytes forces a parse and a hash per step.
+    # labels and reuses the root the sender's fold implies.  Handing each
+    # child a fresh copy of the blob's bytes forces a parse and a hash per
+    # step.
     parent, values, faulty, scripts = case
     real = shia.recompute_root
 
-    def checked(own, path, nonce, roots):
-        _check_steps(path, nonce)
-        return real(own, path, nonce, roots)
+    def checked(own, path, nonce):
+        _check_steps(path, nonce, real)
+        return real(own, path, nonce)
 
     runs = []
     for copy in (False, True):
@@ -551,8 +549,9 @@ def honest_grid_session(monkeypatch, module, name):
 
 def test_honest_grid_session_hashes_linearly(monkeypatch):
     # Every blob arrives as its sender built it and every node holds the
-    # label its parent folded in, so the check reuses the commit phase's
-    # folds: one hash per tree node with children, and none more.
+    # label its parent folded in, so each walk stops at its first step and
+    # the check hashes nothing: one hash per tree node with children, the
+    # commit phase's folds, and none more.
     tree, calls = honest_grid_session(monkeypatch, shia, "internal_label")
     assert calls == sum(1 for s in tree.members if tree.children.get(s))
 
@@ -701,10 +700,11 @@ def test_hooks_run_at_faulty_nodes_in_the_per_node_order(scripts):
 
 
 def test_tampered_path_sees_each_step_as_its_sender_held_it(monkeypatch):
-    # 2 forges its label, so 4 and 5 fold through 1's step by hashing its
-    # others; 3 garbles its blobs, so their bytes are built from them.  Every
-    # path handed to recompute_root carries, at each step, the sender's
-    # inputs but the recomputing node's own, in the bytes as well.
+    # 2 forges its label, so it walks its own fold up through 1's step once,
+    # by hashing 1's others, for 4 and 5; 3 garbles its blobs, so their
+    # bytes are built from them.  Every path handed to recompute_root
+    # carries, at each step, the sender's inputs but the recomputing node's
+    # own, in the bytes as well.
     net, tree = net_for_tree(BINARY)
     values = {s: 10 for s in tree.members}
     labels = {}
@@ -719,13 +719,13 @@ def test_tampered_path_sees_each_step_as_its_sender_held_it(monkeypatch):
     seen = []
     real = shia.recompute_root
 
-    def watching(own, path, nonce, roots):
+    def watching(own, path, nonce):
         steps, step = [], path
         while step.above is not None:
             steps.append(PathStep(step.slot, step.others))
             step = step.above
         seen.append((own, steps, path.raw))
-        return real(own, path, nonce, roots)
+        return real(own, path, nonce)
 
     monkeypatch.setattr(shia, "recompute_root", watching)
     scripts = [entry(2, "label_forge", value=35), entry(3, "offpath_corrupt")]
@@ -745,14 +745,83 @@ def test_tampered_path_sees_each_step_as_its_sender_held_it(monkeypatch):
         return out
 
     node_of = {lab: node for node, lab in labels.items()}
-    checked = set()
+    # 2's label before its forgery, the one walk a forger adds.
+    fold = shia.internal_label(NONCE, [labels[4], labels[5], shia.leaf_label(2, values[2])])
+    checked, folds = set(), 0
     for own, steps, raw in seen:
-        node = node_of[own]
+        if own == fold:
+            node, folds = 2, folds + 1
+        else:
+            node = node_of[own]
+            checked.add(node)
         assert steps == sent_steps(node), node
         assert raw == oracle_offpath_to_bytes(steps), node
-        checked.add(node)
+    assert folds == 1
     assert checked == {1, 2, 3, 4, 5}  # 6 and 7 got junk
     assert sres.acked == {1: True, 2: True, 3: True, 4: False, 5: False, 6: False, 7: False}
+
+
+@pytest.mark.parametrize(
+    "scripts, hashes, walks",
+    [
+        ([entry(2, "label_forge", value=35)], 3 + 1, 7 + 1),
+        ([entry(2, "label_forge", value=35), entry(2, "offpath_corrupt")], 3, 5),
+    ],
+    ids=["label_forge", "label_forge_offpath_corrupt"],
+)
+def test_a_forger_walks_its_own_fold_once(monkeypatch, scripts, hashes, walks):
+    # The commit phase folds at 1, 2 and 3.  A forger whose blobs go out
+    # unaltered walks its label before the forgery up once for all its
+    # children: one hash per level above it, and one root recomputation
+    # besides each member's own.  A forger that also garbles its blobs
+    # walks nothing for them, and 4 and 5 get junk, so no path to check.
+    net, tree = net_for_tree(BINARY)
+    hashed, walked = [], []
+    real_label, real_root = shia.internal_label, shia.recompute_root
+    monkeypatch.setattr(shia, "internal_label", lambda *a: hashed.append(1) or real_label(*a))
+    monkeypatch.setattr(shia, "recompute_root", lambda *a: walked.append(1) or real_root(*a))
+    adv = Adversary({2}, scripts)
+    adv.begin_session(0)
+    sres = shia.run_shia(net, tree, {s: 10 for s in tree.members}, adv, NONCE, (0, 100))
+    assert (len(hashed), len(walked)) == (hashes, walks)
+    assert sres.acked == {1: True, 2: True, 3: True, 4: False, 5: False, 6: True, 7: True}
+    assert sres.root_ok and not sres.accepted
+
+
+@pytest.mark.parametrize(
+    "frm, to, withheld",
+    [(1, 2, {2, 4, 5}), (2, 4, {4})],
+    ids=["into_subtree", "into_leaf"],
+)
+def test_substituted_sibling_label_withholds_the_subtree_acks(monkeypatch, frm, to, withheld):
+    # An off-path forger's attack: a well-formed blob whose first step
+    # carries a sibling label other than the one the sender folded.  The
+    # receiver parses it, folds its own label through the lie into a root
+    # the BS never broadcast, and hands that root to its subtree, so none
+    # of them acks; every other member does, and the session fails.
+    net, tree = net_for_tree(BINARY)
+    send = net.send_link
+    parses = []
+    real_parse = shia.offpath_from_bytes
+    monkeypatch.setattr(shia, "offpath_from_bytes", lambda b: parses.append(b) or real_parse(b))
+
+    def substituting(f, t, payload):
+        if net.phase == "check" and (f, t) == (frm, to):
+            sibling, *rest = payload.others
+            lie = shia.Label(sibling.count, sibling.value + 1, sibling.commit, sibling.leaf)
+            others = [lie.raw] + [l.raw for l in rest]
+            payload = shia.offpath_to_bytes(payload.slot, others, payload.above.raw)
+            steps = oracle_offpath_from_bytes(payload)  # well-formed
+            assert steps[0].others == (lie, *rest)
+        return send(f, t, payload)
+
+    net.send_link = substituting
+    adv = Adversary(frozenset(), [])
+    adv.begin_session(0)
+    sres = shia.run_shia(net, tree, {s: 10 for s in tree.members}, adv, NONCE, (0, 100))
+    assert len(parses) == 1
+    assert sres.acked == {s: s not in withheld for s in tree.members}
+    assert sres.root_ok and sres.value == 70 and not sres.accepted
 
 
 def test_results_compare_by_value():

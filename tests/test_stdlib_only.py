@@ -3,9 +3,11 @@ what it executes.
 
 One subprocess blocks numpy (the last third-party import the package had),
 then runs a scenario and a two-size sweep through the CLI.  Another runs a
-scenario and checks which costly stdlib modules it loaded.
+scenario and checks which costly stdlib modules it loaded.  A third scans
+the package's source for imports that nothing reads.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -74,3 +76,27 @@ def test_run_loads_no_unneeded_modules(tmp_path):
     assert loaded == []
     assert run_ok is True
     assert sweep == 0  # the sweep still imports `statistics` and fits its line
+
+
+def test_src_imports_are_all_read():
+    # An import that nothing reads is dead weight, and a refactor that stops
+    # using a name tends to leave its import behind.  A name read only in a
+    # quoted annotation counts as unread.
+    unread = []
+    for path in sorted((ROOT / "src" / "robustagg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    bound[name] = node.lineno
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+    assert unread == []
