@@ -140,11 +140,18 @@ def als1_process(tree: AggregationTree, intact: dict[NodeId, list[NodeId]]) -> M
 
 
 def subtree_acks(tree: AggregationTree, node_acks: dict[NodeId, bytes]) -> dict[NodeId, bytes]:
-    """Each node's expected aggregated ack: the XOR of its subtree's own acks."""
-    out: dict[NodeId, bytes] = {}
+    """Each node's expected aggregated ack: the XOR of its subtree's own acks.
+
+    One bottom-up pass folds 128-bit ints; each node's bytes are made once.
+    """
+    children = tree.children
+    folds: dict[NodeId, int] = {}
     for node in chain.from_iterable(tree.epochs):
-        out[node] = crypto.xor_acks([node_acks[node], *(out[c] for c in tree.children[node])])
-    return out
+        fold = int.from_bytes(node_acks[node], "big")
+        for c in children[node]:
+            fold ^= folds[c]
+        folds[node] = fold
+    return {node: fold.to_bytes(wire.ACK_LEN, "big") for node, fold in folds.items()}
 
 
 def expected_ack(keys: KeyStore, tree: AggregationTree, node: NodeId, nonce: bytes) -> bytes:

@@ -84,7 +84,7 @@ def _distribute(net: Network, nonce: bytes, tree: AggregationTree) -> AtrOutcome
     adopted = _parse_tree(delivered)
     views: dict[NodeId, tuple[NodeId, tuple[NodeId, ...]]] = {}
     children: dict[NodeId, list[NodeId]] = {}
-    for c, p in sorted(adopted.items()):
+    for c, p in adopted.items():  # in child-id order, as packed
         children.setdefault(p, []).append(c)
     for node, p in adopted.items():
         views[node] = (p, tuple(children.get(node, [])))

@@ -275,7 +275,7 @@ def run_sessions(scenario: Scenario) -> RunResult:
                 phase_congestion=dict(net.ledger.per_phase),
                 tree_height=h,
                 tree_degree=delta,
-                tree_size=len(tree.members),
+                tree_size=len(members),
                 als2_ran=als2_ran,
             )
         )

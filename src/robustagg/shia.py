@@ -9,7 +9,9 @@ upward, compared by the BS against the expected combination).
 from __future__ import annotations
 
 import struct
+from functools import reduce
 from itertools import chain
+from operator import xor
 
 from . import crypto, wire
 from .adversary import garble
@@ -102,15 +104,13 @@ def internal_label(nonce: bytes, inputs: list[Label]) -> Label:
     value, then each input label's serialization in order; any reordering or
     field change yields a different digest.
     """
-    count = sum(l.count for l in inputs)
-    value = sum(l.value for l in inputs)
-    parts = [
-        wire.u32(len(nonce)),
-        nonce,
-        _SUMS_LAYOUT.pack(wire.COUNT_LEN, count, wire.VALUE_LEN, value),
-    ]
+    count = value = 0
+    parts = [wire.u32(len(nonce)), nonce, b""]  # [2]: the sums, once known
     for l in inputs:
+        count += l.count
+        value += l.value
         parts += (_INPUT_PREFIX[l.leaf], l.raw)
+    parts[2] = _SUMS_LAYOUT.pack(wire.COUNT_LEN, count, wire.VALUE_LEN, value)
     digest = crypto.hash_bytes(b"".join(parts))
     raw = _INTERNAL_LAYOUT.pack(
         _INTERNAL, wire.COUNT_LEN, count, wire.VALUE_LEN, value, wire.DIGEST_LEN, digest
@@ -214,7 +214,7 @@ def recompute_root(own: Label, path: Offpath, nonce: bytes) -> Label:
     """
     cur = own
     while path.above is not None:
-        if path.held is not None and cur == path.held:
+        if path.held is not None and cur.raw == path.held.raw:
             return path.root
         cur = internal_label(nonce, [*path.others[: path.slot], cur, *path.others[path.slot :]])
         path = path.above
@@ -346,9 +346,12 @@ def run_shia(
     b = tree.bs_child
     root_label = sent.get(b)
     # Each member's ack, MACed once: the BS's expectation, the ack phase and
-    # ALS II read it.
-    node_acks = {s: crypto.node_ack(net.keys.bs_key(s), nonce) for s in sorted(parent)}
-    expected = crypto.xor_acks(list(node_acks.values()))
+    # ALS II read it.  Acks fold as 128-bit ints; the ack phase makes bytes
+    # only for an ack that is sent.
+    bs_key = net.keys.bs_key
+    node_acks = {s: crypto.node_ack(bs_key(s), nonce) for s in parent}
+    ack_ints = {s: int.from_bytes(a, "big") for s, a in node_acks.items()}
+    expected = reduce(xor, ack_ints.values(), 0).to_bytes(wire.ACK_LEN, "big")
 
     if root_label is None:
         return ShiaResult(
@@ -380,14 +383,16 @@ def run_shia(
         if above is None:
             continue  # nothing received to check or forward
         mine = recompute_root(sent[node], above, nonce)
-        if mine == root_label:
+        if mine.raw == root_label.raw:
             matched.add(node)
         step = steps.get(node)
         if step is None:
             continue  # no child to forward to
         kids, labels, fold = step
         # A child's blob frames every input but its own ahead of `above`.
-        size = _STEP_OVERHEAD + len(above) + sum(wire.LEN_PREFIX + len(l.raw) for l in labels)
+        size = _STEP_OVERHEAD + len(above) + wire.LEN_PREFIX * len(labels)
+        for l in labels:
+            size += len(l.raw)
         corrupt = adv.action(node, "offpath_corrupt") if node in faulty else None
         root = None
         if corrupt is None:
@@ -416,27 +421,33 @@ def run_shia(
     net.phase = "ack"
     acked: dict[NodeId, bool] = {}
     acks_up: dict[NodeId, bytes] = {}
+    folds: dict[NodeId, int] = {}  # each sent `acks_up` entry as an int
     for node in chain.from_iterable(tree.epochs):
         bad = node in faulty
-        out_ack = node_acks[node] if node in matched else None
-        if bad and out_ack is not None and adv.action(node, "ack_drop") is not None:
+        released = node in matched
+        if bad and released and adv.action(node, "ack_drop") is not None:
             adv.fire(node, "ack_drop")
-            out_ack = None
-        acked[node] = out_ack is not None
-        if bad and out_ack is not None and adv.action(node, "ack_garble") is not None:
+            released = False
+        acked[node] = released
+        # None until some ack joins the fold: a node with none sends nothing.
+        fold = ack_ints[node] if released else None
+        if bad and released and adv.action(node, "ack_garble") is not None:
             adv.fire(node, "ack_garble")
-            out_ack = garble(out_ack)
+            fold = int.from_bytes(garble(node_acks[node]), "big")
 
-        parts = [acks_up[c] for c in children[node] if c in acks_up]
-        if out_ack is not None:
-            parts.append(out_ack)
-        up = crypto.xor_acks(parts) if parts else None
+        for c in children[node]:
+            got = folds.get(c)
+            if got is not None:
+                fold = got if fold is None else fold ^ got
+        up = None if fold is None else fold.to_bytes(wire.ACK_LEN, "big")
         if bad and adv.action(node, "agg_ack_garble") is not None:
             adv.fire(node, "agg_ack_garble")
             up = garble(crypto.ZERO_ACK if up is None else up)
+            fold = int.from_bytes(up, "big")
         if up is not None:
             net.send_link(node, parent[node], up)
             acks_up[node] = up
+            folds[node] = fold
 
     agg_ack = acks_up.get(b)
     return ShiaResult(

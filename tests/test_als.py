@@ -2,7 +2,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustagg import als, crypto, orchestrator, shia, wire
@@ -13,6 +13,7 @@ from robustagg.scenario import Scenario
 from helpers import (
     entry,
     net_for_tree,
+    oracle_expected_acks,
     oracle_run_localization,
     oracle_xor,
     run_localization,
@@ -42,9 +43,26 @@ def session_ack_table(parent):
     return net, tree, als.subtree_acks(tree, sres.node_acks)
 
 
+@st.composite
+def shuffled_trees(draw, max_n: int = 24) -> dict[int, int]:
+    """A random parent map whose ids are shuffled, so a child's id may be
+    below its parent's and tree order differs from id order."""
+    n = draw(st.integers(1, max_n))
+    ids = draw(st.permutations(range(1, n + 1)))
+    parent = {ids[0]: BS_ID}
+    for i in range(1, n):
+        parent[ids[i]] = ids[draw(st.integers(0, i - 1))]
+    return parent
+
+
 class TestExpectedAcks:
-    def test_matches_subtree_xor_oracle(self):
-        net, tree, table = session_ack_table(TWO_BRANCH)
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_trees())
+    @example(TWO_BRANCH)
+    def test_matches_subtree_xor_oracle(self, parent):
+        # The integer fold equals a per-node XOR of byte lists, at every node.
+        net, tree, table = session_ack_table(parent)
+        assert table == oracle_expected_acks(net.keys, tree, NONCE)
         for node in tree.members:
             parts = [
                 crypto.node_ack(net.keys.bs_key(u), NONCE) for u in tree.subtree(node)

@@ -25,6 +25,7 @@ from helpers import (
     oracle_offpath_to_bytes,
     oracle_recompute_root,
     oracle_root,
+    oracle_xor,
     recorded_charges,
     run_session,
 )
@@ -633,14 +634,69 @@ def test_acked_is_the_ack_each_node_adds_to_what_it_sends_up(kind, node):
     adv.begin_session(0)
     sres = shia.run_shia(net, tree, {s: 10 for s in tree.members}, adv, NONCE, (0, 100))
     assert adv.misbehaved(0) == (set() if node is None else {node})
-    garbled = {e.node for e in adv.events(0) if e.kind in ("ack_garble", "agg_ack_garble")}
-    for s in tree.members - garbled:
-        parts = [sres.acks_up.get(c, crypto.ZERO_ACK) for c in [s, *tree.children[s]]]
-        own = crypto.node_ack(net.keys.bs_key(s), NONCE)
-        assert sres.acked[s] == (crypto.xor_acks(parts) == own), s
+    _check_ack_phase(net, tree, adv, sres)
+    assert sres.accepted == (kind is None)
+
+
+ACK_KINDS = ("ack_drop", "ack_garble", "agg_ack_garble", "label_drop", "offpath_corrupt")
+
+
+@st.composite
+def ack_sessions(draw):
+    """A random tree with scripts for the deviations that shape the acks."""
+    n = draw(st.integers(1, 12))
+    parent = {1: BS_ID}
+    for s in range(2, n + 1):
+        parent[s] = draw(st.integers(1, s - 1))
+    faulty = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+    scripts = [
+        entry(node, kind)
+        for node in faulty
+        for kind in draw(st.lists(st.sampled_from(ACK_KINDS), unique=True, max_size=3))
+    ]
+    return parent, frozenset(faulty), scripts
+
+
+@settings(max_examples=300, deadline=None)
+@given(ack_sessions())
+def test_ack_phase_matches_a_bytewise_fold(case):
+    # The ack phase folds 128-bit ints; every ack it sends, and the BS's
+    # expectation, equal XORs of byte lists.
+    parent, faulty, scripts = case
+    net, tree = net_for_tree(parent)
+    adv = Adversary(faulty, scripts)
+    adv.begin_session(0)
+    sres = shia.run_shia(net, tree, {s: 10 for s in tree.members}, adv, NONCE, (0, 100))
+    _check_ack_phase(net, tree, adv, sres)
+    # Not `not misbehaved`: an ack garbled twice at one node reads intact.
+    assert sres.accepted == (sres.root_ok and sres.agg_ack == sres.expected_ack)
+
+
+def _check_ack_phase(net, tree, adv, sres):
+    """Each node's `acked` flag and the ack it sent up, against XORs of byte
+    lists: a node sends the XOR of its released ack and what its children
+    sent, garbled as its fired hooks say, and nothing when there is none."""
+    own = {s: crypto.node_ack(net.keys.bs_key(s), NONCE) for s in tree.members}
+    assert sres.node_acks == own
+    assert sres.expected_ack == oracle_xor(list(own.values()))
+    fired = {(e.node, e.kind) for e in adv.events(0)}
+    for s in tree.members:
+        sent = [sres.acks_up[c] for c in tree.children[s] if c in sres.acks_up]
+        if (s, "ack_garble") in fired:
+            assert sres.acked[s]
+            sent.append(garble(own[s]))
+        else:
+            parts = [sres.acks_up.get(c, crypto.ZERO_ACK) for c in [s, *tree.children[s]]]
+            if (s, "agg_ack_garble") not in fired:
+                assert sres.acked[s] == (oracle_xor(parts) == own[s]), s
+            if sres.acked[s]:
+                sent.append(own[s])
+        want = oracle_xor(sent) if sent else None
+        if (s, "agg_ack_garble") in fired:
+            want = garble(crypto.ZERO_ACK if want is None else want)
+        assert sres.acks_up.get(s) == want, s
     assert all(len(a) == wire.ACK_LEN for a in sres.acks_up.values())
     assert sres.agg_ack == sres.acks_up.get(tree.bs_child)
-    assert sres.accepted == (kind is None)
 
 
 def test_honest_grid_session_consults_no_adversary_hook(monkeypatch):
