@@ -429,25 +429,26 @@ def run_shia(
             adv.fire(node, "ack_drop")
             released = False
         acked[node] = released
-        # None until some ack joins the fold: a node with none sends nothing.
-        fold = ack_ints[node] if released else None
+        # The XOR of the acks this node sends up, None until one joins: a
+        # node with none sends nothing.
+        acc = ack_ints[node] if released else None
         if bad and released and adv.action(node, "ack_garble") is not None:
             adv.fire(node, "ack_garble")
-            fold = int.from_bytes(garble(node_acks[node]), "big")
+            acc = int.from_bytes(garble(node_acks[node]), "big")
 
         for c in children[node]:
             got = folds.get(c)
             if got is not None:
-                fold = got if fold is None else fold ^ got
-        up = None if fold is None else fold.to_bytes(wire.ACK_LEN, "big")
+                acc = got if acc is None else acc ^ got
+        up = None if acc is None else acc.to_bytes(wire.ACK_LEN, "big")
         if bad and adv.action(node, "agg_ack_garble") is not None:
             adv.fire(node, "agg_ack_garble")
             up = garble(crypto.ZERO_ACK if up is None else up)
-            fold = int.from_bytes(up, "big")
+            acc = int.from_bytes(up, "big")
         if up is not None:
             net.send_link(node, parent[node], up)
             acks_up[node] = up
-            folds[node] = fold
+            folds[node] = acc
 
     agg_ack = acks_up.get(b)
     return ShiaResult(
