@@ -444,7 +444,7 @@ SHIA_KINDS = (
 
 
 @st.composite
-def shia_sessions(draw):
+def shia_sessions(draw, kinds=SHIA_KINDS):
     """A random tree, in-range values and scripts for SHIA's deviations."""
     n = draw(st.integers(1, 12))
     parent = {1: BS_ID}
@@ -454,7 +454,7 @@ def shia_sessions(draw):
     faulty = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
     scripts = []
     for node in faulty:
-        for kind in draw(st.lists(st.sampled_from(SHIA_KINDS), unique=True, max_size=3)):
+        for kind in draw(st.lists(st.sampled_from(kinds), unique=True, max_size=3)):
             if kind == "own_value_forge":
                 params = {"value": draw(st.integers(0, 100))}
             elif kind == "label_forge":
@@ -638,35 +638,20 @@ def test_acked_is_the_ack_each_node_adds_to_what_it_sends_up(kind, node):
     assert sres.accepted == (kind is None)
 
 
+# The deviations that shape what the ack phase sends.
 ACK_KINDS = ("ack_drop", "ack_garble", "agg_ack_garble", "label_drop", "offpath_corrupt")
 
 
-@st.composite
-def ack_sessions(draw):
-    """A random tree with scripts for the deviations that shape the acks."""
-    n = draw(st.integers(1, 12))
-    parent = {1: BS_ID}
-    for s in range(2, n + 1):
-        parent[s] = draw(st.integers(1, s - 1))
-    faulty = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
-    scripts = [
-        entry(node, kind)
-        for node in faulty
-        for kind in draw(st.lists(st.sampled_from(ACK_KINDS), unique=True, max_size=3))
-    ]
-    return parent, frozenset(faulty), scripts
-
-
 @settings(max_examples=300, deadline=None)
-@given(ack_sessions())
+@given(shia_sessions(ACK_KINDS))
 def test_ack_phase_matches_a_bytewise_fold(case):
     # The ack phase folds 128-bit ints; every ack it sends, and the BS's
     # expectation, equal XORs of byte lists.
-    parent, faulty, scripts = case
+    parent, values, faulty, scripts = case
     net, tree = net_for_tree(parent)
     adv = Adversary(faulty, scripts)
     adv.begin_session(0)
-    sres = shia.run_shia(net, tree, {s: 10 for s in tree.members}, adv, NONCE, (0, 100))
+    sres = shia.run_shia(net, tree, values, adv, NONCE, (0, 100))
     _check_ack_phase(net, tree, adv, sres)
     # Not `not misbehaved`: an ack garbled twice at one node reads intact.
     assert sres.accepted == (sres.root_ok and sres.agg_ack == sres.expected_ack)
