@@ -14,6 +14,7 @@ tree keeps its bytes, because every node's view is parsed from them.
 from __future__ import annotations
 
 import struct
+from functools import cached_property
 from itertools import chain
 
 from . import wire
@@ -26,15 +27,27 @@ class AtrOutcome:
     def __init__(
         self,
         tree: AggregationTree | None,
-        node_views: dict[NodeId, tuple[NodeId, tuple[NodeId, ...]]] | None = None,
-        unreached: set[NodeId] | None = None,
+        adopted: dict[NodeId, NodeId] | None = None,
+        sensors: set[NodeId] = frozenset(),
     ) -> None:
         self.tree = tree
-        # What each sensor adopted from the distributed tree, for consistency
-        # checks: node -> (parent, children tuple).  Parsed from the broadcast
-        # payload, not copied from the BS structure.
-        self.node_views = {} if node_views is None else node_views
-        self.unreached = set() if unreached is None else unreached
+        # The (child, parent) pairs parsed from the broadcast payload, in
+        # child-id order as packed, not copied from the BS structure.
+        self.adopted = {} if adopted is None else adopted
+        self.sensors = sensors
+
+    @cached_property
+    def node_views(self) -> dict[NodeId, tuple[NodeId, tuple[NodeId, ...]]]:
+        """What each sensor adopted, for consistency checks: node -> (parent,
+        children tuple).  Built from `adopted` on first read."""
+        children: dict[NodeId, list[NodeId]] = {}
+        for c, p in self.adopted.items():
+            children.setdefault(p, []).append(c)
+        return {node: (p, tuple(children.get(node, ()))) for node, p in self.adopted.items()}
+
+    @cached_property
+    def unreached(self) -> set[NodeId]:
+        return set(self.sensors).difference(self.adopted)
 
 
 def _bs_child(bs_neighbors: list[NodeId], blacklist: frozenset[NodeId]) -> NodeId | None:
@@ -49,8 +62,8 @@ def build_initial_tree(graph: NetworkGraph, blacklist: frozenset[NodeId] = froze
         return None
     parent = {b: BS_ID}
     # Levels expand in discovery order (unsorted); the pinned reports depend on it.
-    bfs_levels(parent, graph.neighbors, blacklist | {BS_ID})
-    return AggregationTree(parent)
+    levels = bfs_levels(parent, graph.neighbors, blacklist | {BS_ID})
+    return AggregationTree.from_levels(parent, levels)
 
 
 # One framed (child, parent) field of the distributed tree: the 4-byte length
@@ -79,17 +92,8 @@ def _parse_tree(payload: bytes) -> dict[NodeId, NodeId]:
 
 
 def _distribute(net: Network, nonce: bytes, tree: AggregationTree) -> AtrOutcome:
-    payload = _serialize_tree(nonce, tree.parent)
-    delivered = net.bs_broadcast(payload)
-    adopted = _parse_tree(delivered)
-    views: dict[NodeId, tuple[NodeId, tuple[NodeId, ...]]] = {}
-    children: dict[NodeId, list[NodeId]] = {}
-    for c, p in adopted.items():  # in child-id order, as packed
-        children.setdefault(p, []).append(c)
-    for node, p in adopted.items():
-        views[node] = (p, tuple(children.get(node, [])))
-    unreached = net.graph.sensors - set(adopted)
-    return AtrOutcome(tree, views, unreached)
+    delivered = net.bs_broadcast(_serialize_tree(nonce, tree.parent))
+    return AtrOutcome(tree, _parse_tree(delivered), net.graph.sensors)
 
 
 def atr_basic(
@@ -103,7 +107,7 @@ def atr_basic(
 
     b = _bs_child(graph.neighbors(BS_ID), blacklist)
     if b is None:
-        return AtrOutcome(None, {}, set(graph.sensors))
+        return AtrOutcome(None, sensors=graph.sensors)
     net.send_link(BS_ID, b, te)
 
     def rebroadcast(u: NodeId) -> list[NodeId]:
@@ -120,9 +124,8 @@ def atr_basic(
     # the first fresh sender becomes the parent, ties broken by id order.
     # Each level is sorted by id; the pinned reports depend on it.
     parent = {b: BS_ID}
-    bfs_levels(parent, rebroadcast, blacklist | {BS_ID}, sort_levels=True)
-
-    flood = AggregationTree(parent)
+    levels = bfs_levels(parent, rebroadcast, blacklist | {BS_ID}, sort_levels=True)
+    flood = AggregationTree.from_levels(parent, levels)
     # Childhood confirmation back to the chosen parent: the nonce and the
     # child's id, charged by size.
     confirm = wire.framed_size(len(nonce), wire.NODE_ID_LEN) + LINK_OVERHEAD
@@ -157,10 +160,9 @@ def atr_basic(
     # b is always kept (the BS handed it the TE itself); below it, a node
     # joins only if its response arrived: no node on its flood path dropped.
     final_parent = {b: BS_ID}
-    if b not in dropped:
-        bfs_levels(final_parent, flood.children.__getitem__, frozenset(dropped))
-    tree = AggregationTree(final_parent)
-    return _distribute(net, nonce, tree)
+    blocked = frozenset(dropped)
+    levels = [[b]] if b in blocked else bfs_levels(final_parent, flood.children.__getitem__, blocked)
+    return _distribute(net, nonce, AggregationTree.from_levels(final_parent, levels))
 
 
 def atr_resilient_init(net: Network, adv) -> dict[NodeId, list[NodeId]]:
@@ -221,9 +223,8 @@ def atr_resilient_build(
     net.phase = "atr"
     b = _bs_child(adj[BS_ID], blacklist)
     if b is None:
-        return AtrOutcome(None, {}, set(net.graph.sensors))
+        return AtrOutcome(None, sensors=net.graph.sensors)
     parent = {b: BS_ID}
     # Each level is sorted by id; the pinned reports depend on it.
-    bfs_levels(parent, adj.__getitem__, blacklist | {BS_ID}, sort_levels=True)
-    tree = AggregationTree(parent)
-    return _distribute(net, nonce, tree)
+    levels = bfs_levels(parent, adj.__getitem__, blacklist | {BS_ID}, sort_levels=True)
+    return _distribute(net, nonce, AggregationTree.from_levels(parent, levels))

@@ -72,7 +72,7 @@ class KeyStore:
         self._bs_keys.setdefault(node, None)
 
     def register_edge(self, a: NodeId, b: NodeId) -> None:
-        self._link_keys.setdefault((min(a, b), max(a, b)), None)
+        self._link_keys.setdefault((a, b) if a < b else (b, a), None)
 
     def bs_key(self, node: NodeId) -> bytes:
         try:
@@ -84,7 +84,7 @@ class KeyStore:
         return key
 
     def link_key(self, a: NodeId, b: NodeId) -> bytes:
-        lo, hi = min(a, b), max(a, b)
+        lo, hi = (a, b) if a < b else (b, a)
         try:
             key = self._link_keys[(lo, hi)]
         except KeyError:

@@ -107,26 +107,38 @@ class AggregationTree:
     """Rooted tree over node ids; the BS always has exactly one child."""
 
     def __init__(self, parent: dict[NodeId, NodeId]):
-        self.parent = dict(parent)
-        self.children: dict[NodeId, list[NodeId]] = {BS_ID: []}
-        for c in self.parent:
-            self.children.setdefault(c, [])
-        # Appended in id order, so each child list is sorted.
-        for c, p in sorted(self.parent.items()):
-            self.children.setdefault(p, []).append(c)
-        if len(self.children[BS_ID]) != 1:
+        """Validate a hand-built parent map; builders use `from_levels`."""
+        kids: dict[NodeId, list[NodeId]] = {}
+        for c, p in parent.items():
+            kids.setdefault(p, []).append(c)
+        if len(kids.get(BS_ID, ())) != 1:
             raise ConfigError("BS must have exactly one child")
-        # Leaves-first epochs from a level walk down from the BS: deepest
-        # level first, ids sorted within a level.  Every node acts after all
-        # its children because a child is always strictly deeper.
-        reached = {self.bs_child: BS_ID}
-        levels = bfs_levels(reached, self.children.__getitem__, frozenset({BS_ID}), sort_levels=True)
-        self.epochs = levels[::-1]
-        # Reject cycles / orphans: every node must reach the BS, i.e. be
-        # reached by the walk down from it.
-        for c in self.parent:
+        # Reject cycles / orphans: a level walk down from the BS must reach all.
+        reached = {kids[BS_ID][0]: BS_ID}
+        levels = bfs_levels(reached, lambda u: kids.get(u, ()), frozenset({BS_ID}), sort_levels=True)
+        for c in parent:
             if c not in reached:
                 raise ConfigError(f"node {c} does not reach the BS")
+        self._adopt(dict(parent), levels)
+
+    @classmethod
+    def from_levels(cls, parent: dict[NodeId, NodeId], levels: list[list[NodeId]]) -> AggregationTree:
+        """The tree a builder's `bfs_levels` walk found; takes ownership of `parent`."""
+        tree = cls.__new__(cls)
+        tree._adopt(parent, [sorted(level) for level in levels])
+        if len(tree.children) != len(parent) + 1:
+            raise ConfigError("levels do not cover the tree")
+        return tree
+
+    def _adopt(self, parent: dict[NodeId, NodeId], levels: list[list[NodeId]]) -> None:
+        # Id-sorted levels, seeds first, give id-sorted child lists.  Epochs run
+        # leaves first: a child is always deeper, so it acts before its parent.
+        children: dict[NodeId, list[NodeId]] = {BS_ID: []}
+        for level in levels:
+            for c in level:
+                children[c] = []
+                children[parent[c]].append(c)
+        self.parent, self.children, self.epochs = parent, children, levels[::-1]
 
     @property
     def bs_child(self) -> NodeId:

@@ -11,7 +11,6 @@ from itertools import chain, product
 
 from robustagg import als, crypto, shia, wire
 from robustagg.adversary import Adversary, ScriptEntry, garble
-from robustagg.atr import AtrOutcome
 from robustagg.crypto import BS_ID, KEY_LEN, KeyStore, NodeId, mac, mac_long
 from robustagg.errors import ConfigError, FrameError
 from robustagg.netmodel import AggregationTree, Network, NetworkGraph, bfs_levels, edge_key
@@ -454,7 +453,21 @@ def oracle_parse_tree(payload: bytes) -> dict[NodeId, NodeId]:
     return out
 
 
-def oracle_distribute(net: Network, nonce: bytes, tree: AggregationTree) -> AtrOutcome:
+class OracleOutcome:
+    """An ATR outcome as the references build it: each sensor's view and the
+    unreached set computed at distribution, from the parsed pairs."""
+
+    def __init__(
+        self,
+        tree: AggregationTree | None,
+        adopted: dict[NodeId, NodeId],
+        node_views: dict[NodeId, tuple[NodeId, tuple[NodeId, ...]]],
+        unreached: set[NodeId],
+    ) -> None:
+        self.tree, self.adopted, self.node_views, self.unreached = tree, adopted, node_views, unreached
+
+
+def oracle_distribute(net: Network, nonce: bytes, tree: AggregationTree) -> OracleOutcome:
     payload = oracle_serialize_tree(nonce, tree.parent)
     delivered = net.bs_broadcast(payload)
     adopted = oracle_parse_tree(delivered)
@@ -465,14 +478,14 @@ def oracle_distribute(net: Network, nonce: bytes, tree: AggregationTree) -> AtrO
     for node, p in adopted.items():
         views[node] = (p, tuple(children.get(node, [])))
     unreached = net.graph.sensors - set(adopted)
-    return AtrOutcome(tree, views, unreached)
+    return OracleOutcome(tree, adopted, views, unreached)
 
 
 # --- basic ATR reference: every response crosses every hop of its path as
 # its own link send, and each node forwards at most n relayed responses ---
 
 
-def oracle_atr_basic(net: Network, blacklist: frozenset[NodeId], nonce: bytes, adv) -> AtrOutcome:
+def oracle_atr_basic(net: Network, blacklist: frozenset[NodeId], nonce: bytes, adv) -> OracleOutcome:
     """Flooded tree-establishment plus upward response collection."""
     net.phase = "atr"
     graph = net.graph
@@ -481,7 +494,7 @@ def oracle_atr_basic(net: Network, blacklist: frozenset[NodeId], nonce: bytes, a
 
     usable = [v for v in graph.neighbors(BS_ID) if v not in blacklist]
     if not usable:
-        return AtrOutcome(None, {}, set(graph.sensors))
+        return OracleOutcome(None, {}, {}, set(graph.sensors))
     b = usable[0]
     net.send_link(BS_ID, b, te)
 
@@ -647,7 +660,7 @@ def oracle_atr_resilient_build(
     edges: set[tuple[NodeId, NodeId]],
     blacklist: frozenset[NodeId],
     nonce: bytes,
-) -> AtrOutcome:
+) -> OracleOutcome:
     """Centralized BFS over the mutually-announced edge set, its adjacency
     derived and sorted again at every build, then distribution."""
     net.phase = "atr"
@@ -659,7 +672,7 @@ def oracle_atr_resilient_build(
         nbrs.sort()
     b = next((v for v in adj.get(BS_ID, []) if v not in blacklist), None)
     if b is None:
-        return AtrOutcome(None, {}, set(net.graph.sensors))
+        return OracleOutcome(None, {}, {}, set(net.graph.sensors))
     parent = {b: BS_ID}
     bfs_levels(parent, adj.__getitem__, blacklist | {BS_ID}, sort_levels=True)
     tree = AggregationTree(parent)

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -5,7 +6,7 @@ from robustagg import atr, wire
 from robustagg.adversary import Adversary
 from robustagg.crypto import BS_ID, KeyStore
 from robustagg.errors import FrameError
-from robustagg.netmodel import Network, NetworkGraph, edge_key
+from robustagg.netmodel import AggregationTree, Network, NetworkGraph, edge_key
 
 from helpers import (
     SignatureOracle,
@@ -159,12 +160,75 @@ def test_basic_rebuild_matches_hop_by_hop_oracle(case):
                 list(net.ledger.per_edge.items()),
                 net.ledger.per_phase,
                 out.tree and out.tree.parent,
+                list(out.adopted.items()),
                 out.node_views,
                 out.unreached,
                 adv.trace,
             )
         )
     assert runs[0] == runs[1]
+
+
+def assert_same_as_validated(tree):
+    """`tree` equals the tree the validating constructor builds from its
+    parent map: same child lists in the same order, same epochs."""
+    ref = AggregationTree(tree.parent)
+    assert tree.parent == ref.parent
+    assert tree.children == ref.children  # each list compared in order
+    assert tree.epochs == ref.epochs
+    assert tree.bs_child == ref.bs_child
+
+
+@settings(max_examples=200, deadline=None)
+@given(rebuild_cases())
+def test_built_trees_equal_validated_trees(case):
+    """Each builder's tree, made from its own walk's levels, is the tree
+    `AggregationTree(parent)` derives by its own walk."""
+    n, edges, blacklist, faulty = case
+    net = make_net(n, edges, d_max=n + 1)
+    adv = Adversary(faulty, [entry(v, k) for v, kinds in faulty.items() for k in sorted(kinds)])
+    adv.begin_session(2)
+    trees = [atr.build_initial_tree(net.graph, blacklist)]
+    trees.append(atr.atr_basic(net, blacklist, NONCE, adv).tree)
+    adj = atr.atr_resilient_init(net, adv)
+    trees.append(atr.atr_resilient_build(net, adj, blacklist, NONCE).tree)
+    for tree in trees:
+        if tree is not None:
+            assert_same_as_validated(tree)
+
+
+def broadcast_through(net: Network, rewrite) -> None:
+    """Make `net.bs_broadcast` deliver `rewrite(payload)`, charged as sent."""
+    send = net.bs_broadcast
+    net.bs_broadcast = lambda payload: rewrite(send(payload))
+
+
+def test_views_are_parsed_from_the_delivered_bytes():
+    net = ring_net(6)
+    adj = atr.atr_resilient_init(net, Adversary(()))
+    honest = atr.atr_resilient_build(net, adj, frozenset(), NONCE)
+    assert honest.tree.parent[4] == 3
+    # Rewrite the delivered (4, 3) pair to (4, 5): no node's view may come
+    # from the BS's own tree.
+    pair, forged = atr._PAIR.pack(4, 4, 3), atr._PAIR.pack(4, 4, 5)
+    broadcast_through(net, lambda payload: payload.replace(pair, forged))
+    out = atr.atr_resilient_build(net, adj, frozenset(), NONCE)
+    assert out.tree.parent[4] == 3
+    assert out.adopted[4] == 5
+    assert (honest.node_views[3], honest.node_views[5]) == ((2, (4,)), (6, ()))
+    assert out.node_views[4] == (5, ())
+    assert (out.node_views[3], out.node_views[5]) == ((2, ()), (6, (4,)))
+    assert out.node_views is out.node_views  # built once, on first read
+
+
+def test_truncated_tree_payload_raises_in_distribute():
+    net = ring_net(6)
+    adj = atr.atr_resilient_init(net, Adversary(()))
+    broadcast_through(net, lambda payload: payload[:-1])
+    with pytest.raises(FrameError, match="truncated tree pair"):
+        atr.atr_resilient_build(net, adj, frozenset(), NONCE)
+    with pytest.raises(FrameError, match="truncated tree pair"):
+        atr.atr_basic(net, frozenset(), NONCE, Adversary(()))
 
 
 @st.composite
@@ -242,6 +306,7 @@ def test_resilient_build_matches_edge_set_reference(case):
                     tree and tree.parent,
                     tree and tree.epochs,
                     tree and tree.children,
+                    list(out.adopted.items()),
                     out.node_views,
                     out.unreached,
                     list(net.ledger.per_edge.items()),
@@ -377,5 +442,6 @@ class TestResilientRebuild:
 
 def test_default_outcomes_share_nothing():
     a, b = atr.AtrOutcome(None), atr.AtrOutcome(None)
+    assert a.adopted == b.adopted == {} and a.adopted is not b.adopted
     assert a.node_views == b.node_views == {} and a.unreached == b.unreached == set()
     assert a.node_views is not b.node_views and a.unreached is not b.unreached

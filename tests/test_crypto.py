@@ -55,6 +55,15 @@ class TestKeyStore:
         ks2.register_node(1)
         assert ks2.bs_key(1) == ks.bs_key(1)
 
+    def test_edge_key_is_the_same_in_either_orientation(self):
+        flipped, ordered = crypto.KeyStore(b"seed"), crypto.KeyStore(b"seed")
+        flipped.register_edge(5, 3)
+        ordered.register_edge(3, 5)
+        master = crypto.mac_long(b"\x00" * crypto.KEY_LEN, b"master" + b"seed")
+        want = crypto.mac_long(master, b"link" + wire.u16(3) + wire.u16(5))
+        assert flipped.link_key(3, 5) == ordered.link_key(3, 5) == want
+        assert flipped.link_key(5, 3) == want
+
     def test_different_seeds_give_different_keys(self):
         a, b = crypto.KeyStore(b"a"), crypto.KeyStore(b"b")
         a.register_node(1)

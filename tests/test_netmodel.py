@@ -110,6 +110,15 @@ class TestAggregationTree:
         with pytest.raises(ConfigError, match="node 5 does not reach"):
             AggregationTree({1: BS_ID, 5: 6, 6: 5, 2: 9})
 
+    def test_from_levels_sorts_levels_and_refuses_a_missing_node(self):
+        parent = {1: BS_ID, 2: 1, 3: 1, 4: 3}
+        tree = AggregationTree.from_levels(dict(parent), [[1], [3, 2], [4]])
+        assert tree.children == {BS_ID: [1], 1: [2, 3], 2: [], 3: [4], 4: []}
+        assert tree.epochs == [[4], [2, 3], [1]]
+        for levels in ([[1], [3, 2]], [[1], [2, 2]]):
+            with pytest.raises(ConfigError, match="levels do not cover the tree"):
+                AggregationTree.from_levels(dict(parent), levels)
+
     def test_metrics_against_bfs_oracle(self):
         rng = random.Random(7)
         for _ in range(100):
