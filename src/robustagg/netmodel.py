@@ -62,26 +62,30 @@ class NetworkGraph:
         if BS_ID in sensors:
             raise ConfigError("BS id reserved; cannot be a sensor")
         self.sensors = set(sensors)
-        self.edges = {edge_key(a, b) for a, b in edges}
+        # Each edge as (lower id, higher id), as `edge_key` orders it.
+        self.edges = {(a, b) if a < b else (b, a) for a, b in edges}
         self.d_max = d_max
-        self._adj: dict[NodeId, list[NodeId]] = {n: [] for n in sensors}
-        self._adj[BS_ID] = []
+        adj: dict[NodeId, list[NodeId]] = {n: [] for n in sensors}
+        adj[BS_ID] = []
+        self._adj = adj
         for a, b in self.edges:
-            if a not in self._adj or b not in self._adj:
+            if a not in adj or b not in adj:
                 raise ConfigError(f"edge ({a}, {b}) references unknown node")
-            self._adj[a].append(b)
-            self._adj[b].append(a)
-        for n, nbrs in self._adj.items():
+            if a == b:
+                raise ConfigError(f"edge ({a}, {b}) is a self-loop")
+            adj[a].append(b)
+            adj[b].append(a)
+        for n, nbrs in adj.items():
             nbrs.sort()
             if len(nbrs) > d_max:
                 raise ConfigError(f"node {n} exceeds degree bound {d_max}")
-        if not self._adj[BS_ID]:
+        if not adj[BS_ID]:
             raise ConfigError("BS has no neighbors")
         # The flood backbone of every broadcast, in BFS discovery order from
         # the BS; it spans all sensors iff the graph is connected.
-        parent = dict.fromkeys(self._adj[BS_ID], BS_ID)
-        bfs_levels(parent, self._adj.__getitem__, frozenset({BS_ID}))
-        self.flood_edges = [edge_key(p, c) for c, p in parent.items()]
+        parent = dict.fromkeys(adj[BS_ID], BS_ID)
+        bfs_levels(parent, adj.__getitem__, frozenset({BS_ID}))
+        self.flood_edges = [(p, c) if p < c else (c, p) for c, p in parent.items()]
         if len(self.flood_edges) != len(self.sensors):
             raise ConfigError("graph is not connected")
 

@@ -69,17 +69,13 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
     if d_max < 2:
         raise ConfigError("geometric topology needs d_max >= 2")
     rng = random.Random(f"topo:{seed}:{n}:{d_max}")
-    pos = {BS_ID: (0.5, 0.5)}
-    for s in range(1, n + 1):
-        pos[s] = (rng.random(), rng.random())
-
-    deg: dict[int, int] = {v: 0 for v in pos}
+    rand = rng.random
+    # Positions and degrees are indexed by node id; the BS is id 0.
+    pos = [(0.5, 0.5)] + [(rand(), rand()) for _ in range(n)]
+    deg = [0] * (n + 1)
+    # Every edge is stored as (lower id, higher id).
     edges: set[tuple[int, int]] = set()
-
-    def add(a: int, b: int) -> None:
-        edges.add(edge_key(a, b))
-        deg[a] += 1
-        deg[b] += 1
+    hypot = math.hypot
 
     # Backbone over sensors only: tree floods never route through the BS,
     # so the sensor subgraph itself must be connected.  Placed sensors are
@@ -88,42 +84,53 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
     radius = math.sqrt(3.0 / n)
     k = max(1, int((1.0 - 1e-9) / radius))
     width = 1.0 / k
-    cell = {v: min(int(y * k), k - 1) * k + min(int(x * k), k - 1) for v, (x, y) in pos.items()}
-    placed: list[list[int]] = [[] for _ in range(k * k)]
+    # placed[c] holds (x, y, id) for each placed sensor in cell c; block[c]
+    # holds the lists of the 3x3 block around c, clipped at the border.
+    placed: list[list[tuple[float, float, int]]] = [[] for _ in range(k * k)]
+    spans = [range(max(c - 1, 0), min(c + 2, k)) for c in range(k)]
+    block = [[placed[j * k + i] for j in spans[cy] for i in spans[cx]] for cy in range(k) for cx in range(k)]
     in_tier0 = 0  # placed sensors under d_max - 1
     short: list[tuple[float, int, int]] = []
+    add_short = short.append
     for s in range(1, n + 1):
         xs, ys = pos[s]
+        cx, cy = min(int(xs * k), k - 1), min(int(ys * k), k - 1)
+        c = cy * k + cx
         if s > 1:
             # Prefer the nearest sensor under d_max - 1; else the nearest
             # under d_max, which the backbone tree always has (a leaf).
+            # Ties in distance go to the lower id.
             lim = d_max - 1 if in_tier0 else d_max
-            cy, cx = divmod(cell[s], k)
-            reach = max(cx, cy, k - 1 - cx, k - 1 - cy)
-            best: tuple[float, int] | None = None
-            r = 0
+            best_d, best = math.inf, 0
+            for cands in block[c]:
+                for x, y, v in cands:
+                    d = hypot(x - xs, y - ys)
+                    if d <= radius:
+                        add_short((d, v, s))
+                    if d <= best_d and deg[v] < lim and (d < best_d or v < best):
+                        best_d, best = d, v
             # Ring r is the cells r steps from the sensor's own; a sensor in
             # it is more than (r - 1) * width away, less a rounding margin.
-            # Stopping only when that bound beats `best` keeps (d, id) ties.
-            while r <= 1 or (r <= reach and (best is None or (r - 1) * width - 1e-9 <= best[0])):
+            # Stopping only when that bound beats `best_d` keeps (d, id) ties.
+            r = 2
+            while (r - 1) * width - 1e-9 <= best_d and r <= max(cx, cy, k - 1 - cx, k - 1 - cy):
                 for j in range(max(cy - r, 0), min(cy + r, k - 1) + 1):
                     step = 1 if abs(j - cy) == r else 2 * r
                     for i in range(cx - r, cx + r + 1, step):
                         if not 0 <= i < k:
                             continue
-                        for v in placed[j * k + i]:
-                            x, y = pos[v]
-                            p = (math.hypot(x - xs, y - ys), v)
-                            if r <= 1 and p[0] <= radius:
-                                short.append((p[0], v, s))
-                            if deg[v] < lim and (best is None or p < best):
-                                best = p
+                        for x, y, v in placed[j * k + i]:
+                            if deg[v] < lim:
+                                d = hypot(x - xs, y - ys)
+                                if d <= best_d and (d < best_d or v < best):
+                                    best_d, best = d, v
                 r += 1
-            target = best[1]
-            add(s, target)
-            if deg[target] == d_max - 1:
+            edges.add((best, s))  # placed sensors all have lower ids
+            deg[s] = 1
+            deg[best] += 1
+            if deg[best] == d_max - 1:
                 in_tier0 -= 1
-        placed[cell[s]].append(s)
+        placed[c].append((xs, ys, s))
         if deg[s] < d_max - 1:
             in_tier0 += 1
 
@@ -131,26 +138,30 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
     short.sort()
     extra: list[tuple[int, int]] = []
     for d, a, b in short:
-        if edge_key(a, b) not in edges and deg[a] < d_max and deg[b] < d_max:
-            add(a, b)
+        if deg[a] < d_max and deg[b] < d_max and (a, b) not in edges:
+            edges.add((a, b))
+            deg[a] += 1
+            deg[b] += 1
             extra.append((a, b))
 
     # The BS hears its nearest sensors that still have a free slot.
     bx, by = pos[BS_ID]
-    by_dist = sorted((math.hypot(bx - x, by - y), v) for v, (x, y) in pos.items() if v != BS_ID)
+    by_dist = sorted((hypot(bx - x, by - y), v) for v, (x, y) in enumerate(pos) if v != BS_ID)
     want = max(1, min(3, d_max - 1, n))
     for _, v in by_dist:
         if deg[BS_ID] >= want:
             break
         if deg[v] < d_max:
-            add(BS_ID, v)
+            edges.add((BS_ID, v))
+            deg[BS_ID] += 1
+            deg[v] += 1
     if deg[BS_ID] == 0:
         # Extra links took every free slot (a backbone leaf has one
         # otherwise): the nearest sensor with an extra link trades its
         # shortest one for the BS.  The backbone keeps the sensors connected.
         v, u = next((v, a if b == v else b) for _, v in by_dist for a, b in extra if v in (a, b))
         edges.remove(edge_key(u, v))
-        edges.add(edge_key(BS_ID, v))
+        edges.add((BS_ID, v))
     return NetworkGraph(set(range(1, n + 1)), edges, d_max)
 
 

@@ -1,12 +1,17 @@
+import copy
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robustagg import atr, wire
+from robustagg import atr, orchestrator, wire
 from robustagg.adversary import Adversary
 from robustagg.crypto import BS_ID, KeyStore
 from robustagg.errors import FrameError
 from robustagg.netmodel import AggregationTree, Network, NetworkGraph, edge_key
+from robustagg.scenario import Scenario
 
 from helpers import (
     SignatureOracle,
@@ -167,6 +172,40 @@ def test_basic_rebuild_matches_hop_by_hop_oracle(case):
             )
         )
     assert runs[0] == runs[1]
+
+
+def test_dropped_walk_rebuilds_match_hop_by_hop_oracle(monkeypatch):
+    """`grid8_basic_drops` with node 27's responses dropped through session
+    2: both rebuilds (after sessions 0 and 2) lose nodes, and each equals
+    the hop-by-hop reference run from the same state."""
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "grid8_basic_drops.json"
+    config = json.loads(path.read_text())
+    for script in config["adversary"]["scripts"]:
+        if script["node"] == 27 and script["kind"] == "response_drop":
+            script["sessions"] = [0, 1, 2]
+    real = atr.atr_basic
+    rebuilt = []
+
+    def checked(net, blacklist, nonce, adv):
+        ref_net, ref_adv = Network(net.graph, net.keys, phase=net.phase), copy.deepcopy(adv)
+        want = oracle_atr_basic(ref_net, blacklist, nonce, ref_adv)
+        before, fired = dict(net.ledger.per_edge), len(adv.trace)
+        out = real(net, blacklist, nonce, adv)
+        charged = {e: b - before.get(e, 0) for e, b in net.ledger.per_edge.items()}
+        assert {e: b for e, b in charged.items() if b} == {e: b for e, b in ref_net.ledger.per_edge.items() if b}
+        assert out.tree.parent == want.tree.parent
+        assert list(out.adopted.items()) == list(want.adopted.items())
+        assert out.node_views == want.node_views
+        assert out.unreached == want.unreached
+        assert adv.trace[fired:] == ref_adv.trace[fired:]
+        rebuilt.append(out)
+        return out
+
+    monkeypatch.setattr(atr, "atr_basic", checked)
+    result = orchestrator.run_sessions(Scenario.from_dict(config))
+    assert [len(out.unreached) for out in rebuilt] == [7, 9]
+    assert [len(out.tree.members) for out in rebuilt] == [57, 55]
+    assert result.audits()["all_pass"]
 
 
 def assert_same_as_validated(tree):

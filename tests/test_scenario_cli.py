@@ -220,6 +220,15 @@ class TestGeneration:
         assert got.edges == want.edges
         assert got.neighbors(BS_ID) == want.neighbors(BS_ID)
 
+    @pytest.mark.parametrize("d_max", [5, 7, 8])
+    def test_benchmark_size_geometric_graph_matches_onepass_oracle(self, d_max):
+        # n = 800 with the d_max values the benchmark's geometric workloads
+        # draw besides 6.
+        got = _geometric_graph(800, d_max, 1)
+        want = oracle_onepass_geometric_graph(800, d_max, 1)
+        assert got.edges == want.edges
+        assert got.neighbors(BS_ID) == want.neighbors(BS_ID)
+
     @pytest.mark.parametrize(
         "n, seed", [(10, 0), (10, 5), (10, 9), (50, 3), (200, 7), (1000, 1)]
     )
@@ -554,6 +563,16 @@ class TestCli:
         cfg_path = write_config(tmp_path, base_config(topology=topology))
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loop", [[1, 1], [0, 0]], ids=["sensor", "bs"])
+    def test_self_loop_edge_is_a_config_error(self, tmp_path, capsys, loop):
+        # Without the check, a sensor self-loop ran (node 1 listing itself
+        # twice as a neighbor) and a BS self-loop read as a disconnected graph.
+        topology = {"kind": "edges", "n": 2, "d_max": 6, "edges": [loop, [0, 1], [1, 2]]}
+        cfg_path = write_config(tmp_path, base_config(topology=topology))
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
+        a, b = loop
+        assert f"config error: edge ({a}, {b}) is a self-loop" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides, message",
