@@ -566,8 +566,8 @@ class TestCli:
 
     @pytest.mark.parametrize("loop", [[1, 1], [0, 0]], ids=["sensor", "bs"])
     def test_self_loop_edge_is_a_config_error(self, tmp_path, capsys, loop):
-        # Without the check, a sensor self-loop ran (node 1 listing itself
-        # twice as a neighbor) and a BS self-loop read as a disconnected graph.
+        # Unchecked, a sensor self-loop lists node 1 twice among its own
+        # neighbors, and a BS self-loop reads as a disconnected graph.
         topology = {"kind": "edges", "n": 2, "d_max": 6, "edges": [loop, [0, 1], [1, 2]]}
         cfg_path = write_config(tmp_path, base_config(topology=topology))
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
