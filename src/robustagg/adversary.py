@@ -33,10 +33,6 @@ CATALOG: dict[str, str] = {
 }
 
 
-def catalog() -> set[str]:
-    return set(CATALOG)
-
-
 class ScriptEntry:
     """One scripted deviation: which node, when, and what; never mutated."""
 
@@ -120,10 +116,6 @@ class Adversary:
 
     def events(self, session: int) -> list[TraceEvent]:
         return [e for e in self.trace if e.session == session]
-
-
-def honest() -> Adversary:
-    return Adversary(faulty=())
 
 
 def garble(data: bytes) -> bytes:

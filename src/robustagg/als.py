@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import crypto, wire
 from .adversary import garble
-from .crypto import BS_ID, KeyStore, NodeId
+from .crypto import BS_ID, NodeId
 from .netmodel import LINK_OVERHEAD, AggregationTree, Network
 
 # Wire size of the "no message received from this child" placeholder slot.
@@ -152,12 +152,6 @@ def subtree_acks(tree: AggregationTree, node_acks: dict[NodeId, bytes]) -> dict[
             fold ^= folds[c]
         folds[node] = fold
     return {node: fold.to_bytes(wire.ACK_LEN, "big") for node, fold in folds.items()}
-
-
-def expected_ack(keys: KeyStore, tree: AggregationTree, node: NodeId, nonce: bytes) -> bytes:
-    return crypto.xor_acks(
-        [crypto.node_ack(keys.bs_key(u), nonce) for u in tree.subtree(node)]
-    )
 
 
 def als2_collect(

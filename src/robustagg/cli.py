@@ -7,7 +7,6 @@ configuration error, 3 disconnection.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 
@@ -26,7 +25,7 @@ def render_report(result: orchestrator.RunResult) -> str:
 
 
 def _apply_overrides(scenario_dict: dict, args: argparse.Namespace) -> dict:
-    out = copy.deepcopy(scenario_dict)
+    out = dict(scenario_dict)  # top-level keys only; nothing mutates nested values
     if args.seed_override is not None:
         out["seed"] = args.seed_override
     if args.atr:
@@ -77,8 +76,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_OK
     points = []
     for n in sizes:
-        cfg = copy.deepcopy(template)
-        cfg["topology"]["n"] = n
+        cfg = dict(template, topology=dict(topology, n=n))
         try:
             scenario = Scenario.from_dict(_apply_overrides(cfg, args))
         except ConfigError as exc:

@@ -20,7 +20,10 @@ class FrameError(RobustAggError):
 class UnlocalizableFailure(RobustAggError):
     """An aggregation failed but neither localization phase marked a node.
 
-    The localization analysis guarantees this cannot happen, so the engine
-    raises it rather than reporting the run; `cli.main` maps it to exit 1,
-    because the guarantee the audit checks has failed.
+    This happens when a forged root label fails the BS's plausibility check
+    (a count other than the member count, or a value out of range) while
+    every member recomputes that same root and acks it: ALS I then sees
+    every confirmation and ALS II every ack consistent.  The engine raises
+    it rather than reporting the run, and `cli.main` maps it to exit 1,
+    because a failure without a mark breaks a guarantee the audit checks.
     """

@@ -156,15 +156,6 @@ class AggregationTree:
     def is_leaf(self, node: NodeId) -> bool:
         return not self.children.get(node)
 
-    def subtree(self, node: NodeId) -> list[NodeId]:
-        out = []
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self.children.get(u, []))
-        return out
-
     def height(self) -> int:
         """Longest root-to-leaf path, in edges."""
         return len(self.epochs)
@@ -194,9 +185,6 @@ class CongestionLedger:
     def max_congestion(self) -> int:
         return max(self.per_edge.values(), default=0)
 
-    def total(self) -> int:
-        return sum(self.per_edge.values())
-
     def reset(self) -> None:
         self.per_edge.clear()
         self.per_phase.clear()
@@ -205,17 +193,11 @@ class CongestionLedger:
 class Network:
     """Channels plus accounting, shared by all protocol phases."""
 
-    def __init__(
-        self,
-        graph: NetworkGraph,
-        keys: KeyStore,
-        ledger: CongestionLedger | None = None,
-        phase: str = "idle",
-    ) -> None:
+    def __init__(self, graph: NetworkGraph, keys: KeyStore) -> None:
         self.graph = graph
         self.keys = keys
-        self.ledger = CongestionLedger() if ledger is None else ledger
-        self.phase = phase
+        self.ledger = CongestionLedger()
+        self.phase = "idle"
 
     def send_link(self, frm: NodeId, to: NodeId, payload: Payload) -> Payload:
         """Hop-authenticated neighbor send; returns the payload the receiver gets.

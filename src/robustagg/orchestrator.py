@@ -180,7 +180,7 @@ def run_sessions(scenario: Scenario) -> RunResult:
     adv = scenario.build_adversary()
     seed_bytes = str(scenario.seed).encode()
     keys = KeyStore(seed_bytes)
-    for s in sorted(graph.sensors):
+    for s in graph.sensors:
         keys.register_node(s)
     for a, b in graph.edges:
         keys.register_edge(a, b)

@@ -44,17 +44,17 @@ def _grid_graph(rows: int, cols: int) -> NetworkGraph:
     for r in range(rows):
         for c in range(cols):
             if c + 1 < cols:
-                edges.add(edge_key(nid(r, c), nid(r, c + 1)))
+                edges.add((nid(r, c), nid(r, c + 1)))
             if r + 1 < rows:
-                edges.add(edge_key(nid(r, c), nid(r + 1, c)))
-    edges.add(edge_key(BS_ID, 1))
+                edges.add((nid(r, c), nid(r + 1, c)))
+    edges.add((BS_ID, 1))
     return NetworkGraph(sensors, edges, d_max=5)
 
 
 def _chain_graph(n: int) -> NetworkGraph:
     sensors = set(range(1, n + 1))
-    edges = {edge_key(i, i + 1) for i in range(1, n)}
-    edges.add(edge_key(BS_ID, 1))
+    edges = {(i, i + 1) for i in range(1, n)}
+    edges.add((BS_ID, 1))
     return NetworkGraph(sensors, edges, d_max=2)
 
 
@@ -301,10 +301,6 @@ class Scenario:
         sc = cls(dict(config))
         sc.validate()
         return sc
-
-    @classmethod
-    def from_file(cls, path: str) -> "Scenario":
-        return cls.from_dict(load_config(path))
 
     def validate(self) -> None:
         c = self.config

@@ -840,6 +840,17 @@ def _extract2(
     return dict(zip(nonleaf, fields)), dict(zip(kids, ack_fields))
 
 
+def oracle_subtree(tree: AggregationTree, node: NodeId) -> list[NodeId]:
+    """`node` and every node below it, found by a walk down the child lists."""
+    out = []
+    stack = [node]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        stack.extend(tree.children.get(u, []))
+    return out
+
+
 def oracle_expected_acks(keys: KeyStore, tree: AggregationTree, nonce: bytes) -> dict[NodeId, bytes]:
     """Per-node expected aggregated ack: XOR of acks over the node's subtree."""
     out: dict[NodeId, bytes] = {}

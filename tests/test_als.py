@@ -15,6 +15,7 @@ from helpers import (
     net_for_tree,
     oracle_expected_acks,
     oracle_run_localization,
+    oracle_subtree,
     oracle_xor,
     run_localization,
     run_session,
@@ -65,10 +66,9 @@ class TestExpectedAcks:
         assert table == oracle_expected_acks(net.keys, tree, NONCE)
         for node in tree.members:
             parts = [
-                crypto.node_ack(net.keys.bs_key(u), NONCE) for u in tree.subtree(node)
+                crypto.node_ack(net.keys.bs_key(u), NONCE) for u in oracle_subtree(tree, node)
             ]
             assert table[node] == oracle_xor(parts)
-            assert table[node] == als.expected_ack(net.keys, tree, node, NONCE)
 
     def test_root_expectation_covers_everyone(self):
         net, tree, table = session_ack_table(FANOUT)

@@ -187,7 +187,8 @@ def test_dropped_walk_rebuilds_match_hop_by_hop_oracle(monkeypatch):
     rebuilt = []
 
     def checked(net, blacklist, nonce, adv):
-        ref_net, ref_adv = Network(net.graph, net.keys, phase=net.phase), copy.deepcopy(adv)
+        ref_net, ref_adv = Network(net.graph, net.keys), copy.deepcopy(adv)
+        ref_net.phase = net.phase
         want = oracle_atr_basic(ref_net, blacklist, nonce, ref_adv)
         before, fired = dict(net.ledger.per_edge), len(adv.trace)
         out = real(net, blacklist, nonce, adv)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from robustagg import cli, orchestrator
-from robustagg.scenario import Scenario
+from robustagg.scenario import Scenario, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -21,7 +21,7 @@ SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_report_matches_golden(path, tmp_path):
     golden = (GOLDEN / path.name).read_text(encoding="utf-8")
-    report = cli.render_report(orchestrator.run_sessions(Scenario.from_file(str(path))))
+    report = cli.render_report(orchestrator.run_sessions(Scenario.from_dict(load_config(str(path)))))
     assert report == golden
     out = tmp_path / "report.json"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK

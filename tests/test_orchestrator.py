@@ -20,7 +20,7 @@ from robustagg.orchestrator import (
     security_audit,
     success_cost_ok,
 )
-from robustagg.scenario import Scenario
+from robustagg.scenario import Scenario, load_config
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -402,7 +402,7 @@ class TestQuietSessions:
     def test_faulty_grid_derives_only_the_bs_keys_stage_one_reads(self, monkeypatch):
         runs = count_calls(monkeypatch, shia, "run_shia")
         derivations = count_calls(monkeypatch, crypto, "mac_long")
-        result = run_sessions(Scenario.from_file(str(SCENARIOS / "grid30_faulty.json")))
+        result = run_sessions(Scenario.from_dict(load_config(str(SCENARIOS / "grid30_faulty.json"))))
         trees = [tree for _, tree, *_ in runs]
         derived = [msg for _, msg in derivations]
         assert result.failures > 0 and trees

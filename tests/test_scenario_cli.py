@@ -18,6 +18,7 @@ from robustagg.scenario import (
     build_graph,
     canonical_json,
     config_hash,
+    load_config,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -128,7 +129,7 @@ class TestValidation:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         with pytest.raises(ConfigError):
-            Scenario.from_file(str(p))
+            load_config(str(p))
 
 
 class TestGeneration:
@@ -262,6 +263,32 @@ class TestCli:
         del cfg["sessions"]
         cfg_path = write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
+
+    @pytest.mark.parametrize("atr", ["basic", "resilient"])
+    def test_edges_topology_runs_the_same_in_any_pair_order(self, tmp_path, atr):
+        # The grid and chain builders hand over (lower, higher) pairs; a JSON
+        # edge list may reverse or repeat a pair and must run the same.
+        ordered = [[0, 1], [1, 2], [1, 3], [2, 4], [3, 4], [3, 5], [4, 5]]
+        shuffled = [[1, 0], [2, 1], [1, 2], [3, 1], [4, 2], [5, 4], [4, 3], [5, 3], [3, 4]]
+        runs = []
+        for name, edges in (("ordered", ordered), ("shuffled", shuffled)):
+            cfg = {
+                "seed": 5,
+                "sessions": 4,
+                "atr": atr,
+                "topology": {"kind": "edges", "n": 5, "edges": edges},
+                "adversary": {
+                    "faulty": [4],
+                    "scripts": [{"node": 4, "kind": "label_drop", "sessions": [0]}],
+                },
+            }
+            out = tmp_path / f"{name}.json"
+            argv = ["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]
+            assert cli.main(argv) == cli.EXIT_OK
+            report = json.loads(out.read_text())
+            runs.append([report[k] for k in ("sessions", "totals", "audits")])
+        assert runs[0] == runs[1]
+        assert [s["verdict"] for s in runs[0][0]] == ["failure"] + ["success"] * 3
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("content", [None, "[1, 2]"], ids=["missing_file", "non_object"])

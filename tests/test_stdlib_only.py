@@ -3,8 +3,9 @@ what it executes.
 
 One subprocess blocks numpy (the last third-party import the package had),
 then runs a scenario and a two-size sweep through the CLI.  Another runs a
-scenario and checks which costly stdlib modules it loaded.  A third scans
-the package's source for imports that nothing reads.
+scenario and checks which costly stdlib modules it loaded.  Two more scan
+the package's source: for imports that nothing reads, and for definitions
+that no run path or bench script reads.
 """
 
 import ast
@@ -41,10 +42,10 @@ def test_cli_runs_with_numpy_blocked(tmp_path):
     assert json.loads(proc.stdout) == [0, 0]
 
 
-# Each costs milliseconds to import and a run needs none: `dataclasses` pulls
-# in `inspect`, and `statistics` (which only a sweep's fit uses) pulls in
-# `fractions` and `decimal`.
-UNNEEDED = ("dataclasses", "inspect", "statistics", "fractions", "decimal")
+# Each costs time to import and a run needs none: `dataclasses` pulls in
+# `inspect`, `statistics` (which only a sweep's fit uses) pulls in `fractions`
+# and `decimal`, and a config is copied one level deep, never with `copy`.
+UNNEEDED = ("dataclasses", "inspect", "statistics", "fractions", "decimal", "copy")
 
 IMPORTS_SCRIPT = """
 import json, sys
@@ -100,3 +101,44 @@ def test_src_imports_are_all_read():
         }
         unread += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
     assert unread == []
+
+
+# Definitions kept although nothing in `src/robustagg` or `bench/` reads them.
+KEPT_UNREAD = {
+    "events": "Adversary.events: a session's ground truth, for the planned report and trace",
+    "link_key": "KeyStore.link_key: link keys stay in the model; the link MAC is only charged",
+    "node_views": "AtrOutcome.node_views: each node's view of a rebuild, acceptance criterion 8",
+    "unreached": "AtrOutcome.unreached: the members a rebuild lost, acceptance criterion 8",
+    "read_i64": "wire.read_i64: the i64 reader of the reference codec in tests/helpers.py",
+}
+
+
+def test_src_definitions_are_all_read():
+    # A function, class or method that no run path and no bench script reads
+    # is dead code.  A read is a loaded name or attribute, an import, or a
+    # string constant (bench/tracing.py names what it wraps in strings), so
+    # a test-only caller does not keep a definition alive.
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    src = sorted((ROOT / "src" / "robustagg").glob("*.py"))
+    for path in src + sorted((ROOT / "bench").glob("*.py")):
+        in_src = path.parent.name == "robustagg"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if in_src and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update(node.value.split("."))
+    dunder = {name for name in defined if name.startswith("__") and name.endswith("__")}
+    unread = [
+        f"{where} {name}"
+        for name, where in defined.items()
+        if name not in read | dunder | KEPT_UNREAD.keys()
+    ]
+    assert unread == []
+    assert set(KEPT_UNREAD) <= set(defined)  # an entry whose definition is gone goes too
