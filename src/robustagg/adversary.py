@@ -32,6 +32,16 @@ CATALOG: dict[str, str] = {
     "nl_fake": "nl",
 }
 
+# The params each kind reads; a kind not listed reads none.
+PARAMS: dict[str, tuple[str, ...]] = {
+    "own_value_forge": ("value",),
+    "label_forge": ("count", "value", "value_add"),
+    "parent_switch": ("target",),
+    "confirm_tamper": ("slot",),
+    "ack_report_forge": ("slot",),
+    "nl_fake": ("add", "remove"),
+}
+
 
 class ScriptEntry:
     """One scripted deviation: which node, when, and what; never mutated."""
@@ -82,6 +92,8 @@ class Adversary:
                 raise ConfigError(f"script targets correct node {entry.node}")
             if entry.kind == "parent_switch" and entry.params.get("target") not in self.faulty:
                 raise ConfigError("parent_switch target must be another faulty node")
+        # The scripts of a SHIA phase, in order: `quiet` reads only these.
+        self.stage_one = [e for e in self.scripts if CATALOG[e.kind] in ("commit", "offpath", "ack")]
         self.trace: list[TraceEvent] = []
         self.session = -1
 
@@ -96,14 +108,27 @@ class Adversary:
                 return entry
         return None
 
-    def quiet(self, members: set[NodeId], session: int) -> bool:
-        """Whether stage one over a tree of `members` runs honestly in
-        `session`: no member has an active script of a SHIA phase."""
-        shia = ("commit", "offpath", "ack")
-        return not any(
-            e.node in members and CATALOG[e.kind] in shia and e.active(session)
-            for e in self.scripts
-        )
+    def quiet(self, tree, session: int) -> dict[NodeId, int] | None:
+        """None when a script can alter a message of stage one over `tree`
+        in `session`; otherwise the reading each own-value forger reports.
+
+        Only an active script of a SHIA phase on a tree member can, and two
+        kinds never do.  `own_value_forge` changes the reading a forger folds
+        in, not the shape of a message, so the session succeeds with the
+        forged sum; a forger uses its first active entry, as `action` does.
+        `offpath_corrupt` acts where a node forwards a blob, never at a leaf.
+        """
+        forged: dict[NodeId, int] = {}
+        children = tree.children
+        for e in self.stage_one:
+            kids = children.get(e.node)
+            if kids is None or not e.active(session):
+                continue  # not a member, or idle in this session
+            if e.kind == "own_value_forge":
+                forged.setdefault(e.node, e.params["value"])
+            elif kids or e.kind != "offpath_corrupt":
+                return None
+        return forged
 
     def fire(self, node: NodeId, kind: str) -> None:
         if kind == "own_value_forge":

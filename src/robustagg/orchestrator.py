@@ -202,9 +202,9 @@ def run_sessions(scenario: Scenario) -> RunResult:
         tree = atr.build_initial_tree(graph)
 
     checked = None  # the last tree checked against the graph
-    # A quiet session's charges on `checked`, per (edge, phase), computed when
-    # one first needs them: stage one then runs honestly, succeeds with the
-    # members' sum and charges by tree alone.
+    # A quiet session's charges on `checked`, per (edge, phase), and its
+    # all-acked map, made when one first needs them and shared read-only by
+    # the tree's quiet sessions.
     record: dict[tuple[NodeId, NodeId, str], int] | None = None
     for i in range(scenario.sessions):
         if tree is None:
@@ -214,22 +214,29 @@ def run_sessions(scenario: Scenario) -> RunResult:
             graph.check_tree(tree)
             checked, record = tree, None
             h, delta = tree.metrics()
+            members = tree.members
         adv.begin_session(i)
         nonce = crypto.mac(nonce_key, b"session" + wire.u16(i))[: wire.NONCE_LEN]
         values = scenario.values_for(i, graph.sensors)
         net.ledger.reset()
 
-        members = tree.members
-        if adv.quiet(members, i):
+        # Quiet: no script can alter a message, so stage one would run as an
+        # honest one does, charge by tree alone and succeed with the members'
+        # sum, each own-value forger's reading replaced by its forged one.
+        forged = adv.quiet(tree, i)
+        if forged is not None:
             if record is None:
                 record = shia.honest_charges(tree, graph.flood_edges)
+                acked = dict.fromkeys(members, True)
             charge = net.ledger.charge
             for (a, b, phase), nbytes in record.items():
                 charge(a, b, nbytes, phase)
+            value = sum(values[s] for s in members)
+            for s, v in forged.items():
+                value += v - values[s]
             sres = shia.ShiaResult(
-                accepted=True, value=sum(values[s] for s in members), root_label=None,
-                root_ok=True, agg_ack=None, expected_ack=None, node_acks={},
-                acked=dict.fromkeys(members, True),
+                accepted=True, value=value, root_label=None, root_ok=True, agg_ack=None,
+                expected_ack=None, node_acks={}, acked=acked,
             )
         else:
             sres = shia.run_shia(net, tree, values, adv, nonce, scenario.value_range)

@@ -12,7 +12,7 @@ import math
 import random
 from typing import Any
 
-from .adversary import Adversary, ScriptEntry
+from .adversary import CATALOG, PARAMS, Adversary, ScriptEntry
 from .crypto import BS_ID
 from .errors import ConfigError
 from .netmodel import NetworkGraph, edge_key
@@ -220,7 +220,19 @@ def _check_script(s: Any, lo: int, hi: int) -> None:
             "each adversary script needs an integer node, a string kind, an "
             "object params and an optional list of integer sessions"
         )
+    # A misspelt key would otherwise be ignored and change the run silently.
+    for key in s:
+        if key not in ("node", "kind", "params", "sessions"):
+            raise ConfigError(
+                f"unknown adversary script key {key!r}; a script takes node, kind, params and sessions"
+            )
     p = s.get("params", {})
+    if s["kind"] in CATALOG:  # Adversary refuses an unknown kind
+        allowed = PARAMS.get(s["kind"], ())
+        for key in p:
+            if key not in allowed:
+                takes = f"takes {', '.join(allowed)}" if allowed else "takes no params"
+                raise ConfigError(f"unknown {s['kind']} param {key!r}; {s['kind']} {takes}")
     if s["kind"] == "own_value_forge":
         v = p.get("value")
         if not _is_int(v) or not lo <= v <= hi:

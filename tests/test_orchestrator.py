@@ -352,12 +352,14 @@ def count_calls(monkeypatch, module, name) -> list:
 
 
 class TestQuietSessions:
-    # A quiet session (no faulty tree member has an active SHIA script) runs
-    # no stage one: it is charged from the record `shia.honest_charges`
-    # computes from its tree.
+    # A quiet session (no active script on a tree member can alter a stage-one
+    # message) runs no stage one: it is charged from the record
+    # `shia.honest_charges` computes from its tree.  On the 4x5 grid's tree
+    # node 7 forwards to its child 12, and node 17 is a leaf.
 
     @pytest.mark.parametrize("kind", SHIA_KINDS)
     def test_stage_one_runs_in_exactly_the_scripted_session(self, monkeypatch, kind):
+        # Own-value forgery alters no message, so no session runs stage one.
         calls = count_calls(monkeypatch, shia, "run_shia")
         params = {
             "own_value_forge": {"value": 55},
@@ -370,7 +372,43 @@ class TestQuietSessions:
         }
         result = run(grid_config(sessions=4, adversary=adversary))
         ran = [nonce.hex() for _, _, _, _, nonce, _ in calls]
-        assert ran == [result.records[2].nonce]
+        assert ran == ([] if kind == "own_value_forge" else [result.records[2].nonce])
+
+    @pytest.mark.parametrize("node, scripted", [(17, []), (7, [2])], ids=["leaf", "internal"])
+    def test_offpath_corruption_runs_stage_one_only_where_a_node_forwards(
+        self, monkeypatch, node, scripted
+    ):
+        calls = count_calls(monkeypatch, shia, "run_shia")
+        adversary = {
+            "faulty": [node],
+            "scripts": [{"node": node, "kind": "offpath_corrupt", "sessions": [2]}],
+        }
+        config = grid_config(sessions=4, adversary=adversary)
+        result = run(config)
+        assert [nonce.hex() for _, _, _, _, nonce, _ in calls] == [
+            result.records[t].nonce for t in scripted
+        ]
+        assert observed_run(config, skip_quiet=True) == observed_run(config, skip_quiet=False)
+
+    def test_own_value_forgery_in_every_session_runs_no_stage_one(self, monkeypatch):
+        # Every session replays the tree's one record, and each accepted sum
+        # carries the forged reading, as the full stage one's does.
+        adversary = {
+            "faulty": [7],
+            "scripts": [{"node": 7, "kind": "own_value_forge", "params": {"value": 100}}],
+        }
+        config = grid_config(sessions=50, adversary=adversary)
+        runs = count_calls(monkeypatch, shia, "run_shia")
+        records = count_calls(monkeypatch, shia, "honest_charges")
+        quiet = observed_run(config, skip_quiet=True)
+        assert (len(runs), len(records)) == (0, 1)
+        assert quiet == observed_run(config, skip_quiet=False)
+        assert len(runs) == 50  # the oracle ran stage one in every session
+        report = json.loads(quiet[0])
+        assert report["audits"]["all_pass"] and report["totals"]["failures"] == 0
+        scenario = Scenario.from_dict(config)  # every sensor is in the tree
+        honest = [sum(scenario.values_for(t, scenario.graph.sensors).values()) for t in range(50)]
+        assert [rec["value"] for rec in report["sessions"]] != honest
 
     def test_honest_grid_runs_no_stage_one_over_three_sessions(self, monkeypatch):
         acks = count_calls(monkeypatch, crypto, "node_ack")
@@ -487,7 +525,7 @@ def observed_run(config: dict, skip_quiet: bool):
         mp.setattr(CongestionLedger, "reset", reset)
         mp.setattr(Scenario, "build_adversary", build)
         if not skip_quiet:
-            mp.setattr(Adversary, "quiet", lambda self, members, session: False)
+            mp.setattr(Adversary, "quiet", lambda self, tree, session: None)
         scenario = Scenario.from_dict(config)
         try:
             outcome = cli.render_report(run_sessions(scenario))

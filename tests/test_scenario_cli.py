@@ -752,6 +752,54 @@ class TestCli:
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            # Exited 0: "session" was ignored, so the forgery fired in every
+            # session from session 0, and its misspelt count was dropped.
+            (
+                {"node": 7, "kind": "label_forge", "session": [2], "params": {"cuont": 40000}},
+                "unknown adversary script key 'session'",
+            ),
+            (
+                {"node": 7, "kind": "label_forge", "sessions": [2], "params": {"cuont": 40000}},
+                "unknown label_forge param 'cuont'; label_forge takes count, value, value_add",
+            ),
+            (
+                {"node": 7, "kind": "own_value_forge", "params": {"value": 5, "count": 2}},
+                "unknown own_value_forge param 'count'",
+            ),
+            (
+                {"node": 7, "kind": "parent_switch", "params": {"target": 7, "slot": 0}},
+                "unknown parent_switch param 'slot'",
+            ),
+            (
+                {"node": 7, "kind": "confirm_tamper", "params": {"add": []}},
+                "unknown confirm_tamper param 'add'",
+            ),
+            (
+                {"node": 7, "kind": "ack_report_forge", "params": {"target": 7}},
+                "unknown ack_report_forge param 'target'",
+            ),
+            (
+                {"node": 7, "kind": "nl_fake", "params": {"add": [], "value": 1}},
+                "unknown nl_fake param 'value'",
+            ),
+            (
+                {"node": 7, "kind": "offpath_corrupt", "params": {"slot": 1}},
+                "unknown offpath_corrupt param 'slot'; offpath_corrupt takes no params",
+            ),
+        ],
+        ids=["typo_entry_key", "typo_count", "own_value", "parent_switch", "confirm_tamper",
+             "ack_report_forge", "nl_fake", "no_params"],
+    )
+    def test_unknown_script_keys_are_config_errors(self, tmp_path, capsys, script, message):
+        cfg = json.loads((SCENARIOS / "grid_clean.json").read_text())
+        cfg.update(scripted(script, faulty=[7]))
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
+        assert f"config error: {message}" in capsys.readouterr().err
+
 
 # Boundary fuzz: mutated configs and tampered reports end in an exit code,
 # never in a traceback.
