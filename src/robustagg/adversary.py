@@ -50,12 +50,12 @@ class ScriptEntry:
         self,
         node: NodeId,
         kind: str,
-        params: dict[str, Any] | None = None,
-        sessions: frozenset[int] | None = None,  # None: every session
+        params: dict[str, Any],
+        sessions: frozenset[int] | None,  # None: every session
     ) -> None:
         self.node = node
         self.kind = kind
-        self.params = {} if params is None else params
+        self.params = params
         self.sessions = sessions
 
     def __eq__(self, other: object) -> bool:
@@ -80,7 +80,7 @@ class TraceEvent(NamedTuple):
 class Adversary:
     """Shared adversary state: faulty set, scripts, and the fired-event trace."""
 
-    def __init__(self, faulty: Iterable[NodeId], scripts: Iterable[ScriptEntry] = ()):
+    def __init__(self, faulty: Iterable[NodeId], scripts: Iterable[ScriptEntry]):
         self.faulty = frozenset(faulty)
         if BS_ID in self.faulty:
             raise ConfigError("the BS is always correct and cannot be faulty")

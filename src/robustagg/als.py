@@ -3,7 +3,7 @@
 Phase I collects onion-authenticated confirmations from every node that
 acknowledged the result and recursively checks them at the BS; phase II
 collects the per-child acks nodes stored during result checking and hunts
-for inconsistencies.  Both produce a set of marks, in (child, parent)
+for inconsistencies.  Both produce a list of marks, in (child, parent)
 pairs except when the parent is the BS.
 
 Both phases' envelopes are charged by their byte size, not built.  A
@@ -47,31 +47,17 @@ class Mark(NamedTuple):
         return {self.node} if self.partner is None else {self.node, self.partner}
 
 
-class MarkSet:
-    """The marks one localization phase made, in order; equal when they are."""
+def mark(node: NodeId, parent: NodeId, rule: str) -> Mark:
+    """A mark on `node` and its parent, or on `node` alone under the BS."""
+    return Mark(node, None if parent == BS_ID else parent, rule)
 
-    def __init__(self, marks: list[Mark] | None = None) -> None:
-        self.marks = [] if marks is None else marks
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.marks == other.marks
-
-    def __repr__(self) -> str:
-        return f"MarkSet({self.marks!r})"
-
-    def add(self, node: NodeId, parent: NodeId, rule: str) -> None:
-        self.marks.append(Mark(node, None if parent == BS_ID else parent, rule))
-
-    def nodes(self) -> set[NodeId]:
-        out: set[NodeId] = set()
-        for m in self.marks:
-            out |= m.pair()
-        return out
-
-    def __bool__(self) -> bool:
-        return bool(self.marks)
+def marked(marks: list[Mark]) -> set[NodeId]:
+    """Every node the marks name."""
+    out: set[NodeId] = set()
+    for m in marks:
+        out |= m.pair()
+    return out
 
 
 def als1_collect(
@@ -118,13 +104,12 @@ def als1_collect(
     return intact
 
 
-def als1_process(tree: AggregationTree, intact: dict[NodeId, list[NodeId]]) -> MarkSet:
+def als1_process(tree: AggregationTree, intact: dict[NodeId, list[NodeId]]) -> list[Mark]:
     """BS-side recursive confirmation check."""
-    marks = MarkSet()
     b = tree.bs_child
     if b not in intact:
-        marks.add(b, BS_ID, "absent")
-        return marks
+        return [mark(b, BS_ID, "absent")]
+    marks = []
 
     # Pre-order walk, children in tree order: the stack holds them reversed,
     # each with whether its parent carried its confirmation intact.
@@ -132,7 +117,7 @@ def als1_process(tree: AggregationTree, intact: dict[NodeId, list[NodeId]]) -> M
     while stack:
         node, parent, ok = stack.pop()
         if not ok:
-            marks.add(node, parent, "structural")
+            marks.append(mark(node, parent, "structural"))
             continue
         carried = intact[node]
         stack.extend((c, node, c in carried) for c in reversed(tree.children[node]))
@@ -205,7 +190,7 @@ def als2_process(
     tree: AggregationTree,
     reported: dict[NodeId, list[bytes]],
     agg_ack: bytes,
-) -> MarkSet:
+) -> list[Mark]:
     """BS-side recursive ack analysis.
 
     `node_acks` is each member's own ack, as stage one MACed it, and
@@ -215,7 +200,7 @@ def als2_process(
     (report does not recombine to the claimed aggregate) mark the pair, and
     recursion continues where the structure allows.
     """
-    marks = MarkSet()
+    marks = []
     expect = subtree_acks(tree, node_acks)
 
     # Pre-order walk, children in tree order: the stack holds them reversed.
@@ -226,15 +211,15 @@ def als2_process(
             continue  # consistent subtree: not processed further
         if tree.is_leaf(node):
             if claimed != node_acks[node]:
-                marks.add(node, parent, "type_i")
+                marks.append(mark(node, parent, "type_i"))
             continue
         acks = reported.get(node)
         if acks is None:
-            marks.add(node, parent, "structural")
+            marks.append(mark(node, parent, "structural"))
             continue
         recombined = crypto.xor_acks([node_acks[node], *acks])
         if claimed != recombined:
-            marks.add(node, parent, "type_ii")
+            marks.append(mark(node, parent, "type_ii"))
         kids = tree.children[node]
         stack.extend((c, node, a) for c, a in zip(reversed(kids), reversed(acks)))
     return marks

@@ -27,13 +27,13 @@ class AtrOutcome:
     def __init__(
         self,
         tree: AggregationTree | None,
-        adopted: dict[NodeId, NodeId] | None = None,
-        sensors: set[NodeId] = frozenset(),
+        adopted: dict[NodeId, NodeId],
+        sensors: set[NodeId],
     ) -> None:
         self.tree = tree
         # The (child, parent) pairs parsed from the broadcast payload, in
         # child-id order as packed, not copied from the BS structure.
-        self.adopted = {} if adopted is None else adopted
+        self.adopted = adopted
         self.sensors = sensors
 
     @cached_property
@@ -55,14 +55,12 @@ def _bs_child(bs_neighbors: list[NodeId], blacklist: frozenset[NodeId]) -> NodeI
     return next((v for v in bs_neighbors if v not in blacklist), None)
 
 
-def build_initial_tree(graph: NetworkGraph, blacklist: frozenset[NodeId] = frozenset()) -> AggregationTree | None:
-    """Deterministic BFS tree with a single BS child (lowest usable id)."""
-    b = _bs_child(graph.neighbors(BS_ID), blacklist)
-    if b is None:
-        return None
-    parent = {b: BS_ID}
+def build_initial_tree(graph: NetworkGraph) -> AggregationTree:
+    """Deterministic BFS tree with a single BS child, the BS's lowest-id
+    neighbor; a `NetworkGraph` always gives the BS one."""
+    parent = {graph.neighbors(BS_ID)[0]: BS_ID}
     # Levels expand in discovery order (unsorted); the pinned reports depend on it.
-    levels = bfs_levels(parent, graph.neighbors, blacklist | {BS_ID})
+    levels = bfs_levels(parent, graph.neighbors, frozenset({BS_ID}))
     return AggregationTree.from_levels(parent, levels)
 
 
@@ -107,7 +105,7 @@ def atr_basic(
 
     b = _bs_child(graph.neighbors(BS_ID), blacklist)
     if b is None:
-        return AtrOutcome(None, sensors=graph.sensors)
+        return AtrOutcome(None, {}, graph.sensors)
     net.send_link(BS_ID, b, te)
 
     def rebroadcast(u: NodeId) -> list[NodeId]:
@@ -223,7 +221,7 @@ def atr_resilient_build(
     net.phase = "atr"
     b = _bs_child(adj[BS_ID], blacklist)
     if b is None:
-        return AtrOutcome(None, sensors=net.graph.sensors)
+        return AtrOutcome(None, {}, net.graph.sensors)
     parent = {b: BS_ID}
     # Each level is sorted by id; the pinned reports depend on it.
     levels = bfs_levels(parent, adj.__getitem__, blacklist | {BS_ID}, sort_levels=True)

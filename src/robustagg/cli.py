@@ -92,7 +92,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         points.append(
             {
                 "n": n,
-                "height": rec.tree_height,
+                "height": rec.tree.height(),
                 "degree": rec.tree_degree,
                 "success_cost": max((r.max_congestion for r in success), default=None),
                 "failure_cost": max((r.max_congestion for r in failure), default=None),

@@ -32,7 +32,7 @@ def edge_key(a: NodeId, b: NodeId) -> Edge:
 def bfs_levels(
     parent: dict[NodeId, NodeId],
     neighbors: Callable[[NodeId], Iterable[NodeId]],
-    blocked: frozenset[NodeId] = frozenset(),
+    blocked: frozenset[NodeId],
     sort_levels: bool = False,
 ) -> list[list[NodeId]]:
     """Level-order walk from `parent`'s keys; grows `parent` in place.
@@ -163,9 +163,6 @@ class AggregationTree:
     def max_degree(self) -> int:
         """Max tree degree over non-root nodes (children + parent link)."""
         return max((len(self.children.get(c, [])) + 1 for c in self.parent), default=1)
-
-    def metrics(self) -> tuple[int, int]:
-        return self.height(), self.max_degree()
 
 
 class CongestionLedger:

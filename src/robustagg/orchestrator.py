@@ -13,7 +13,7 @@ from . import als, atr, crypto, shia, wire
 from .crypto import KeyStore, NodeId
 from .errors import ProtocolViolation, UnlocalizableFailure
 from .netmodel import AggregationTree, Network
-from .scenario import Scenario
+from .scenario import SCHEMA, Scenario
 
 # Cost-model constants, calibrated once on desk scenarios and frozen.
 # UNIT_BYTES is the wire size of one internal-label link message (55-byte
@@ -27,20 +27,27 @@ FAILURE_COST_C2 = 4.0
 
 
 class SessionRecord:
+    """One session: what the report shows of it, and the engine-side facts
+    oracles and audits read (its tree, the true readings, who misbehaved,
+    stage one's result, the rebuild's outcome), which it never shows."""
+
     def __init__(
         self,
         index: int,
         nonce: str,
         verdict: str,  # "success" | "failure"
         value: int | None,
-        marks: list[tuple[NodeId, NodeId | None, str]],
+        marks: list[als.Mark],
         blacklist_after: list[NodeId],
         max_congestion: int,
         phase_congestion: dict[str, int],
-        tree_height: int,
+        tree: AggregationTree,
         tree_degree: int,
-        tree_size: int,
         als2_ran: bool,
+        values: dict[NodeId, int],
+        misbehaved: set[NodeId],
+        shia_result: shia.ShiaResult,
+        atr_outcome: atr.AtrOutcome | None,
     ) -> None:
         self.index = index
         self.nonce = nonce
@@ -50,10 +57,13 @@ class SessionRecord:
         self.blacklist_after = blacklist_after
         self.max_congestion = max_congestion
         self.phase_congestion = phase_congestion
-        self.tree_height = tree_height
-        self.tree_degree = tree_degree
-        self.tree_size = tree_size
+        self.tree = tree
+        self.tree_degree = tree_degree  # O(n) to compute, so once per tree
         self.als2_ran = als2_ran
+        self.values = values
+        self.misbehaved = misbehaved
+        self.shia_result = shia_result
+        self.atr_outcome = atr_outcome
 
     def to_dict(self) -> dict:
         return {
@@ -66,52 +76,22 @@ class SessionRecord:
             "max_congestion": self.max_congestion,
             "phase_congestion": dict(sorted(self.phase_congestion.items())),
             "tree": {
-                "height": self.tree_height,
+                "height": self.tree.height(),
                 "degree": self.tree_degree,
-                "size": self.tree_size,
+                "size": len(self.tree.parent),
             },
             "als2_ran": self.als2_ran,
         }
 
 
-class SessionGroundTruth:
-    """Engine-side facts for oracles and audits; never serialized."""
-
-    def __init__(
-        self,
-        tree: AggregationTree,
-        values: dict[NodeId, int],
-        misbehaved: set[NodeId],
-        shia_result: shia.ShiaResult,
-        atr_outcome: atr.AtrOutcome | None,
-        value_range: tuple[int, int] = (0, 100),
-    ) -> None:
-        self.tree = tree
-        self.values = values
-        self.misbehaved = misbehaved
-        self.shia_result = shia_result
-        self.atr_outcome = atr_outcome
-        self.value_range = value_range
-
-
 class RunResult:
-    def __init__(
-        self,
-        scenario: Scenario,
-        records: list[SessionRecord] | None = None,
-        truths: list[SessionGroundTruth] | None = None,
-        blacklist: set[NodeId] | None = None,
-        disconnected: bool = False,
-        faulty: frozenset[NodeId] = frozenset(),
-        setup_congestion: int = 0,
-    ) -> None:
+    def __init__(self, scenario: Scenario, faulty: frozenset[NodeId]) -> None:
         self.scenario = scenario
-        self.records = [] if records is None else records
-        self.truths = [] if truths is None else truths
-        self.blacklist = set() if blacklist is None else blacklist
-        self.disconnected = disconnected
         self.faulty = faulty
-        self.setup_congestion = setup_congestion
+        self.records: list[SessionRecord] = []
+        self.blacklist: set[NodeId] = set()
+        self.disconnected = False
+        self.setup_congestion = 0
 
     @property
     def failures(self) -> int:
@@ -124,15 +104,15 @@ class RunResult:
         n_a = len(self.faulty)
         correct_excluded = len(self.blacklist - self.faulty)
         security_ok = all(
-            security_audit(rec, gt, self.faulty)
-            for rec, gt in zip(self.records, self.truths)
+            security_audit(rec, self.faulty, self.scenario.value_range)
+            for rec in self.records
             if rec.verdict == "success"
         )
         # Stability: once no faulty node is left in the tree, nothing fails.
-        stable = True
-        for rec, gt in zip(self.records, self.truths):
-            if not (self.faulty & gt.tree.members) and rec.verdict == "failure":
-                stable = False
+        stable = not any(
+            rec.verdict == "failure" and not (self.faulty & rec.tree.members)
+            for rec in self.records
+        )
         out = {
             "failure_bound": self.failures <= n_a,
             "security": security_ok,
@@ -143,8 +123,6 @@ class RunResult:
         return out
 
     def to_dict(self) -> dict:
-        from .scenario import SCHEMA
-
         return {
             "schema": SCHEMA,
             "config": self.scenario.config,
@@ -162,15 +140,17 @@ class RunResult:
         }
 
 
-def security_audit(rec: SessionRecord, gt: SessionGroundTruth, faulty: frozenset[NodeId]) -> bool:
+def security_audit(
+    rec: SessionRecord, faulty: frozenset[NodeId], value_range: tuple[int, int]
+) -> bool:
     """An accepted value must equal the correct nodes' sum plus one in-range
     contribution per faulty tree node."""
     if rec.verdict != "success" or rec.value is None:
         return False
-    members = gt.tree.members
+    members = rec.tree.members
     n_f = len(faulty & members)
-    correct_sum = sum(gt.values[s] for s in members - faulty)
-    lo, hi = gt.value_range
+    correct_sum = sum(rec.values[s] for s in members - faulty)
+    lo, hi = value_range
     slack = rec.value - correct_sum
     return n_f * lo <= slack <= n_f * hi
 
@@ -187,8 +167,8 @@ def run_sessions(scenario: Scenario) -> RunResult:
     net = Network(graph, keys)
     nonce_key = crypto.mac_long(b"\x02" * crypto.KEY_LEN, b"nonce" + seed_bytes)
 
-    result = RunResult(scenario=scenario, faulty=adv.faulty)
-    blacklist: set[NodeId] = set()
+    result = RunResult(scenario, adv.faulty)
+    blacklist = result.blacklist
     bs_adj = None
     if scenario.atr_variant == "resilient":
         adv.begin_session(-1)
@@ -213,7 +193,7 @@ def run_sessions(scenario: Scenario) -> RunResult:
         if tree is not checked:
             graph.check_tree(tree)
             checked, record = tree, None
-            h, delta = tree.metrics()
+            delta = tree.max_degree()
             members = tree.members
         adv.begin_session(i)
         nonce = crypto.mac(nonce_key, b"session" + wire.u16(i))[: wire.NONCE_LEN]
@@ -240,7 +220,7 @@ def run_sessions(scenario: Scenario) -> RunResult:
             )
         else:
             sres = shia.run_shia(net, tree, values, adv, nonce, scenario.value_range)
-        marks = als.MarkSet()
+        marks: list[als.Mark] = []
         als2_ran = False
         atr_outcome: atr.AtrOutcome | None = None
         if sres.accepted:
@@ -258,7 +238,7 @@ def run_sessions(scenario: Scenario) -> RunResult:
                 raise UnlocalizableFailure(
                     f"session {i}: aggregation failed but no node was marked"
                 )
-            blacklist |= marks.nodes()
+            blacklist |= als.marked(marks)
             if als2_ran and scenario.accept_on_als2:
                 # The ack path was disrupted but the aggregate itself checked
                 # out, so the result can be salvaged (opt-in).
@@ -276,30 +256,21 @@ def run_sessions(scenario: Scenario) -> RunResult:
                 nonce=nonce.hex(),
                 verdict=verdict,
                 value=value,
-                marks=[(m.node, m.partner, m.rule) for m in marks.marks],
+                marks=marks,
                 blacklist_after=sorted(blacklist),
                 max_congestion=net.ledger.max_congestion(),
                 phase_congestion=dict(net.ledger.per_phase),
-                tree_height=h,
-                tree_degree=delta,
-                tree_size=len(members),
-                als2_ran=als2_ran,
-            )
-        )
-        result.truths.append(
-            SessionGroundTruth(
                 tree=tree,
+                tree_degree=delta,
+                als2_ran=als2_ran,
                 values=values,
                 misbehaved=adv.misbehaved(i),
                 shia_result=sres,
                 atr_outcome=atr_outcome,
-                value_range=scenario.value_range,
             )
         )
         if atr_outcome is not None:
             tree = atr_outcome.tree
-
-    result.blacklist = blacklist
     return result
 
 

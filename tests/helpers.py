@@ -138,7 +138,7 @@ def recorded_charges(net: Network, *args) -> tuple[shia.ShiaResult, dict]:
 
 
 def entry(node: int, kind: str, **params) -> ScriptEntry:
-    return ScriptEntry(node=node, kind=kind, params=params)
+    return ScriptEntry(node=node, kind=kind, params=params, sessions=None)
 
 
 # --- independent byte-layout oracle (deliberately avoids robustagg.wire) ---
@@ -769,13 +769,12 @@ def _fields(
 
 def oracle_als1_process(
     keys: KeyStore, tree: AggregationTree, m_b: bytes | None, nonce: bytes
-) -> als.MarkSet:
+) -> list[als.Mark]:
     """BS-side recursive confirmation check."""
-    marks = als.MarkSet()
     b = tree.bs_child
     if m_b is None:
-        marks.add(b, BS_ID, "absent")
-        return marks
+        return [als.mark(b, BS_ID, "absent")]
+    marks = []
 
     # Pre-order walk, children in tree order: the stack holds them reversed.
     stack: list[tuple[NodeId, NodeId, bytes | None]] = [(b, BS_ID, m_b)]
@@ -783,7 +782,7 @@ def oracle_als1_process(
         node, parent, data = stack.pop()
         slots = _fields(keys, node, data, nonce, len(tree.children.get(node, [])))
         if slots is None:
-            marks.add(node, parent, "structural")
+            marks.append(als.mark(node, parent, "structural"))
             continue
         kids = list(zip(tree.children.get(node, []), slots))
         stack.extend((child, node, slot) for child, slot in reversed(kids))
@@ -868,7 +867,7 @@ def oracle_als2_process(
     m_b: bytes | None,
     agg_ack: bytes,
     nonce: bytes,
-) -> als.MarkSet:
+) -> list[als.Mark]:
     """BS-side recursive ack analysis.
 
     `agg_ack` is the aggregated ack the BS received in stage one.  A child
@@ -877,7 +876,7 @@ def oracle_als2_process(
     (report does not recombine to the claimed aggregate) mark the pair, and
     recursion continues where the structure allows.
     """
-    marks = als.MarkSet()
+    marks = []
     expect = oracle_expected_acks(keys, tree, nonce)
 
     # Pre-order walk, children in tree order: the stack holds them reversed.
@@ -890,18 +889,18 @@ def oracle_als2_process(
             continue  # consistent subtree: not processed further
         if tree.is_leaf(node):
             if reported != crypto.node_ack(keys.bs_key(node), nonce):
-                marks.add(node, parent, "type_i")
+                marks.append(als.mark(node, parent, "type_i"))
             continue
         extracted = _extract2(keys, tree, node, data, nonce)
         if extracted is None:
-            marks.add(node, parent, "structural")
+            marks.append(als.mark(node, parent, "structural"))
             continue
         reports, acks = extracted
         recombined = crypto.xor_acks(
             [crypto.node_ack(keys.bs_key(node), nonce)] + list(acks.values())
         )
         if reported != recombined:
-            marks.add(node, parent, "type_ii")
+            marks.append(als.mark(node, parent, "type_ii"))
         stack.extend(
             (child, node, reports.get(child), acks[child])
             for child in reversed(tree.children.get(node, []))

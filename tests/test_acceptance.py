@@ -139,11 +139,11 @@ def test_criterion_2_optimal_security(mixed_runs):
     violations = []
     successes = 0
     for res in mixed_runs:
-        for rec, gt in zip(res.records, res.truths):
+        for rec in res.records:
             if rec.verdict != "success":
                 continue
             successes += 1
-            if not security_audit(rec, gt, res.faulty):
+            if not security_audit(rec, res.faulty, res.scenario.value_range):
                 violations.append((res.scenario.seed, rec.index, rec.value))
     # no faults at all: the exact sum, zero tolerance
     exact = 0
@@ -171,7 +171,7 @@ def test_criterion_2_optimal_security(mixed_runs):
 
 def run_tiny(net, tree, scripts, faulty):
     """One session plus split localization phases on the tiny corpus."""
-    adv = Adversary(faulty, [ScriptEntry(node=n, kind=k, params=p) for n, k, p in scripts])
+    adv = Adversary(faulty, [ScriptEntry(node=n, kind=k, params=p, sessions=None) for n, k, p in scripts])
     adv.begin_session(0)
     values = {s: 50 for s in tree.members}
     net.ledger.reset()
@@ -254,7 +254,7 @@ def test_criterion_3_confirmation_analysis_traps_misbehaver(exhaustive_results):
         if sres.accepted or not correct_withheld:
             continue
         checked += 1
-        if marks1 is None or not (marks1.nodes() & traced):
+        if marks1 is None or not (als.marked(marks1) & traced):
             violations.append((parent, f, combo))
     verdict(
         3,
@@ -274,7 +274,7 @@ def test_criterion_4_ack_report_analysis(exhaustive_results):
         if marks1 is None or marks1:
             violations.append((parent, f, combo, "phase one marked someone"))
             continue
-        if marks2 is None or not (marks2.nodes() & traced):
+        if marks2 is None or not (als.marked(marks2) & traced):
             violations.append((parent, f, combo, "phase two missed the misbehaver"))
     verdict(4, "ack-report analysis", violations, f"{len(ackpath_records)} cases")
 
@@ -284,10 +284,10 @@ def test_criterion_5_correct_edges_agree(mixed_runs, exhaustive_results):
     violations = list(edge_violations)
     edges = 0
     for res in mixed_runs:
-        for gt in res.truths:
-            acked = gt.shia_result.acked
-            for c, p in gt.tree.parent.items():
-                if p == BS_ID or c in gt.misbehaved or p in gt.misbehaved:
+        for rec in res.records:
+            acked = rec.shia_result.acked
+            for c, p in rec.tree.parent.items():
+                if p == BS_ID or c in rec.misbehaved or p in rec.misbehaved:
                     continue
                 edges += 1
                 if acked[c] != acked[p]:
@@ -342,8 +342,8 @@ def test_criterion_8_tree_view_consistency(mixed_runs):
     rebuilt = {"basic": 0, "resilient": 0}
     for res in mixed_runs:
         variant = res.scenario.atr_variant
-        for gt in res.truths:
-            out = gt.atr_outcome
+        for rec in res.records:
+            out = rec.atr_outcome
             if out is None or out.tree is None:
                 continue
             rebuilt[variant] += 1

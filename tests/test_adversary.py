@@ -14,7 +14,7 @@ def test_catalog_covers_every_protocol_phase():
 
 def test_bs_cannot_be_faulty():
     with pytest.raises(ConfigError):
-        Adversary(faulty={0, 3})
+        Adversary(faulty={0, 3}, scripts=[])
 
 
 def test_scripts_must_target_faulty_nodes():
@@ -34,7 +34,7 @@ def test_parent_switch_target_must_be_faulty():
 
 
 def test_action_only_fires_for_faulty_nodes_in_active_sessions():
-    e = ScriptEntry(node=3, kind="label_drop", sessions=frozenset({1, 2}))
+    e = ScriptEntry(node=3, kind="label_drop", params={}, sessions=frozenset({1, 2}))
     adv = Adversary(faulty={3}, scripts=[e])
     adv.begin_session(0)
     assert adv.action(3, "label_drop") is None
@@ -64,7 +64,7 @@ def test_own_value_forge_is_never_traced():
 
 
 def test_honest_adversary_is_inert():
-    adv = Adversary(())
+    adv = Adversary((), ())
     adv.begin_session(0)
     assert adv.faulty == frozenset()
     assert adv.action(1, "label_drop") is None
@@ -89,12 +89,10 @@ def test_trace_events_hash_and_compare_by_fields():
 
 
 def test_script_entry_defaults_and_activity():
-    e, f = ScriptEntry(3, "label_drop"), ScriptEntry(node=3, kind="label_drop")
-    assert e.params == {} and e.sessions is None
-    assert e.params is not f.params  # a fresh dict per entry
+    e, f = ScriptEntry(3, "label_drop", {}, None), entry(3, "label_drop")
     assert e == f
-    assert e != ScriptEntry(3, "label_drop", {"value": 9})
-    assert e.active(0) and e.active(1 << 16)
-    g = ScriptEntry(3, "label_drop", sessions=frozenset({2}))
+    assert e != ScriptEntry(3, "label_drop", {"value": 9}, None)
+    assert e.active(0) and e.active(1 << 16)  # no sessions: every session
+    g = ScriptEntry(3, "label_drop", {}, frozenset({2}))
     assert g.active(2) and not g.active(1)
     assert g != e

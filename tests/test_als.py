@@ -81,8 +81,8 @@ class TestConfirmationAnalysis:
     def test_missing_root_confirmation_marks_root_child_alone(self):
         net, tree = net_for_tree(FANOUT)
         marks = als.als1_process(tree, {})  # no confirmation reached the BS
-        assert len(marks.marks) == 1
-        (m,) = marks.marks
+        assert len(marks) == 1
+        (m,) = marks
         assert (m.node, m.partner, m.rule) == (1, None, "absent")
 
     def test_silent_child_yields_pair_mark(self):
@@ -94,7 +94,7 @@ class TestConfirmationAnalysis:
             net, tree, values, [entry(3, "ack_drop")], frozenset({3})
         )
         assert not als2_ran
-        assert {(m.node, m.partner, m.rule) for m in marks.marks} == {
+        assert {(m.node, m.partner, m.rule) for m in marks} == {
             (3, 2, "structural")
         }
 
@@ -108,15 +108,15 @@ class TestConfirmationAnalysis:
             net, tree, values, scripts, frozenset({2})
         )
         assert not sres.accepted and not als2_ran
-        assert {(m.node, m.partner) for m in marks.marks} == {(4, 2)}
-        assert marks.nodes() & adv.misbehaved(0)
+        assert {(m.node, m.partner) for m in marks} == {(4, 2)}
+        assert als.marked(marks) & adv.misbehaved(0)
 
     def test_confirm_drop_marks_dropper_with_parent(self):
         net, tree = net_for_tree(FANOUT)
         values = {s: 10 for s in tree.members}
         scripts = [entry(2, "ack_garble"), entry(2, "confirm_drop")]
         _, marks, _, _ = run_session(net, tree, values, scripts, frozenset({2}))
-        assert {(m.node, m.partner) for m in marks.marks} == {(2, 1)}
+        assert {(m.node, m.partner) for m in marks} == {(2, 1)}
 
     def test_marks_respect_tree_adjacency(self):
         # Whatever the script, a pair mark is always a (child, parent) edge.
@@ -136,7 +136,7 @@ class TestConfirmationAnalysis:
             )
             if marks is None:
                 continue
-            for m in marks.marks:
+            for m in marks:
                 if m.partner is None:
                     assert tree.parent[m.node] == BS_ID
                 else:
@@ -151,7 +151,7 @@ class TestAckReportAnalysis:
             net, tree, values, [entry(2, "agg_ack_garble")], frozenset({2})
         )
         assert not sres.accepted and als2_ran
-        assert {(m.node, m.partner, m.rule) for m in marks.marks} == {
+        assert {(m.node, m.partner, m.rule) for m in marks} == {
             (2, 1, "type_ii")
         }
 
@@ -162,7 +162,7 @@ class TestAckReportAnalysis:
             net, tree, values, [entry(4, "agg_ack_garble")], frozenset({4})
         )
         assert als2_ran
-        assert {(m.node, m.partner, m.rule) for m in marks.marks} == {
+        assert {(m.node, m.partner, m.rule) for m in marks} == {
             (4, 2, "type_i")
         }
 
@@ -173,7 +173,7 @@ class TestAckReportAnalysis:
             net, tree, values, [entry(5, "ack_garble")], frozenset({5})
         )
         assert als2_ran  # everyone participated, so phase I found nothing
-        assert {(m.node, m.partner, m.rule) for m in marks.marks} == {
+        assert {(m.node, m.partner, m.rule) for m in marks} == {
             (5, 2, "type_i")
         }
 
@@ -183,7 +183,7 @@ class TestAckReportAnalysis:
         scripts = [entry(2, "agg_ack_garble"), entry(2, "report_drop")]
         _, marks, als2_ran, _ = run_session(net, tree, values, scripts, frozenset({2}))
         assert als2_ran
-        assert {(m.node, m.partner, m.rule) for m in marks.marks} == {
+        assert {(m.node, m.partner, m.rule) for m in marks} == {
             (2, 1, "structural")
         }
 
@@ -199,8 +199,8 @@ class TestAckReportAnalysis:
         ]
         _, marks, als2_ran, adv = run_session(net, tree, values, scripts, frozenset({2}))
         assert als2_ran
-        assert marks.nodes() & adv.misbehaved(0)
-        for m in marks.marks:
+        assert als.marked(marks) & adv.misbehaved(0)
+        for m in marks:
             assert 2 in m.pair() or m.node in adv.misbehaved(0)
 
     def test_consistent_branch_never_descended(self):
@@ -212,8 +212,8 @@ class TestAckReportAnalysis:
             net, tree, values, [entry(4, "agg_ack_garble")], frozenset({4})
         )
         assert als2_ran
-        assert marks.nodes() == {4, 2}
-        assert not marks.nodes() & {3, 6, 7}
+        assert als.marked(marks) == {4, 2}
+        assert not als.marked(marks) & {3, 6, 7}
 
     def test_phase_one_finds_nothing_for_pure_ack_path_faults(self):
         net, tree = net_for_tree(TWO_BRANCH)
@@ -238,7 +238,7 @@ def test_processing_walks_chains_deeper_than_the_recursion_limit():
     acked = {s: s != n for s in tree.members}
     intact = als.als1_collect(net, tree, acked, adv, NONCE)
     marks = als.als1_process(tree, intact)
-    assert [(m.node, m.partner, m.rule) for m in marks.marks] == [(n, n - 1, "structural")]
+    assert [(m.node, m.partner, m.rule) for m in marks] == [(n, n - 1, "structural")]
     # Phase II: the bottom node's ack is garbled, so every aggregate above it
     # is off and the walk descends the whole chain to a type (i) mark.
     agg = {n: garble(crypto.node_ack(net.keys.bs_key(n), NONCE))}
@@ -248,7 +248,7 @@ def test_processing_walks_chains_deeper_than_the_recursion_limit():
     reported = als.als2_collect(net, tree, acks_up, adv, NONCE)
     node_acks = {s: crypto.node_ack(net.keys.bs_key(s), NONCE) for s in tree.members}
     marks = als.als2_process(node_acks, tree, reported, agg[1])
-    assert [(m.node, m.partner, m.rule) for m in marks.marks] == [(n, n - 1, "type_i")]
+    assert [(m.node, m.partner, m.rule) for m in marks] == [(n, n - 1, "type_i")]
 
 
 @pytest.mark.parametrize(
@@ -287,7 +287,7 @@ def test_ack_analysis_macs_no_ack_again(monkeypatch):
     }
     result = orchestrator.run_sessions(Scenario.from_dict(config))
     assert result.records[0].als2_ran and result.records[0].marks
-    assert len(calls) == len(result.truths[0].tree.members)
+    assert len(calls) == len(result.records[0].tree.members)
 
 
 SHIA_KINDS = (
@@ -363,17 +363,12 @@ def test_localization_matches_byte_level_envelopes(case):
 
 
 
-def test_mark_sets_compare_by_value():
-    a, b = als.MarkSet(), als.MarkSet()
-    assert a == b and not a
-    assert a.marks is not b.marks  # a fresh list per set
-    a.add(3, 2, "type_i")
-    assert a != b
-    b.add(3, 2, "type_i")
-    assert a == b and a
-    b.add(1, BS_ID, "absent")
-    assert a != b
-    assert b.marks[1] == als.Mark(1, None, "absent")
+def test_marks_pair_a_node_with_its_parent_below_the_bs():
+    assert als.mark(3, 2, "type_i") == als.Mark(3, 2, "type_i")
+    assert als.mark(1, BS_ID, "absent") == als.Mark(1, None, "absent")
+    assert als.marked([]) == set()
+    marks = [als.mark(3, 2, "type_i"), als.mark(1, BS_ID, "absent"), als.mark(2, 1, "structural")]
+    assert als.marked(marks) == {1, 2, 3}
 
 
 def test_marks_hash_and_compare_by_fields():

@@ -60,11 +60,11 @@ def test_level_orders_are_pinned():
     assert net.graph.flood_edges == [(0, 1), (1, 2), (1, 3), (2, 5), (3, 4), (5, 6)]
     assert atr.build_initial_tree(net.graph).parent[6] == 5
     # Sorted levels: both rebuilds walk 4 before 5.
-    adj = atr.atr_resilient_init(net, Adversary(()))
+    adj = atr.atr_resilient_init(net, Adversary((), ()))
     assert adjacency_edges(adj) == net.graph.edges
     rebuilt = atr.atr_resilient_build(net, adj, frozenset(), NONCE)
     assert rebuilt.tree.parent[6] == 4
-    assert atr.atr_basic(net, frozenset(), NONCE, Adversary(())).tree.parent[6] == 4
+    assert atr.atr_basic(net, frozenset(), NONCE, Adversary((), ())).tree.parent[6] == 4
 
 
 class TestInitialTree:
@@ -74,21 +74,11 @@ class TestInitialTree:
         assert tree.members == net.graph.sensors
         assert tree.bs_child == 1
 
-    def test_blacklist_respected(self):
-        net = ring_net(6)
-        tree = atr.build_initial_tree(net.graph, frozenset({1}))
-        assert tree.members == {2, 3, 4, 5, 6}
-        assert 1 not in tree.members
-
-    def test_no_usable_bs_neighbor_gives_none(self):
-        net = path_net(3)
-        assert atr.build_initial_tree(net.graph, frozenset({1})) is None
-
 
 class TestBasicRebuild:
     def test_honest_rebuild_spans_and_views_match(self):
         net = ring_net(8)
-        out = atr.atr_basic(net, frozenset(), NONCE, Adversary(()))
+        out = atr.atr_basic(net, frozenset(), NONCE, Adversary((), ()))
         assert out.tree is not None
         assert out.tree.members == net.graph.sensors
         assert out.unreached == set()
@@ -100,7 +90,7 @@ class TestBasicRebuild:
 
     def test_blacklisted_nodes_never_join(self):
         net = ring_net(8)
-        out = atr.atr_basic(net, frozenset({3, 4}), NONCE, Adversary(()))
+        out = atr.atr_basic(net, frozenset({3, 4}), NONCE, Adversary((), ()))
         assert out.tree is not None
         assert not out.tree.members & {3, 4}
 
@@ -125,7 +115,7 @@ class TestBasicRebuild:
 
     def test_disconnection_reported(self):
         net = path_net(3)
-        out = atr.atr_basic(net, frozenset({1}), NONCE, Adversary(()))
+        out = atr.atr_basic(net, frozenset({1}), NONCE, Adversary((), ()))
         assert out.tree is None
         assert out.unreached == {1, 2, 3}
 
@@ -228,7 +218,7 @@ def test_built_trees_equal_validated_trees(case):
     net = make_net(n, edges, d_max=n + 1)
     adv = Adversary(faulty, [entry(v, k) for v, kinds in faulty.items() for k in sorted(kinds)])
     adv.begin_session(2)
-    trees = [atr.build_initial_tree(net.graph, blacklist)]
+    trees = [atr.build_initial_tree(net.graph)]
     trees.append(atr.atr_basic(net, blacklist, NONCE, adv).tree)
     adj = atr.atr_resilient_init(net, adv)
     trees.append(atr.atr_resilient_build(net, adj, blacklist, NONCE).tree)
@@ -245,7 +235,7 @@ def broadcast_through(net: Network, rewrite) -> None:
 
 def test_views_are_parsed_from_the_delivered_bytes():
     net = ring_net(6)
-    adj = atr.atr_resilient_init(net, Adversary(()))
+    adj = atr.atr_resilient_init(net, Adversary((), ()))
     honest = atr.atr_resilient_build(net, adj, frozenset(), NONCE)
     assert honest.tree.parent[4] == 3
     # Rewrite the delivered (4, 3) pair to (4, 5): no node's view may come
@@ -263,12 +253,12 @@ def test_views_are_parsed_from_the_delivered_bytes():
 
 def test_truncated_tree_payload_raises_in_distribute():
     net = ring_net(6)
-    adj = atr.atr_resilient_init(net, Adversary(()))
+    adj = atr.atr_resilient_init(net, Adversary((), ()))
     broadcast_through(net, lambda payload: payload[:-1])
     with pytest.raises(FrameError, match="truncated tree pair"):
         atr.atr_resilient_build(net, adj, frozenset(), NONCE)
     with pytest.raises(FrameError, match="truncated tree pair"):
-        atr.atr_basic(net, frozenset(), NONCE, Adversary(()))
+        atr.atr_basic(net, frozenset(), NONCE, Adversary((), ()))
 
 
 @st.composite
@@ -403,7 +393,7 @@ def test_tree_parser_matches_reference(payload):
 class TestResilientRebuild:
     def test_mutual_announcement_reproduces_graph(self):
         net = ring_net(6)
-        adj = atr.atr_resilient_init(net, Adversary(()))
+        adj = atr.atr_resilient_init(net, Adversary((), ()))
         assert adjacency_edges(adj) == net.graph.edges
         out = atr.atr_resilient_build(net, adj, frozenset(), NONCE)
         assert out.tree.members == net.graph.sensors
@@ -442,7 +432,7 @@ class TestResilientRebuild:
 
     def test_blacklist_respected_and_views_match(self):
         net = ring_net(8)
-        adj = atr.atr_resilient_init(net, Adversary(()))
+        adj = atr.atr_resilient_init(net, Adversary((), ()))
         out = atr.atr_resilient_build(net, adj, frozenset({1}), NONCE)
         assert 1 not in out.tree.members
         for node in out.tree.members:
@@ -458,7 +448,7 @@ class TestResilientRebuild:
             {3, 5}, [entry(3, "nl_fake", add=[5, 6]), entry(5, "nl_fake", remove=[4])]
         )
         totals = []
-        for adv, fakes in [(Adversary(()), {}), (faking, {3: [2, 4, 5, 6], 5: [6]})]:
+        for adv, fakes in [(Adversary((), ()), {}), (faking, {3: [2, 4, 5, 6], 5: [6]})]:
             net = ring_net(6)
             oracle = SignatureOracle(b"atr-test")
             adv.begin_session(-1)
@@ -479,9 +469,3 @@ class TestResilientRebuild:
             totals.append(blob_total)
         assert totals[0] != totals[1]
 
-
-def test_default_outcomes_share_nothing():
-    a, b = atr.AtrOutcome(None), atr.AtrOutcome(None)
-    assert a.adopted == b.adopted == {} and a.adopted is not b.adopted
-    assert a.node_views == b.node_views == {} and a.unreached == b.unreached == set()
-    assert a.node_views is not b.node_views and a.unreached is not b.unreached

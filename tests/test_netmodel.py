@@ -79,10 +79,10 @@ class TestNetworkGraph:
 def test_bfs_levels_grows_parent_in_either_level_order():
     adj = {1: [3, 2], 2: [4], 3: [5, 4], 4: [], 5: []}
     parent = {1: BS_ID}
-    assert bfs_levels(parent, adj.__getitem__) == [[1], [3, 2], [5, 4]]
+    assert bfs_levels(parent, adj.__getitem__, frozenset()) == [[1], [3, 2], [5, 4]]
     assert parent == {1: BS_ID, 3: 1, 2: 1, 5: 3, 4: 3}
     parent = {1: BS_ID}
-    assert bfs_levels(parent, adj.__getitem__, sort_levels=True) == [[1], [2, 3], [4, 5]]
+    assert bfs_levels(parent, adj.__getitem__, frozenset(), sort_levels=True) == [[1], [2, 3], [4, 5]]
     assert parent == {1: BS_ID, 3: 1, 2: 1, 4: 2, 5: 3}
     parent = {1: BS_ID}
     assert bfs_levels(parent, adj.__getitem__, frozenset({3})) == [[1], [2], [4]]

@@ -12,7 +12,6 @@ from robustagg.errors import RobustAggError
 from robustagg.netmodel import AggregationTree, CongestionLedger, NetworkGraph
 from robustagg.orchestrator import (
     RunResult,
-    SessionGroundTruth,
     SessionRecord,
     cost_audit,
     failure_cost_ok,
@@ -78,8 +77,8 @@ class TestFaultyRuns:
         assert all(r.verdict == "success" for r in result.records[1:])
         assert 7 in result.blacklist
         # once excluded, the forger is out of every later tree
-        for gt in result.truths[1:]:
-            assert 7 not in gt.tree.members
+        for rec in result.records[1:]:
+            assert 7 not in rec.tree.members
         assert result.audits()["all_pass"]
 
     def test_blacklist_grows_monotonically(self):
@@ -112,10 +111,27 @@ class TestFaultyRuns:
         assert strict.records[0].verdict == "failure"
         assert strict.records[0].als2_ran
         assert lenient.records[0].verdict == "success"
-        assert lenient.records[0].value == strict.truths[0].shia_result.value
+        assert lenient.records[0].value == strict.records[0].shia_result.value
         # the garbler is excluded either way
         assert 7 in strict.blacklist and 7 in lenient.blacklist
         assert lenient.audits()["all_pass"]
+
+    def test_run_on_a_shifted_value_range_passes_every_audit(self):
+        # Readings lie in [200, 300], and node 7 forges 300 in every session:
+        # each accepted sum sits far outside n_f * [0, 100] over the correct
+        # sum, so the audit must read the scenario's range.
+        adversary = {
+            "faulty": [7, 18],
+            "scripts": [
+                {"node": 7, "kind": "own_value_forge", "params": {"value": 300}},
+                {"node": 18, "kind": "label_drop", "sessions": [3]},
+            ],
+        }
+        result = run(grid_config(sessions=5, value_range=[200, 300], adversary=adversary))
+        assert [r.verdict for r in result.records] == ["success"] * 3 + ["failure", "success"]
+        assert result.blacklist == {13, 18}  # the dropper and its correct parent
+        assert all(7 in rec.tree.members for rec in result.records)
+        assert result.audits()["all_pass"]
 
     def test_cut_vertex_exclusion_reports_disconnection(self):
         cfg = {
@@ -149,7 +165,7 @@ class TestFaultyRuns:
             ],
         }
         result = run(grid_config(sessions=5, atr=variant, adversary=adversary))
-        trees = [gt.tree for gt in result.truths]
+        trees = [rec.tree for rec in result.records]
         adopted = [t for i, t in enumerate(trees) if i == 0 or t is not trees[i - 1]]
         assert len(adopted) == 1 + result.failures > 1
         assert checked == adopted
@@ -179,70 +195,57 @@ class TestFaultyRuns:
 
 
 class TestSecurityAudit:
-    def make(self, value, values, faulty, vrange=(0, 100)):
-        tree = AggregationTree({1: 0, 2: 1, 3: 1})
-        rec = SessionRecord(
+    def make(self, value, values):
+        return SessionRecord(
             index=0, nonce="", verdict="success", value=value, marks=[],
             blacklist_after=[], max_congestion=0, phase_congestion={},
-            tree_height=2, tree_degree=3, tree_size=3, als2_ran=False,
+            tree=AggregationTree({1: 0, 2: 1, 3: 1}), tree_degree=3, als2_ran=False,
+            values=values, misbehaved=set(), shia_result=None, atr_outcome=None,
         )
-        gt = SessionGroundTruth(
-            tree=tree, values=values, misbehaved=set(),
-            shia_result=None, atr_outcome=None, value_range=vrange,
-        )
-        return rec, gt
 
     def test_exact_sum_passes_with_no_faults(self):
-        rec, gt = self.make(60, {1: 10, 2: 20, 3: 30}, frozenset())
-        assert security_audit(rec, gt, frozenset())
+        rec = self.make(60, {1: 10, 2: 20, 3: 30})
+        assert security_audit(rec, frozenset(), (0, 100))
 
     def test_any_drift_fails_with_no_faults(self):
-        rec, gt = self.make(61, {1: 10, 2: 20, 3: 30}, frozenset())
-        assert not security_audit(rec, gt, frozenset())
+        rec = self.make(61, {1: 10, 2: 20, 3: 30})
+        assert not security_audit(rec, frozenset(), (0, 100))
 
     def test_faulty_node_gets_one_in_range_contribution(self):
         values = {1: 10, 2: 20, 3: 30}
-        rec, gt = self.make(30 + 100, values, None)
-        assert security_audit(rec, gt, frozenset({1, 2}))  # slack 100 <= 2*100
-        rec, gt = self.make(30 + 201, values, None)
-        assert not security_audit(rec, gt, frozenset({1, 2}))  # slack over bound
-        rec, gt = self.make(30 - 1, values, None)
-        assert not security_audit(rec, gt, frozenset({1, 2}))  # below bound
+        faulty = frozenset({1, 2})
+        assert security_audit(self.make(30 + 100, values), faulty, (0, 100))  # slack 100 <= 2*100
+        assert not security_audit(self.make(30 + 201, values), faulty, (0, 100))  # over bound
+        assert not security_audit(self.make(30 - 1, values), faulty, (0, 100))  # below bound
+        # The same slacks against 2*[200, 300]: only 400..600 is in range.
+        assert not security_audit(self.make(30 + 100, values), faulty, (200, 300))
+        assert security_audit(self.make(30 + 400, values), faulty, (200, 300))
 
 
 # Node 1 neighbours the BS and three children: Δ = 4.
 AUDIT_TREE = {1: BS_ID, 2: 1, 3: 1, 4: 1, 5: 2}
 
 
-def audited_result(verdicts, faulty, blacklist=()):
+def audited_result(verdicts, faulty, blacklist=(), value_range=(0, 100)):
     """A hand-built run: one failing or succeeding session per verdict, each
-    on AUDIT_TREE, and success values that the security audit accepts."""
+    on AUDIT_TREE, every node reading 10, and each success accepting the
+    members' sum."""
     tree = AggregationTree(AUDIT_TREE)
-    height, degree = tree.metrics()
     values = {s: 10 for s in tree.members}
-    records, truths = [], []
+    config = grid_config(sessions=len(verdicts), value_range=list(value_range))
+    result = RunResult(Scenario.from_dict(config), frozenset(faulty))
+    result.blacklist = set(blacklist)
     for i, verdict in enumerate(verdicts):
-        records.append(
+        result.records.append(
             SessionRecord(
                 index=i, nonce="", verdict=verdict,
                 value=sum(values.values()) if verdict == "success" else None, marks=[],
                 blacklist_after=sorted(blacklist), max_congestion=0, phase_congestion={},
-                tree_height=height, tree_degree=degree, tree_size=len(tree.members),
-                als2_ran=False,
+                tree=tree, tree_degree=tree.max_degree(), als2_ran=False,
+                values=values, misbehaved=set(), shia_result=None, atr_outcome=None,
             )
         )
-        truths.append(
-            SessionGroundTruth(
-                tree=tree, values=values, misbehaved=set(), shia_result=None, atr_outcome=None,
-            )
-        )
-    return RunResult(
-        scenario=Scenario.from_dict(grid_config(sessions=len(verdicts))),
-        records=records,
-        truths=truths,
-        blacklist=set(blacklist),
-        faulty=frozenset(faulty),
-    )
+    return result
 
 
 # Each run audit exactly at its bound, then one step past it.
@@ -279,6 +282,13 @@ class TestRunAudits:
         audits = audited_result(**args).audits()
         # Every other audit passes, so the one probed decides the verdict.
         assert audits == {**dict.fromkeys(audits, True), audit: passes, "all_pass": passes}
+
+    @pytest.mark.parametrize("value_range, passes", [((0, 100), True), ((200, 300), False)])
+    def test_security_reads_the_scenarios_value_range(self, value_range, passes):
+        # Faulty member 5 reads 10, as every node does: the slack of 10 lies
+        # in 1 * [0, 100] but not in 1 * [200, 300].
+        result = audited_result(["success"], faulty={5}, value_range=value_range)
+        assert result.audits()["security"] is passes
 
     @pytest.mark.parametrize("audit, args, passes", AUDIT_BOUNDS)
     def test_run_exits_1_exactly_when_an_audit_fails(
@@ -542,12 +552,3 @@ def test_skipping_quiet_sessions_changes_nothing(config):
     # The oracle runs stage one in full in every session.
     assert observed_run(config, skip_quiet=True) == observed_run(config, skip_quiet=False)
 
-
-def test_default_run_results_share_nothing():
-    scenario = Scenario.from_dict(grid_config())
-    a, b = RunResult(scenario), RunResult(scenario=scenario)
-    assert (a.records, a.truths, a.blacklist) == ([], [], set())
-    assert (a.disconnected, a.faulty, a.setup_congestion) == (False, frozenset(), 0)
-    assert a.records is not b.records
-    assert a.truths is not b.truths
-    assert a.blacklist is not b.blacklist

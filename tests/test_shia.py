@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robustagg import atr, crypto, shia, wire
+from robustagg import als, atr, crypto, shia, wire
 from robustagg.adversary import Adversary, garble
 from robustagg.crypto import BS_ID
 from robustagg.errors import FrameError, ProtocolViolation
@@ -268,7 +268,7 @@ class TestMisbehavior:
         assert not sres.acked[4] and not sres.acked[5]
         assert sres.acked[2]  # the forger can still ack its own forgery
         assert not als2_ran
-        assert marks is not None and marks.nodes() & adv.misbehaved(0)
+        assert marks is not None and als.marked(marks) & adv.misbehaved(0)
 
     def test_out_of_range_label_excluded_by_parent(self):
         net, tree = net_for_tree(BINARY)
@@ -278,7 +278,7 @@ class TestMisbehavior:
         assert not sres.accepted
         assert not sres.root_ok
         assert sres.root_label.count == 6  # node 4's subtree dropped
-        assert marks.nodes() == {4, 2}
+        assert als.marked(marks) == {4, 2}
 
     def test_label_drop_silences_whole_subtree(self):
         net, tree = net_for_tree(BINARY)
@@ -288,7 +288,7 @@ class TestMisbehavior:
         assert not sres.accepted
         assert sres.root_label.count == 4  # 1, 3, 6, 7 remain
         assert not sres.acked[2] and not sres.acked[4] and not sres.acked[5]
-        assert marks.nodes() == {2, 1}
+        assert als.marked(marks) == {2, 1}
 
     def test_root_child_drop_leaves_bs_empty_handed(self):
         net, tree = net_for_tree(BINARY)
@@ -297,7 +297,7 @@ class TestMisbehavior:
             net, tree, values, [entry(1, "label_drop")], frozenset({1})
         )
         assert sres.root_label is None and not sres.accepted
-        assert marks.nodes() == {1}
+        assert als.marked(marks) == {1}
 
     def test_offpath_corruption_blocks_descendants_only(self):
         net, tree = net_for_tree(BINARY)
@@ -307,7 +307,7 @@ class TestMisbehavior:
         assert not sres.accepted
         assert not sres.acked[6] and not sres.acked[7]
         assert sres.acked[3] and sres.acked[1] and sres.acked[4]
-        assert marks.nodes() == {6, 7, 3}
+        assert als.marked(marks) == {6, 7, 3}
 
     def test_ack_drop_breaks_the_aggregate_only(self):
         net, tree = net_for_tree(BINARY)
@@ -317,7 +317,7 @@ class TestMisbehavior:
         assert not sres.accepted
         assert sres.root_ok  # the aggregate itself was fine
         assert sres.agg_ack != sres.expected_ack
-        assert marks.nodes() == {5, 2}
+        assert als.marked(marks) == {5, 2}
 
     def test_correct_edges_agree_on_ack_booleans(self):
         # Every behavior above: both-correct tree edges always agree.
@@ -357,7 +357,7 @@ def test_parent_switch_routes_label_through_accomplice():
     assert sres.root_label.count == 7
     assert sres.value == 70
     assert not sres.acked[4]
-    assert marks.nodes() == {4, 2}
+    assert als.marked(marks) == {4, 2}
 
 
 # --- off-path parsing and root recomputation against the oracle ---
@@ -538,7 +538,7 @@ def honest_grid_session(monkeypatch, module, name):
     for s in sorted(graph.sensors):
         keys.register_node(s)
     net, tree = Network(graph, keys), atr.build_initial_tree(graph)
-    adv = Adversary(faulty=())
+    adv = Adversary(faulty=(), scripts=())
     adv.begin_session(0)
     values = scenario.values_for(0, graph.sensors)
     monkeypatch.setattr(module, name, counting)
@@ -887,7 +887,7 @@ def honest_record(net: Network, tree: AggregationTree, seed: int = 0) -> dict:
     first-charge order; the session must succeed."""
     rng = random.Random(seed)
     values = {s: rng.randint(0, 100) for s in tree.members}
-    adv = Adversary(faulty=())
+    adv = Adversary(faulty=(), scripts=())
     adv.begin_session(0)
     sres, record = recorded_charges(net, tree, values, adv, NONCE, (0, 100))
     assert sres.accepted and sres.value == sum(values.values())
@@ -914,9 +914,9 @@ def built_trees(draw) -> tuple[Network, AggregationTree]:
     if build == "initial":
         tree = atr.build_initial_tree(graph)
     elif build == "basic":
-        tree = atr.atr_basic(net, blacklist, NONCE, Adversary(faulty=())).tree
+        tree = atr.atr_basic(net, blacklist, NONCE, Adversary(faulty=(), scripts=())).tree
     else:
-        adj = atr.atr_resilient_init(net, Adversary(faulty=()))
+        adj = atr.atr_resilient_init(net, Adversary(faulty=(), scripts=()))
         tree = atr.atr_resilient_build(net, adj, blacklist, NONCE).tree
     assume(tree is not None)
     net.ledger.reset()

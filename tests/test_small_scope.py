@@ -144,7 +144,7 @@ def test_the_unlocalized_class_is_listed(outcomes):
     # - a zero count or an out-of-range value forged by the tree's only
     #   member, which the BS alone hears.
     trees = {
-        (g, atr): run_sessions(Scenario.from_dict(dict(config(GRAPHS[g], atr), sessions=1))).truths[0].tree
+        (g, atr): run_sessions(Scenario.from_dict(dict(config(GRAPHS[g], atr), sessions=1))).records[0].tree
         for g in range(len(GRAPHS))
         for atr in ("basic", "resilient")
     }
