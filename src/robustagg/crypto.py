@@ -6,6 +6,7 @@ Hashing is SHA-256; MACs are keyed BLAKE2b truncated to 16 bytes.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 
 from . import wire
 from .errors import ConfigError, ProtocolViolation
@@ -66,13 +67,19 @@ class KeyStore:
         self._bs_keys: dict[NodeId, bytes | None] = {}
         self._link_keys: dict[tuple[NodeId, NodeId], bytes | None] = {}
 
-    def register_node(self, node: NodeId) -> None:
-        if node == BS_ID:
+    def register_node(self, nodes: Iterable[NodeId]) -> None:
+        """Record that each sensor in `nodes` holds a BS key."""
+        new = dict.fromkeys(nodes)
+        if BS_ID in new:
             raise ConfigError("the BS id cannot be registered as a sensor")
-        self._bs_keys.setdefault(node, None)
+        new.update(self._bs_keys)  # keys already derived stay
+        self._bs_keys = new
 
-    def register_edge(self, a: NodeId, b: NodeId) -> None:
-        self._link_keys.setdefault((a, b) if a < b else (b, a), None)
+    def register_edge(self, edges: Iterable[tuple[NodeId, NodeId]]) -> None:
+        """Record that each link in `edges`, in either orientation, holds a key."""
+        new = dict.fromkeys((a, b) if a < b else (b, a) for a, b in edges)
+        new.update(self._link_keys)
+        self._link_keys = new
 
     def bs_key(self, node: NodeId) -> bytes:
         try:

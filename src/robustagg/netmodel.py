@@ -98,8 +98,9 @@ class NetworkGraph:
         Every tree-phase send rides a tree edge, so checking each tree once,
         when it is adopted, stands in for a check on every send.
         """
+        edges = self.edges
         for c, p in tree.parent.items():
-            if edge_key(c, p) not in self.edges:
+            if ((c, p) if c < p else (p, c)) not in edges:
                 raise ProtocolViolation(f"tree link ({c}, {p}) is not a graph edge")
 
     @property
@@ -162,7 +163,7 @@ class AggregationTree:
 
     def max_degree(self) -> int:
         """Max tree degree over non-root nodes (children + parent link)."""
-        return max((len(self.children.get(c, [])) + 1 for c in self.parent), default=1)
+        return max(map(len, map(self.children.__getitem__, self.parent)), default=0) + 1
 
 
 class CongestionLedger:
@@ -176,8 +177,9 @@ class CongestionLedger:
         if nbytes < 0:
             raise ProtocolViolation("negative byte charge")
         e = (a, b) if a < b else (b, a)  # edge_key, inlined on the hot path
-        self.per_edge[e] = self.per_edge.get(e, 0) + nbytes
-        self.per_phase[phase] = self.per_phase.get(phase, 0) + nbytes
+        per_edge, per_phase = self.per_edge, self.per_phase
+        per_edge[e] = per_edge.get(e, 0) + nbytes
+        per_phase[phase] = per_phase.get(phase, 0) + nbytes
 
     def max_congestion(self) -> int:
         return max(self.per_edge.values(), default=0)

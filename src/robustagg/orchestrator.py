@@ -149,7 +149,7 @@ def security_audit(
         return False
     members = rec.tree.members
     n_f = len(faulty & members)
-    correct_sum = sum(rec.values[s] for s in members - faulty)
+    correct_sum = sum(map(rec.values.__getitem__, members - faulty))
     lo, hi = value_range
     slack = rec.value - correct_sum
     return n_f * lo <= slack <= n_f * hi
@@ -160,11 +160,11 @@ def run_sessions(scenario: Scenario) -> RunResult:
     adv = scenario.build_adversary()
     seed_bytes = str(scenario.seed).encode()
     keys = KeyStore(seed_bytes)
-    for s in graph.sensors:
-        keys.register_node(s)
-    for a, b in graph.edges:
-        keys.register_edge(a, b)
+    keys.register_node(graph.sensors)
+    keys.register_edge(graph.edges)
     net = Network(graph, keys)
+    # Sorted once, so each session's `values_for` sorts it in linear time.
+    sensors = sorted(graph.sensors)
     nonce_key = crypto.mac_long(b"\x02" * crypto.KEY_LEN, b"nonce" + seed_bytes)
 
     result = RunResult(scenario, adv.faulty)
@@ -182,10 +182,10 @@ def run_sessions(scenario: Scenario) -> RunResult:
         tree = atr.build_initial_tree(graph)
 
     checked = None  # the last tree checked against the graph
-    # A quiet session's charges on `checked`, per (edge, phase), and its
-    # all-acked map, made when one first needs them and shared read-only by
-    # the tree's quiet sessions.
-    record: dict[tuple[NodeId, NodeId, str], int] | None = None
+    # A quiet session's charges on `checked`, one row per (edge, phase), and
+    # its all-acked map, made when one first needs them and shared read-only
+    # by the tree's quiet sessions.
+    record: list[tuple[NodeId, NodeId, int, str]] | None = None
     for i in range(scenario.sessions):
         if tree is None:
             result.disconnected = True
@@ -197,7 +197,7 @@ def run_sessions(scenario: Scenario) -> RunResult:
             members = tree.members
         adv.begin_session(i)
         nonce = crypto.mac(nonce_key, b"session" + wire.u16(i))[: wire.NONCE_LEN]
-        values = scenario.values_for(i, graph.sensors)
+        values = scenario.values_for(i, sensors)
         net.ledger.reset()
 
         # Quiet: no script can alter a message, so stage one would run as an
@@ -209,9 +209,9 @@ def run_sessions(scenario: Scenario) -> RunResult:
                 record = shia.honest_charges(tree, graph.flood_edges)
                 acked = dict.fromkeys(members, True)
             charge = net.ledger.charge
-            for (a, b, phase), nbytes in record.items():
+            for a, b, nbytes, phase in record:
                 charge(a, b, nbytes, phase)
-            value = sum(values[s] for s in members)
+            value = sum(map(values.__getitem__, members))
             for s, v in forged.items():
                 value += v - values[s]
             sres = shia.ShiaResult(

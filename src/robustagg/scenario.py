@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import random
+from collections.abc import Iterable
 from typing import Any
 
 from .adversary import CATALOG, PARAMS, Adversary, ScriptEntry
@@ -423,7 +424,7 @@ class Scenario:
             )
         return Adversary(adv.get("faulty", ()), scripts)
 
-    def values_for(self, session: int, sensors: set[int]) -> dict[int, int]:
+    def values_for(self, session: int, sensors: Iterable[int]) -> dict[int, int]:
         lo, hi = self.value_range
         fixed = {int(k): v for k, v in self.config.get("fixed_values", {}).items()}
         getrandbits = random.Random(f"values:{self.seed}:{session}").getrandbits

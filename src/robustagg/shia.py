@@ -17,7 +17,7 @@ from . import crypto, wire
 from .adversary import garble
 from .crypto import NodeId
 from .errors import FrameError, ProtocolViolation
-from .netmodel import LINK_OVERHEAD, AggregationTree, Edge, Network, edge_key
+from .netmodel import LINK_OVERHEAD, AggregationTree, Edge, Network
 
 # A label is its tag, then the frame of count, value and commitment.  The
 # commitment is a node id (leaf) or a digest (internal), so each kind has one
@@ -466,39 +466,46 @@ def run_shia(
 
 def honest_charges(
     tree: AggregationTree, flood_edges: list[Edge]
-) -> dict[tuple[NodeId, NodeId, str], int]:
-    """The bytes an honest `run_shia` over `tree` charges, per (edge, phase).
+) -> list[tuple[NodeId, NodeId, int, str]]:
+    """The bytes an honest `run_shia` over `tree` charges, as rows of
+    (low id, high id, bytes, phase), one per (edge, phase).
 
     Every label, blob step and ack has a fixed width, so an honest session
     costs what the tree's shape says: a member's label is internal exactly
     when it has children, and each child's off-path blob is its parent's
     blob plus one step framing the parent's other inputs.  `flood_edges`
-    carry the two BS broadcasts.  Keys are (low id, high id, phase), in the
-    order `run_shia` first charges them.
+    carry the two BS broadcasts; the check phase's flood and blob bytes on
+    one edge share its row.  Rows come in the order `run_shia` first charges
+    their (edge, phase).
     """
-    children, epochs = tree.children, tree.epochs
-    label = {s: _INTERNAL_LAYOUT.size if children[s] else _LEAF_LAYOUT.size for s in tree.parent}
-    up = [(*edge_key(s, tree.parent[s]), s) for s in chain.from_iterable(epochs)]
-    query = wire.framed_size(wire.NONCE_LEN)
-    charges = {(a, b, "query"): query for a, b in flood_edges}
-    for a, b, s in up:
-        charges[a, b, "commit"] = label[s] + LINK_OVERHEAD
-    root = wire.framed_size(wire.NONCE_LEN, label[tree.bs_child])
-    for a, b in flood_edges:
-        charges[a, b, "check"] = root
+    children, parent, epochs = tree.children, tree.parent, tree.epochs
+    label = {s: _INTERNAL_LAYOUT.size if children[s] else _LEAF_LAYOUT.size for s in parent}
+    # (low id, high id, label size) per member's uplink, leaves first;
+    # `edge_key` is inlined here and below, once per member.
+    up = [
+        (s, p, label[s]) if s < p else (p, s, label[s])
+        for s in chain.from_iterable(epochs)
+        for p in (parent[s],)
+    ]
+    prefix = wire.LEN_PREFIX
     blob = {tree.bs_child: 0}
+    checks: dict[Edge, int] = {}  # blob bytes per tree edge, in sending order
     for node in chain.from_iterable(reversed(epochs)):
         kids = children[node]
         if not kids:
             continue
         # The node's inputs: its children's labels, then its own leaf label.
-        inputs = sum(label[c] for c in kids) + _LEAF_LAYOUT.size
-        size = _STEP_OVERHEAD + blob[node] + wire.LEN_PREFIX * (len(kids) + 1) + inputs
+        inputs = sum(map(label.__getitem__, kids)) + _LEAF_LAYOUT.size
+        size = _STEP_OVERHEAD + blob[node] + prefix * (len(kids) + 1) + inputs
         for c in kids:
-            blob[c] = size - wire.LEN_PREFIX - label[c]
-            key = (*edge_key(node, c), "check")
-            charges[key] = charges.get(key, 0) + blob[c] + LINK_OVERHEAD
+            blob[c] = nbytes = size - prefix - label[c]
+            checks[(node, c) if node < c else (c, node)] = nbytes + LINK_OVERHEAD
+    query = wire.framed_size(wire.NONCE_LEN)
+    root = wire.framed_size(wire.NONCE_LEN, label[tree.bs_child])
     ack = wire.ACK_LEN + LINK_OVERHEAD
-    for a, b, _ in up:
-        charges[a, b, "ack"] = ack
-    return charges
+    rows = [(a, b, query, "query") for a, b in flood_edges]
+    rows += [(a, b, nbytes + LINK_OVERHEAD, "commit") for a, b, nbytes in up]
+    rows += [(a, b, root + checks.pop((a, b), 0), "check") for a, b in flood_edges]
+    rows += [(a, b, nbytes, "check") for (a, b), nbytes in checks.items()]
+    rows += [(a, b, ack, "ack") for a, b, _ in up]
+    return rows

@@ -23,10 +23,8 @@ def complete_net(n: int) -> Network:
     edges = {edge_key(a, b) for a in nodes for b in nodes if a < b}
     graph = NetworkGraph(sensors, edges, d_max=n + 1)
     keys = KeyStore(b"test")
-    for s in sorted(sensors):
-        keys.register_node(s)
-    for a, b in edges:
-        keys.register_edge(a, b)
+    keys.register_node(sensors)
+    keys.register_edge(edges)
     return Network(graph, keys)
 
 
@@ -37,10 +35,8 @@ def net_for_tree(parent: dict[int, int]) -> tuple[Network, AggregationTree]:
     edges = {edge_key(c, p) for c, p in parent.items()}
     graph = NetworkGraph(sensors, edges, d_max=n + 1)
     keys = KeyStore(b"test")
-    for s in sorted(sensors):
-        keys.register_node(s)
-    for a, b in edges:
-        keys.register_edge(a, b)
+    keys.register_node(sensors)
+    keys.register_edge(edges)
     return Network(graph, keys), tree
 
 

@@ -31,10 +31,8 @@ def make_net(n: int, edges: set[tuple[int, int]], d_max: int = 8) -> Network:
     sensors = set(range(1, n + 1))
     graph = NetworkGraph(sensors, edges, d_max)
     keys = KeyStore(b"atr-test")
-    for s in sorted(sensors):
-        keys.register_node(s)
-    for a, b in graph.edges:
-        keys.register_edge(a, b)
+    keys.register_node(sensors)
+    keys.register_edge(graph.edges)
     return Network(graph, keys)
 
 

@@ -44,21 +44,19 @@ def test_mac_is_deterministic_and_key_separated():
 class TestKeyStore:
     def test_keys_are_distinct_and_stable(self):
         ks = crypto.KeyStore(b"seed")
-        ks.register_node(1)
-        ks.register_node(2)
-        ks.register_edge(1, 2)
-        ks.register_edge(0, 1)
+        ks.register_node([1, 2])
+        ks.register_edge([(1, 2), (0, 1)])
         assert ks.bs_key(1) != ks.bs_key(2)
         assert ks.link_key(1, 2) == ks.link_key(2, 1)
         assert ks.link_key(1, 2) != ks.link_key(0, 1)
         ks2 = crypto.KeyStore(b"seed")
-        ks2.register_node(1)
+        ks2.register_node([1])
         assert ks2.bs_key(1) == ks.bs_key(1)
 
     def test_edge_key_is_the_same_in_either_orientation(self):
         flipped, ordered = crypto.KeyStore(b"seed"), crypto.KeyStore(b"seed")
-        flipped.register_edge(5, 3)
-        ordered.register_edge(3, 5)
+        flipped.register_edge([(5, 3)])
+        ordered.register_edge([(3, 5)])
         master = crypto.mac_long(b"\x00" * crypto.KEY_LEN, b"master" + b"seed")
         want = crypto.mac_long(master, b"link" + wire.u16(3) + wire.u16(5))
         assert flipped.link_key(3, 5) == ordered.link_key(3, 5) == want
@@ -66,8 +64,8 @@ class TestKeyStore:
 
     def test_different_seeds_give_different_keys(self):
         a, b = crypto.KeyStore(b"a"), crypto.KeyStore(b"b")
-        a.register_node(1)
-        b.register_node(1)
+        a.register_node([1])
+        b.register_node([1])
         assert a.bs_key(1) != b.bs_key(1)
 
     def test_unknown_lookups_raise(self):
@@ -80,12 +78,24 @@ class TestKeyStore:
     def test_bs_id_cannot_be_a_sensor(self):
         ks = crypto.KeyStore(b"seed")
         with pytest.raises(ConfigError):
-            ks.register_node(crypto.BS_ID)
+            ks.register_node([crypto.BS_ID])
+        with pytest.raises(ConfigError):
+            ks.register_node([1, crypto.BS_ID, 2])
+
+    def test_a_later_registration_keeps_the_keys_already_read(self):
+        ks = crypto.KeyStore(b"seed")
+        ks.register_node([1])
+        ks.register_edge([(2, 1)])
+        bs, link = ks.bs_key(1), ks.link_key(1, 2)
+        ks.register_node([2, 1])
+        ks.register_edge([(1, 2), (2, 3)])
+        assert (ks.bs_key(1), ks.link_key(2, 1)) == (bs, link)
+        assert ks.bs_key(2) != bs and ks.link_key(3, 2) != link
 
     def test_unregistered_ids_raise_next_to_registered_ones(self):
         ks = crypto.KeyStore(b"seed")
-        ks.register_node(1)
-        ks.register_edge(1, 2)
+        ks.register_node([1])
+        ks.register_edge([(1, 2)])
         ks.bs_key(1)
         ks.link_key(2, 1)
         with pytest.raises(ConfigError):
@@ -93,7 +103,7 @@ class TestKeyStore:
         with pytest.raises(ConfigError):
             ks.link_key(1, 3)
         with pytest.raises(ConfigError):
-            ks.register_node(crypto.BS_ID)
+            ks.register_node([crypto.BS_ID])
         with pytest.raises(ConfigError):
             ks.bs_key(crypto.BS_ID)
 
@@ -114,10 +124,8 @@ class TestKeyStore:
             return crypto.mac_long(master, b"link" + wire.u16(lo) + wire.u16(hi))
 
         ks = crypto.KeyStore(seed)
-        for v in nodes:
-            ks.register_node(v)
-        for a, b in edges:
-            ks.register_edge(a, b)
+        ks.register_node(nodes)
+        ks.register_edge(edges)
         # Every key twice, in either orientation, in a drawn order.
         reads = [("bs", (v,)) for v in nodes] + [("link", e) for e in edges]
         reads += [("link", (b, a)) for a, b in edges] + reads

@@ -361,6 +361,17 @@ def count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+@pytest.mark.parametrize("name", ["grid_clean", "geometric400_resilient"])
+def test_a_run_registers_its_ids_in_one_call_per_kind(monkeypatch, name):
+    nodes = count_calls(monkeypatch, crypto.KeyStore, "register_node")
+    edges = count_calls(monkeypatch, crypto.KeyStore, "register_edge")
+    scenario = Scenario.from_dict(load_config(SCENARIOS / f"{name}.json"))
+    run_sessions(scenario)
+    assert (len(nodes), len(edges)) == (1, 1)
+    assert set(nodes[0][1]) == scenario.graph.sensors
+    assert set(edges[0][1]) == scenario.graph.edges
+
+
 class TestQuietSessions:
     # A quiet session (no active script on a tree member can alter a stage-one
     # message) runs no stage one: it is charged from the record

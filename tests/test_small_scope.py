@@ -8,7 +8,8 @@ in seven shapes, `own_value_forge` reporting 0, `nl_fake` announcing the
 BS, and `parent_switch` to the other faulty node.  Every run ends with
 every audit passing, either complete or cut short by exclusions that
 disconnect the network, except one class of label forgeries that no rule
-localizes yet.
+localizes yet; every mark any run makes holds a node that misbehaved in its
+session.
 """
 
 from __future__ import annotations
@@ -107,20 +108,28 @@ GRAPHS = connected_graphs()
 
 
 @pytest.fixture(scope="module")
-def outcomes() -> list[tuple[tuple, str, str | None]]:
-    """Each config's case, its outcome class and, for a quiet kind, its report."""
+def outcomes() -> list[tuple[tuple, str, str | None, int, list]]:
+    """Each config's case, its outcome class, for a quiet kind its report,
+    its number of marks, and (session, mark) for each mark that holds no
+    node which misbehaved in that session."""
     out = []
     for case in space():
         try:
             result = run_sessions(Scenario.from_dict(make(case)))
         except UnlocalizableFailure:
-            out.append((case, "unlocalized", None))
+            out.append((case, "unlocalized", None, 0, []))
             continue
+        marks = sum(len(rec.marks) for rec in result.records)
+        unsound = [
+            (rec.index, m) for rec in result.records for m in rec.marks
+            if not m.pair() & rec.misbehaved
+        ]
         if not result.audits()["all_pass"]:
             cls = "audit failed"
         else:
             cls = "exit 3" if result.disconnected else "exit 0"
-        out.append((case, cls, cli.render_report(result) if case[4] in QUIET_KINDS else None))
+        report = cli.render_report(result) if case[4] in QUIET_KINDS else None
+        out.append((case, cls, report, marks, unsound))
     return out
 
 
@@ -130,7 +139,7 @@ def test_space_is_every_tiny_network_and_deviation(outcomes):
 
 
 def test_every_config_passes_its_audits_or_is_unlocalized(outcomes):
-    assert Counter(cls for _, cls, _ in outcomes) == {
+    assert Counter(cls for _, cls, *_ in outcomes) == {
         "exit 0": 10740,
         "exit 3": 2682,  # exclusions cut the three-sensor network
         "unlocalized": 714,
@@ -158,7 +167,7 @@ def test_the_unlocalized_class_is_listed(outcomes):
             expected.add(make_key(case))
         if params in ({"count": 0}, {"value": 10**7}, {"value": -1}) and list(tree.parent) == [node]:
             expected.add(make_key(case))
-    unlocalized = [case for case, cls, _ in outcomes if cls == "unlocalized"]
+    unlocalized = [case for case, cls, *_ in outcomes if cls == "unlocalized"]
     assert {make_key(case) for case in unlocalized} == expected
     assert Counter(str(case[5]) for case in unlocalized) == {
         str({"count": 40000}): 312,
@@ -173,8 +182,15 @@ def test_quiet_kinds_report_what_a_full_stage_one_reports(outcomes, monkeypatch)
     # The oracle runs stage one in every session.
     monkeypatch.setattr(Adversary, "quiet", lambda self, tree, session: None)
     checked = 0
-    for case, _, report in outcomes:
+    for case, _, report, *_ in outcomes:
         if case[4] in QUIET_KINDS:
             assert cli.render_report(run_sessions(Scenario.from_dict(make(case)))) == report, case
             checked += 1
     assert checked == 2 * len(GRAPHS) * 2 * (3 + 6)
+
+
+def test_every_mark_holds_a_node_that_misbehaved(outcomes):
+    # Localization soundness: each marked pair holds a node of its session's
+    # ground-truth trace.
+    assert sum(marks for *_, marks, _ in outcomes) == 6546
+    assert [(case, unsound) for case, *_, unsound in outcomes if unsound] == []
