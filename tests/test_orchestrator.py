@@ -363,6 +363,8 @@ def count_calls(monkeypatch, module, name) -> list:
 
 @pytest.mark.parametrize("name", ["grid_clean", "geometric400_resilient"])
 def test_a_run_registers_its_ids_in_one_call_per_kind(monkeypatch, name):
+    # A 4x5 grid under basic ATR and n = 400 under resilient ATR: one call
+    # per kind whatever n is, each given every sensor or every edge.
     nodes = count_calls(monkeypatch, crypto.KeyStore, "register_node")
     edges = count_calls(monkeypatch, crypto.KeyStore, "register_edge")
     scenario = Scenario.from_dict(load_config(SCENARIOS / f"{name}.json"))
