@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, NamedTuple
 
-from .crypto import BS_ID, NodeId
-from .errors import ConfigError, ProtocolViolation
+from .crypto import NodeId
+from .errors import ProtocolViolation
 
 # Catalog of scriptable deviations, keyed by the phase hook that consults them.
 CATALOG: dict[str, str] = {
@@ -43,28 +43,14 @@ PARAMS: dict[str, tuple[str, ...]] = {
 }
 
 
-class ScriptEntry:
-    """One scripted deviation: which node, when, and what; never mutated."""
+class ScriptEntry(NamedTuple):
+    """One scripted deviation: which node, when, and what; parsed once by
+    `Scenario.validate`, shared by every run, never mutated."""
 
-    def __init__(
-        self,
-        node: NodeId,
-        kind: str,
-        params: dict[str, Any],
-        sessions: frozenset[int] | None,  # None: every session
-    ) -> None:
-        self.node = node
-        self.kind = kind
-        self.params = params
-        self.sessions = sessions
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return f"ScriptEntry({vars(self)})"
+    node: NodeId
+    kind: str
+    params: dict[str, Any]
+    sessions: frozenset[int] | None  # None: every session
 
     def active(self, session: int) -> bool:
         return self.sessions is None or session in self.sessions
@@ -78,20 +64,11 @@ class TraceEvent(NamedTuple):
 
 
 class Adversary:
-    """Shared adversary state: faulty set, scripts, and the fired-event trace."""
+    """One run's adversary: faulty set, scripts, and the fired-event trace."""
 
     def __init__(self, faulty: Iterable[NodeId], scripts: Iterable[ScriptEntry]):
         self.faulty = frozenset(faulty)
-        if BS_ID in self.faulty:
-            raise ConfigError("the BS is always correct and cannot be faulty")
         self.scripts = list(scripts)
-        for entry in self.scripts:
-            if entry.kind not in CATALOG:
-                raise ConfigError(f"unknown adversary action {entry.kind!r}")
-            if entry.node not in self.faulty:
-                raise ConfigError(f"script targets correct node {entry.node}")
-            if entry.kind == "parent_switch" and entry.params.get("target") not in self.faulty:
-                raise ConfigError("parent_switch target must be another faulty node")
         # The scripts of a SHIA phase, in order: `quiet` reads only these.
         self.stage_one = [e for e in self.scripts if CATALOG[e.kind] in ("commit", "offpath", "ack")]
         self.trace: list[TraceEvent] = []

@@ -205,8 +205,9 @@ def build_graph(topology: dict, seed: int) -> NetworkGraph:
     return NetworkGraph(set(range(1, n + 1)), edges, _size(topology, "d_max", n))
 
 
-def _check_script(s: Any, lo: int, hi: int) -> None:
-    """Type-check one adversary script entry against the wire format."""
+def _parse_script(s: Any, lo: int, hi: int, faulty: frozenset[int]) -> ScriptEntry:
+    """Check one adversary script entry against the catalog, the faulty set
+    and the wire format, and parse it."""
     if not (
         isinstance(s, dict)
         and _is_int(s.get("node"))
@@ -227,14 +228,15 @@ def _check_script(s: Any, lo: int, hi: int) -> None:
             raise ConfigError(
                 f"unknown adversary script key {key!r}; a script takes node, kind, params and sessions"
             )
-    p = s.get("params", {})
-    if s["kind"] in CATALOG:  # Adversary refuses an unknown kind
-        allowed = PARAMS.get(s["kind"], ())
-        for key in p:
-            if key not in allowed:
-                takes = f"takes {', '.join(allowed)}" if allowed else "takes no params"
-                raise ConfigError(f"unknown {s['kind']} param {key!r}; {s['kind']} {takes}")
-    if s["kind"] == "own_value_forge":
+    node, kind, p, sessions = s["node"], s["kind"], s.get("params", {}), s.get("sessions")
+    if kind not in CATALOG:
+        raise ConfigError(f"unknown adversary action {kind!r}")
+    allowed = PARAMS.get(kind, ())
+    for key in p:
+        if key not in allowed:
+            takes = f"takes {', '.join(allowed)}" if allowed else "takes no params"
+            raise ConfigError(f"unknown {kind} param {key!r}; {kind} {takes}")
+    if kind == "own_value_forge":
         v = p.get("value")
         if not _is_int(v) or not lo <= v <= hi:
             raise ConfigError(
@@ -242,22 +244,32 @@ def _check_script(s: Any, lo: int, hi: int) -> None:
                 "measurement range; out-of-range readings are label "
                 "forgeries, not legal measurements"
             )
-    if s["kind"] == "label_forge":
+    if kind == "label_forge":
         count, value, add = p.get("count", 0), p.get("value", 0), p.get("value_add", 0)
         if not (_is_int(count) and count >= 0 and _is_int(value) and _is_int(add)):
             raise ConfigError(
                 "label_forge needs a non-negative integer count and integer value and value_add"
             )
-    if s["kind"] == "parent_switch" and not _is_int(p.get("target", 0)):
+    if kind == "parent_switch" and not _is_int(p.get("target", 0)):
         raise ConfigError("parent_switch target must be an integer node id")
-    if s["kind"] in ("confirm_tamper", "ack_report_forge") and not _is_int(p.get("slot", 0)):
-        raise ConfigError(f"{s['kind']} slot must be an integer")
-    if s["kind"] == "nl_fake":
+    if kind in ("confirm_tamper", "ack_report_forge") and not _is_int(p.get("slot", 0)):
+        raise ConfigError(f"{kind} slot must be an integer")
+    if kind == "nl_fake":
         for key in ("add", "remove"):
             ids = p.get(key, [])
             # Announced ids are packed as u16.
             if not (isinstance(ids, list) and all(_is_int(v) and 0 <= v <= MAX_SENSORS for v in ids)):
                 raise ConfigError(f"nl_fake {key} must be a list of node ids in 0..{MAX_SENSORS}")
+    if node not in faulty:
+        raise ConfigError(f"script targets correct node {node}")
+    if kind == "parent_switch" and p.get("target") not in faulty:
+        raise ConfigError("parent_switch target must be another faulty node")
+    return ScriptEntry(
+        node,
+        kind,
+        {k: (tuple(v) if isinstance(v, list) else v) for k, v in p.items()},
+        None if sessions is None else frozenset(sessions),
+    )
 
 
 def read_json_object(path: str) -> tuple[str, dict]:
@@ -293,8 +305,10 @@ def load_config(path: str) -> dict:
 class Scenario:
     """A scenario config; equal to another exactly when their configs are."""
 
-    # Built once by validate(); every run of this scenario shares it read-only.
+    # Built once by validate(); every run of this scenario shares them read-only.
     graph: NetworkGraph
+    faulty: frozenset[int]
+    scripts: list[ScriptEntry]
 
     def __init__(self, config: dict) -> None:
         self.config = config
@@ -338,9 +352,10 @@ class Scenario:
         faulty = adv.get("faulty", [])
         if not (isinstance(faulty, list) and all(_is_int(v) for v in faulty)):
             raise ConfigError("adversary faulty must be a list of integer node ids")
-        if not set(faulty) <= graph.sensors:
+        self.faulty = frozenset(faulty)
+        if not self.faulty <= graph.sensors:
             raise ConfigError("faulty set contains unknown nodes")
-        if len(set(faulty)) >= graph.n:
+        if len(self.faulty) >= graph.n:
             raise ConfigError("faulty node count must be below network size")
         if self.atr_variant not in ("basic", "resilient"):
             raise ConfigError(f"unknown ATR variant {self.atr_variant!r}")
@@ -361,20 +376,19 @@ class Scenario:
         scripts = adv.get("scripts", [])
         if not isinstance(scripts, list):
             raise ConfigError("adversary scripts must be a list")
-        for s in scripts:
-            _check_script(s, lo, hi)
+        self.scripts = [_parse_script(s, lo, hi, self.faulty) for s in scripts]
         # Labels are packed with a u16 count and an i64 value.  A label sums
         # in-range readings and accepted labels, whose |value| is at most
         # max|range| per count, and forged labels can add their counts and
         # values to any sum above them.  In a session, each node fires the
         # first label_forge script active for it (Adversary.action).
-        forges = [s for s in scripts if s["kind"] == "label_forge"]
-        named = {t for s in forges for t in s.get("sessions") or ()}
+        forges = [e for e in self.scripts if e.kind == "label_forge"]
+        named = {t for e in forges for t in e.sessions or ()}
         for t in [*named, None]:  # None: a session that no script names
             fired: dict[int, dict] = {}
-            for s in forges:
-                if s.get("sessions") is None or t in s["sessions"]:
-                    fired.setdefault(s["node"], s.get("params", {}))
+            for e in forges:
+                if e.active(t):
+                    fired.setdefault(e.node, e.params)
             count = graph.n + sum(p.get("count", 0) for p in fired.values())
             if count > MAX_COUNT:
                 raise ConfigError(
@@ -383,7 +397,6 @@ class Scenario:
             forged = sum(abs(p.get("value", 0)) + abs(p.get("value_add", 0)) for p in fired.values())
             if max(abs(lo), abs(hi)) * count + forged > I64_MAX:
                 raise ConfigError("value_range and label_forge values overflow an i64 label sum")
-        self.build_adversary()
 
     @property
     def seed(self) -> int:
@@ -407,22 +420,8 @@ class Scenario:
         return self.config.get("accept_on_als2", False)
 
     def build_adversary(self) -> Adversary:
-        adv = self.config.get("adversary", {})
-        scripts = []
-        for s in adv.get("scripts", ()):
-            sessions = s.get("sessions")
-            scripts.append(
-                ScriptEntry(
-                    node=s["node"],
-                    kind=s["kind"],
-                    params={
-                        k: (tuple(v) if isinstance(v, list) else v)
-                        for k, v in s.get("params", {}).items()
-                    },
-                    sessions=None if sessions is None else frozenset(sessions),
-                )
-            )
-        return Adversary(adv.get("faulty", ()), scripts)
+        """A fresh adversary for one run: its own trace over the shared scripts."""
+        return Adversary(self.faulty, self.scripts)
 
     def values_for(self, session: int, sensors: Iterable[int]) -> dict[int, int]:
         lo, hi = self.value_range

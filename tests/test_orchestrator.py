@@ -193,6 +193,29 @@ class TestFaultyRuns:
         rebuild = {"basic": "response_drop", "resilient": "nl_fake"}[variant]
         assert {"confirm_drop", "report_drop", rebuild} <= {kind for _, kind in consulted}
 
+    def test_each_run_of_a_scenario_gets_its_own_adversary(self, monkeypatch):
+        # The scripts are parsed once, at validation; each run builds a
+        # fresh adversary over them, so a second run neither shares nor
+        # extends the first run's trace.
+        advs = []
+        real = Scenario.build_adversary
+        monkeypatch.setattr(Scenario, "build_adversary", lambda self: advs.append(real(self)) or advs[-1])
+        adversary = {
+            "faulty": [7, 12],
+            "scripts": [
+                {"node": 7, "kind": "label_drop", "sessions": [0]},
+                {"node": 12, "kind": "ack_drop", "sessions": [2]},
+            ],
+        }
+        scenario = Scenario.from_dict(grid_config(sessions=4, adversary=adversary))
+        first = run_sessions(scenario)
+        trace = list(advs[0].trace)
+        second = run_sessions(scenario)
+        assert len(advs) == 2 and advs[0] is not advs[1]
+        assert trace and advs[0].trace == trace == advs[1].trace
+        assert [r.misbehaved for r in first.records] == [r.misbehaved for r in second.records]
+        assert first.records[0].misbehaved == {7}
+
 
 class TestSecurityAudit:
     def make(self, value, values):

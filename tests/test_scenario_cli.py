@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import oracle_geometric_graph, oracle_onepass_geometric_graph
 from robustagg import cli, orchestrator, scenario
+from robustagg.adversary import ScriptEntry
 from robustagg.crypto import BS_ID
 from robustagg.errors import ConfigError, ProtocolViolation
 from robustagg.scenario import (
@@ -651,6 +652,14 @@ class TestCli:
                 scripted({"node": 2, "kind": "label_forge", "params": {"value_add": "5"}}),
                 "label_forge needs a non-negative integer count and integer value and value_add",
             ),
+            # The BS is never a sensor, so it cannot be faulty.
+            ({"adversary": {"faulty": [0, 3]}}, "faulty set contains unknown nodes"),
+            (scripted({"node": 4, "kind": "label_drop"}, faulty=[3]), "script targets correct node 4"),
+            (scripted({"node": 3, "kind": "spoon_bend"}, faulty=[3]), "unknown adversary action 'spoon_bend'"),
+            (
+                scripted({"node": 3, "kind": "parent_switch", "params": {"target": 9}}, faulty=[3]),
+                "parent_switch target must be another faulty node",
+            ),
         ],
         ids=[
             "script_without_node", "list_params", "string_fixed_value", "short_value_range",
@@ -659,6 +668,7 @@ class TestCli:
             "fixed_value_key_unknown", "fixed_value_key_leading_zero", "accept_on_als2_string",
             "adversary_list", "faulty_int",
             "scripts_object", "own_value_string", "value_add_string",
+            "bs_faulty", "correct_node", "unknown_kind", "switch_target",
         ],
     )
     def test_malformed_values_and_scripts_are_config_errors(self, tmp_path, capsys, overrides, message):
@@ -677,6 +687,14 @@ class TestCli:
         report = json.loads(out_path.read_text())
         assert report["audits"]["all_pass"]
         assert [s["verdict"] for s in report["sessions"]] == ["success"] * 3
+
+    def test_parent_switch_between_faulty_nodes_validates(self):
+        # Validation parses each script once; every run reads these entries.
+        cfg = json.loads((SCENARIOS / "grid_clean.json").read_text())
+        cfg.update(scripted({"node": 3, "kind": "parent_switch", "params": {"target": 9}}, faulty=[3, 9]))
+        sc = Scenario.from_dict(cfg)
+        assert sc.faulty == frozenset({3, 9})
+        assert sc.scripts == [ScriptEntry(3, "parent_switch", {"target": 9}, None)]
 
     def test_forgers_in_disjoint_sessions_are_bounded_per_session(self, tmp_path, capsys):
         # Two forgers whose counts would overflow u16 in one label, but

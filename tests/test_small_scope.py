@@ -15,6 +15,7 @@ session.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -194,3 +195,17 @@ def test_every_mark_holds_a_node_that_misbehaved(outcomes):
     # ground-truth trace.
     assert sum(marks for *_, marks, _ in outcomes) == 6546
     assert [(case, unsound) for case, *_, unsound in outcomes if unsound] == []
+
+
+def test_a_sample_through_the_cli_exits_as_the_run_ended(outcomes, tmp_path):
+    # Every 250th config: every kind, both ATRs and every outcome class go
+    # through the file boundary, the script parser and the exit code.
+    sample = outcomes[::250]
+    assert {case[4] for case, *_ in sample} == set(CATALOG)
+    assert {case[1] for case, *_ in sample} == {"basic", "resilient"}
+    exit_code = {"exit 0": cli.EXIT_OK, "exit 3": cli.EXIT_DISCONNECTED, "unlocalized": cli.EXIT_AUDIT_FAIL}
+    assert {cls for _, cls, *_ in sample} == set(exit_code)
+    path, out = tmp_path / "config.json", str(tmp_path / "report.json")
+    for case, cls, *_ in sample:
+        path.write_text(json.dumps(make(case)))
+        assert cli.main(["run", "--config", str(path), "--out", out]) == exit_code[cls], case
