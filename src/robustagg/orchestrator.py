@@ -85,9 +85,9 @@ class SessionRecord:
 
 
 class RunResult:
-    def __init__(self, scenario: Scenario, faulty: frozenset[NodeId]) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self.faulty = faulty
+        self.faulty = scenario.faulty
         self.records: list[SessionRecord] = []
         self.blacklist: set[NodeId] = set()
         self.disconnected = False
@@ -163,11 +163,9 @@ def run_sessions(scenario: Scenario) -> RunResult:
     keys.register_node(graph.sensors)
     keys.register_edge(graph.edges)
     net = Network(graph, keys)
-    # Sorted once, so each session's `values_for` sorts it in linear time.
-    sensors = sorted(graph.sensors)
     nonce_key = crypto.mac_long(b"\x02" * crypto.KEY_LEN, b"nonce" + seed_bytes)
 
-    result = RunResult(scenario, adv.faulty)
+    result = RunResult(scenario)
     blacklist = result.blacklist
     bs_adj = None
     if scenario.atr_variant == "resilient":
@@ -197,7 +195,7 @@ def run_sessions(scenario: Scenario) -> RunResult:
             members = tree.members
         adv.begin_session(i)
         nonce = crypto.mac(nonce_key, b"session" + wire.u16(i))[: wire.NONCE_LEN]
-        values = scenario.values_for(i, sensors)
+        values = scenario.values_for(i)
         net.ledger.reset()
 
         # Quiet: no script can alter a message, so stage one would run as an
@@ -239,9 +237,9 @@ def run_sessions(scenario: Scenario) -> RunResult:
                     f"session {i}: aggregation failed but no node was marked"
                 )
             blacklist |= als.marked(marks)
-            if als2_ran and scenario.accept_on_als2:
-                # The ack path was disrupted but the aggregate itself checked
-                # out, so the result can be salvaged (opt-in).
+            if als2_ran and sres.root_ok and scenario.accept_on_als2:
+                # Only the ack path was disrupted: the aggregate passed the
+                # root check, so the result can be salvaged (opt-in).
                 verdict, value = "success", sres.value
             else:
                 verdict, value = "failure", None

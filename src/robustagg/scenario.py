@@ -10,7 +10,6 @@ import hashlib
 import json
 import math
 import random
-from collections.abc import Iterable
 from typing import Any
 
 from .adversary import CATALOG, PARAMS, Adversary, ScriptEntry
@@ -170,6 +169,29 @@ def _is_int(v: Any) -> bool:
     return type(v) is int  # bool is an int subclass, so it is refused
 
 
+def _check_keys(obj: dict, allowed: tuple[str, ...], owner: str, noun: str = "key") -> None:
+    """Refuse any key of `obj` outside `allowed`: a misspelt key would
+    otherwise be ignored and change the run silently."""
+    for key in obj:
+        if key not in allowed:
+            takes = ", ".join(allowed) or "no params"
+            raise ConfigError(f"unknown {owner} {noun} {key!r}; {owner} takes {takes}")
+
+
+# The keys each object of a config may hold; anything else is refused.
+CONFIG_KEYS = (
+    "seed", "sessions", "topology", "value_range", "atr", "accept_on_als2", "fixed_values", "adversary",
+)
+ADVERSARY_KEYS = ("faulty", "scripts")
+SCRIPT_KEYS = ("node", "kind", "params", "sessions")
+TOPOLOGY_KEYS = {
+    "grid": ("kind", "rows", "cols"),
+    "chain": ("kind", "n"),
+    "geometric": ("kind", "n", "d_max"),
+    "edges": ("kind", "n", "edges", "d_max"),
+}
+
+
 def _size(topology: dict, key: str, default: int | None = None) -> int:
     v = topology.get(key, default)
     if not _is_int(v):
@@ -181,8 +203,9 @@ def build_graph(topology: dict, seed: int) -> NetworkGraph:
     if not isinstance(topology, dict):
         raise ConfigError("topology must be an object")
     kind = topology.get("kind")
-    if kind not in ("edges", "grid", "chain", "geometric"):
+    if not isinstance(kind, str) or kind not in TOPOLOGY_KEYS:
         raise ConfigError(f"unknown topology kind {kind!r}")
+    _check_keys(topology, TOPOLOGY_KEYS[kind], f"{kind} topology")
     if kind == "grid":
         rows, cols = _size(topology, "rows"), _size(topology, "cols")
         n = rows * cols
@@ -222,20 +245,11 @@ def _parse_script(s: Any, lo: int, hi: int, faulty: frozenset[int]) -> ScriptEnt
             "each adversary script needs an integer node, a string kind, an "
             "object params and an optional list of integer sessions"
         )
-    # A misspelt key would otherwise be ignored and change the run silently.
-    for key in s:
-        if key not in ("node", "kind", "params", "sessions"):
-            raise ConfigError(
-                f"unknown adversary script key {key!r}; a script takes node, kind, params and sessions"
-            )
+    _check_keys(s, SCRIPT_KEYS, "adversary script")
     node, kind, p, sessions = s["node"], s["kind"], s.get("params", {}), s.get("sessions")
     if kind not in CATALOG:
         raise ConfigError(f"unknown adversary action {kind!r}")
-    allowed = PARAMS.get(kind, ())
-    for key in p:
-        if key not in allowed:
-            takes = f"takes {', '.join(allowed)}" if allowed else "takes no params"
-            raise ConfigError(f"unknown {kind} param {key!r}; {kind} {takes}")
+    _check_keys(p, PARAMS.get(kind, ()), kind, "param")
     if kind == "own_value_forge":
         v = p.get("value")
         if not _is_int(v) or not lo <= v <= hi:
@@ -262,7 +276,7 @@ def _parse_script(s: Any, lo: int, hi: int, faulty: frozenset[int]) -> ScriptEnt
                 raise ConfigError(f"nl_fake {key} must be a list of node ids in 0..{MAX_SENSORS}")
     if node not in faulty:
         raise ConfigError(f"script targets correct node {node}")
-    if kind == "parent_switch" and p.get("target") not in faulty:
+    if kind == "parent_switch" and (p.get("target") == node or p.get("target") not in faulty):
         raise ConfigError("parent_switch target must be another faulty node")
     return ScriptEntry(
         node,
@@ -305,8 +319,14 @@ def load_config(path: str) -> dict:
 class Scenario:
     """A scenario config; equal to another exactly when their configs are."""
 
-    # Built once by validate(); every run of this scenario shares them read-only.
+    # Parsed once by validate(); every run of this scenario shares them read-only.
+    seed: int
+    sessions: int
     graph: NetworkGraph
+    value_range: tuple[int, int]
+    atr_variant: str
+    accept_on_als2: bool
+    fixed_values: dict[int, int]
     faulty: frozenset[int]
     scripts: list[ScriptEntry]
 
@@ -331,24 +351,28 @@ class Scenario:
 
     def validate(self) -> None:
         c = self.config
+        _check_keys(c, CONFIG_KEYS, "config")
         for key in ("seed", "topology", "sessions"):
             if key not in c:
                 raise ConfigError(f"missing config field {key!r}")
-        if not _is_int(c["seed"]):
+        self.seed, self.sessions = c["seed"], c["sessions"]
+        if not _is_int(self.seed):
             raise ConfigError("seed must be an integer")
         # The session index is packed as a u16.
-        if not _is_int(c["sessions"]) or not 0 <= c["sessions"] <= MAX_SESSIONS:
+        if not _is_int(self.sessions) or not 0 <= self.sessions <= MAX_SESSIONS:
             raise ConfigError(f"sessions must be an integer in 0..{MAX_SESSIONS}")
         graph = self.graph = build_graph(c["topology"], self.seed)
-        vr = self.value_range
+        vr = c.get("value_range", [0, 100])
         if not (isinstance(vr, list) and len(vr) == 2 and all(_is_int(v) for v in vr)):
             raise ConfigError("value_range must be a list of two integers")
         lo, hi = vr
+        self.value_range = (lo, hi)
         if lo > hi:
             raise ConfigError("value range is empty")
         adv = c.get("adversary", {})
         if not isinstance(adv, dict):
             raise ConfigError("adversary must be an object")
+        _check_keys(adv, ADVERSARY_KEYS, "adversary")
         faulty = adv.get("faulty", [])
         if not (isinstance(faulty, list) and all(_is_int(v) for v in faulty)):
             raise ConfigError("adversary faulty must be a list of integer node ids")
@@ -357,8 +381,10 @@ class Scenario:
             raise ConfigError("faulty set contains unknown nodes")
         if len(self.faulty) >= graph.n:
             raise ConfigError("faulty node count must be below network size")
+        self.atr_variant = c.get("atr", "basic")
         if self.atr_variant not in ("basic", "resilient"):
             raise ConfigError(f"unknown ATR variant {self.atr_variant!r}")
+        self.accept_on_als2 = c.get("accept_on_als2", False)
         if not isinstance(self.accept_on_als2, bool):
             raise ConfigError("accept_on_als2 must be a boolean")
         fixed = c.get("fixed_values", {})
@@ -373,6 +399,7 @@ class Scenario:
                 raise ConfigError(f"fixed value for node {node} must be an integer")
             if not lo <= v <= hi:
                 raise ConfigError(f"fixed value for node {node} outside range")
+        self.fixed_values = {int(node): v for node, v in fixed.items()}
         scripts = adv.get("scripts", [])
         if not isinstance(scripts, list):
             raise ConfigError("adversary scripts must be a list")
@@ -398,41 +425,21 @@ class Scenario:
             if max(abs(lo), abs(hi)) * count + forged > I64_MAX:
                 raise ConfigError("value_range and label_forge values overflow an i64 label sum")
 
-    @property
-    def seed(self) -> int:
-        return self.config["seed"]
-
-    @property
-    def sessions(self) -> int:
-        return self.config["sessions"]
-
-    @property
-    def value_range(self) -> Any:
-        """The raw `[lo, hi]` pair; validate() checks it is two integers."""
-        return self.config.get("value_range", [0, 100])
-
-    @property
-    def atr_variant(self) -> str:
-        return self.config.get("atr", "basic")
-
-    @property
-    def accept_on_als2(self) -> bool:
-        return self.config.get("accept_on_als2", False)
-
     def build_adversary(self) -> Adversary:
         """A fresh adversary for one run: its own trace over the shared scripts."""
         return Adversary(self.faulty, self.scripts)
 
-    def values_for(self, session: int, sensors: Iterable[int]) -> dict[int, int]:
+    def values_for(self, session: int) -> dict[int, int]:
         lo, hi = self.value_range
-        fixed = {int(k): v for k, v in self.config.get("fixed_values", {}).items()}
+        fixed = self.fixed_values
         getrandbits = random.Random(f"values:{self.seed}:{session}").getrandbits
-        # `rng.randint(lo, hi)` per sensor, fixed ones too, by the rejection
-        # loop CPython's `randint` runs, without its per-call checks.
+        # `rng.randint(lo, hi)` per sensor in id order, fixed ones too, by the
+        # rejection loop CPython's `randint` runs, without its per-call
+        # checks.  `build_graph` numbers every topology's sensors 1..n.
         width = hi - lo + 1
         k = width.bit_length()
         out = {}
-        for s in sorted(sensors):
+        for s in range(1, self.graph.n + 1):
             r = getrandbits(k)
             while r >= width:
                 r = getrandbits(k)

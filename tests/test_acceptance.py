@@ -158,7 +158,7 @@ def test_criterion_2_optimal_security(mixed_runs):
         res = run_sessions(sc)
         for i, rec in enumerate(res.records):
             exact += 1
-            want = sum(sc.values_for(i, sc.graph.sensors).values())
+            want = sum(sc.values_for(i).values())
             if rec.verdict != "success" or rec.value != want:
                 violations.append(("exact", seed, i, rec.value, want))
     verdict(2, "optimal security", violations, f"{successes} accepted + {exact} exact")

@@ -46,7 +46,7 @@ class TestHonestRuns:
         assert [r.verdict for r in result.records] == ["success"] * 4
         assert result.blacklist == set()
         for i, rec in enumerate(result.records):
-            values = scenario.values_for(i, scenario.graph.sensors)
+            values = scenario.values_for(i)
             assert rec.value == sum(values.values())
         assert result.audits()["all_pass"]
 
@@ -115,6 +115,24 @@ class TestFaultyRuns:
         # the garbler is excluded either way
         assert 7 in strict.blacklist and 7 in lenient.blacklist
         assert lenient.audits()["all_pass"]
+
+    def test_salvage_needs_an_aggregate_that_passed_the_root_check(self):
+        # Node 16's forged count fails the root check, and node 3's garbled
+        # ack leaves ALS I nothing to mark, so ALS II runs and marks node 3.
+        # The aggregate never checked out, so it is not salvaged.
+        adversary = {
+            "faulty": [16, 3],
+            "scripts": [
+                {"node": 16, "kind": "label_forge", "params": {"count": 40000, "value": 1000000},
+                 "sessions": [0]},
+                {"node": 3, "kind": "ack_garble", "sessions": [0]},
+            ],
+        }
+        result = run(grid_config(adversary=adversary, accept_on_als2=True))
+        first = result.records[0]
+        assert first.als2_ran and not first.shia_result.root_ok
+        assert (first.verdict, first.value) == ("failure", None)
+        assert result.audits()["all_pass"]
 
     def test_run_on_a_shifted_value_range_passes_every_audit(self):
         # Readings lie in [200, 300], and node 7 forges 300 in every session:
@@ -255,8 +273,10 @@ def audited_result(verdicts, faulty, blacklist=(), value_range=(0, 100)):
     members' sum."""
     tree = AggregationTree(AUDIT_TREE)
     values = {s: 10 for s in tree.members}
-    config = grid_config(sessions=len(verdicts), value_range=list(value_range))
-    result = RunResult(Scenario.from_dict(config), frozenset(faulty))
+    config = grid_config(
+        sessions=len(verdicts), value_range=list(value_range), adversary={"faulty": sorted(faulty)}
+    )
+    result = RunResult(Scenario.from_dict(config))
     result.blacklist = set(blacklist)
     for i, verdict in enumerate(verdicts):
         result.records.append(
@@ -453,7 +473,7 @@ class TestQuietSessions:
         report = json.loads(quiet[0])
         assert report["audits"]["all_pass"] and report["totals"]["failures"] == 0
         scenario = Scenario.from_dict(config)  # every sensor is in the tree
-        honest = [sum(scenario.values_for(t, scenario.graph.sensors).values()) for t in range(50)]
+        honest = [sum(scenario.values_for(t).values()) for t in range(50)]
         assert [rec["value"] for rec in report["sessions"]] != honest
 
     def test_honest_grid_runs_no_stage_one_over_three_sessions(self, monkeypatch):
@@ -520,7 +540,6 @@ def fuzzed_configs(draw) -> dict:
                 "value_add": st.integers(-60, 60),
             },
         ),
-        "parent_switch": st.fixed_dictionaries({"target": st.sampled_from(faulty)}),
         "confirm_tamper": st.fixed_dictionaries({}, optional={"slot": st.integers(-3, 3)}),
         "ack_report_forge": st.fixed_dictionaries({}, optional={"slot": st.integers(-3, 3)}),
         "nl_fake": st.fixed_dictionaries({}, optional={"add": ids, "remove": ids}),
@@ -532,8 +551,14 @@ def fuzzed_configs(draw) -> dict:
     for node in faulty:
         phase = draw(st.sampled_from(SHIA_PHASES))
         kinds = [draw(st.sampled_from([k for k in SHIA_KINDS if CATALOG[k] == phase]))]
+        others = [v for v in faulty if v != node]
         for kind in kinds + draw(st.lists(st.sampled_from(sorted(CATALOG)), max_size=2)):
-            script = {"node": node, "kind": kind, "params": draw(params.get(kind, st.just({})))}
+            if kind == "parent_switch" and not others:
+                kind = "label_drop"  # what a switch to itself amounted to; it is refused
+            drawn = params.get(kind, st.just({}))
+            if kind == "parent_switch":
+                drawn = st.fixed_dictionaries({"target": st.sampled_from(others)})
+            script = {"node": node, "kind": kind, "params": draw(drawn)}
             # Mostly one to three sessions, with quiet ones around them.
             if draw(st.integers(0, 3)):
                 script["sessions"] = draw(

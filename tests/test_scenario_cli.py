@@ -136,13 +136,12 @@ class TestValidation:
 class TestGeneration:
     def test_values_deterministic_and_in_range(self):
         sc = Scenario.from_dict(base_config())
-        sensors = sc.graph.sensors
-        one = sc.values_for(0, sensors)
-        two = sc.values_for(0, sensors)
+        one = sc.values_for(0)
+        two = sc.values_for(0)
         assert one == two
-        assert set(one) == sensors
+        assert set(one) == sc.graph.sensors
         assert all(0 <= v <= 100 for v in one.values())
-        assert sc.values_for(1, sensors) != one  # fresh draw per session
+        assert sc.values_for(1) != one  # fresh draw per session
 
     def test_scenarios_compare_by_config_alone(self):
         a, b = Scenario.from_dict(base_config()), Scenario.from_dict(base_config())
@@ -153,30 +152,52 @@ class TestGeneration:
 
     def test_fixed_values_override_draws(self):
         sc = Scenario.from_dict(base_config(fixed_values={"3": 77}))
-        assert sc.values_for(0, sc.graph.sensors)[3] == 77
+        assert sc.values_for(0)[3] == 77
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(-(10**9), 10**9),
-        st.integers(0, 2**16 - 1),
-        st.one_of(
-            st.sampled_from([(0, 0), (0, 1), (-5, 5), (3, 2**40), (-(2**62), 2**62)]),
-            st.tuples(st.integers(-(2**63), 2**62), st.integers(0, 2**62)).map(
-                lambda p: (p[0], p[0] + p[1])
-            ),
-        ),
-        st.sets(st.integers(1, 40), max_size=40),
-        st.sets(st.integers(1, 40), max_size=5),
-    )
-    def test_values_are_the_draws_of_randint(self, seed, session, vrange, sensors, fixed):
+    @given(st.integers(-(10**9), 10**9), st.integers(0, 2**16 - 1), st.integers(1, 40), st.data())
+    def test_values_are_the_draws_of_randint(self, seed, session, n, data):
         # One `randint(lo, hi)` per sensor in id order, a fixed sensor's too.
-        lo, hi = vrange
-        fixed_values = {str(s): lo for s in fixed}
-        sc = Scenario({"seed": seed, "value_range": [lo, hi], "fixed_values": fixed_values})
+        # n readings sum into an i64 label, so validation bounds |lo| and |hi|.
+        bound = scenario.I64_MAX // n
+        lo, hi = data.draw(
+            st.one_of(
+                st.sampled_from([(0, 0), (0, 1), (-5, 5), (3, 2**40), (-bound, bound)]),
+                st.tuples(st.integers(-bound, bound), st.integers(0, 2 * bound)).map(
+                    lambda p: (p[0], min(p[0] + p[1], bound))
+                ),
+            )
+        )
+        fixed = data.draw(st.sets(st.integers(1, n), max_size=5))
+        sc = Scenario.from_dict(
+            {
+                "seed": seed,
+                "sessions": 1,
+                "topology": {"kind": "chain", "n": n},
+                "value_range": [lo, hi],
+                "fixed_values": {str(s): lo for s in fixed},
+            }
+        )
         rng = random.Random(f"values:{seed}:{session}")
-        drawn = {s: rng.randint(lo, hi) for s in sorted(sensors)}
+        drawn = {s: rng.randint(lo, hi) for s in range(1, n + 1)}
         expected = {s: lo if s in fixed else v for s, v in drawn.items()}
-        assert sc.values_for(session, sensors) == expected
+        assert sc.values_for(session) == expected
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            {"kind": "grid", "rows": 3, "cols": 4},
+            {"kind": "chain", "n": 7},
+            {"kind": "geometric", "n": 30, "d_max": 4},
+            {"kind": "edges", "n": 4, "edges": [[0, 3], [3, 1], [1, 4], [4, 2]]},
+        ],
+        ids=["grid", "chain", "geometric", "edges"],
+    )
+    def test_every_topology_numbers_its_sensors_1_to_n(self, topology):
+        # `values_for` draws for ids 1..n in order and sorts nothing.
+        sc = Scenario.from_dict(base_config(topology=topology))
+        assert sc.graph.sensors == set(range(1, sc.graph.n + 1))
+        assert list(sc.values_for(0)) == sorted(sc.graph.sensors)
 
     def test_geometric_topology_deterministic_per_seed(self):
         g1 = build_graph({"kind": "geometric", "n": 30, "d_max": 6}, 5)
@@ -660,6 +681,30 @@ class TestCli:
                 scripted({"node": 3, "kind": "parent_switch", "params": {"target": 9}}, faulty=[3]),
                 "parent_switch target must be another faulty node",
             ),
+            (
+                scripted({"node": 3, "kind": "parent_switch", "params": {"target": 3}}, faulty=[3, 9]),
+                "parent_switch target must be another faulty node",
+            ),
+            # Each of these was ignored, and the run went on without it.
+            ({"art": "resilient"}, "unknown config key 'art'; config takes seed, sessions, topology,"),
+            ({"acept_on_als2": True}, "unknown config key 'acept_on_als2'"),
+            (
+                {"adversary": {"faulty": [2], "scirpts": []}},
+                "unknown adversary key 'scirpts'; adversary takes faulty, scripts",
+            ),
+            (
+                {"topology": {"kind": "grid", "rows": 4, "cols": 5, "d_max": 2}},
+                "unknown grid topology key 'd_max'; grid topology takes kind, rows, cols",
+            ),
+            ({"topology": {"kind": "chain", "n": 20, "d_max": 3}}, "unknown chain topology key 'd_max'"),
+            (
+                {"topology": {"kind": "geometric", "n": 20, "d_max": 6, "rows": 4}},
+                "unknown geometric topology key 'rows'",
+            ),
+            (
+                {"topology": {"kind": "edges", "n": 2, "edges": [[0, 1], [1, 2]], "cols": 2}},
+                "unknown edges topology key 'cols'; edges topology takes kind, n, edges, d_max",
+            ),
         ],
         ids=[
             "script_without_node", "list_params", "string_fixed_value", "short_value_range",
@@ -668,7 +713,9 @@ class TestCli:
             "fixed_value_key_unknown", "fixed_value_key_leading_zero", "accept_on_als2_string",
             "adversary_list", "faulty_int",
             "scripts_object", "own_value_string", "value_add_string",
-            "bs_faulty", "correct_node", "unknown_kind", "switch_target",
+            "bs_faulty", "correct_node", "unknown_kind", "switch_target", "switch_self",
+            "config_key", "config_key_accept", "adversary_key", "grid_key", "chain_key",
+            "geometric_key", "edges_key",
         ],
     )
     def test_malformed_values_and_scripts_are_config_errors(self, tmp_path, capsys, overrides, message):

@@ -539,7 +539,7 @@ def honest_grid_session(monkeypatch, module, name):
     net, tree = Network(graph, keys), atr.build_initial_tree(graph)
     adv = Adversary(faulty=(), scripts=())
     adv.begin_session(0)
-    values = scenario.values_for(0, graph.sensors)
+    values = scenario.values_for(0)
     monkeypatch.setattr(module, name, counting)
     sres = shia.run_shia(net, tree, values, adv, NONCE, scenario.value_range)
     assert sres.accepted and sres.value == sum(values.values())
