@@ -1,9 +1,9 @@
 """Faulty-node behavior catalog, script engine, and misbehavior tracing.
 
 Faulty nodes run the honest protocol except where a script entry fires;
-every executed deviation (other than forging the node's own measurement,
-which the model treats as legal) lands in the trace so tests can compare
-marked sets against ground truth.
+every executed deviation lands in the trace so tests can compare marked
+sets against ground truth.  Forging one's own measurement is a reading the
+model treats as legal, never a traced deviation.
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ from __future__ import annotations
 from typing import Any, Iterable, NamedTuple
 
 from .crypto import NodeId
-from .errors import ProtocolViolation
 
 # Catalog of scriptable deviations, keyed by the phase hook that consults them.
 CATALOG: dict[str, str] = {
-    "own_value_forge": "commit",  # legal: a node owns its measurement
+    "own_value_forge": "reading",  # legal: a node owns its measurement
     "label_forge": "commit",
     "label_drop": "commit",
     "parent_switch": "commit",
@@ -52,8 +51,20 @@ class ScriptEntry(NamedTuple):
     params: dict[str, Any]
     sessions: frozenset[int] | None  # None: every session
 
-    def active(self, session: int) -> bool:
+    def active(self, session: int | None) -> bool:
         return self.sessions is None or session in self.sessions
+
+
+def acting(
+    scripts: Iterable[ScriptEntry], session: int | None
+) -> dict[tuple[NodeId, str], ScriptEntry]:
+    """The entry each (node, kind) acts on in `session`: its first active one,
+    in script order.  `session` None stands for a session no script names."""
+    acts: dict[tuple[NodeId, str], ScriptEntry] = {}
+    for e in scripts:
+        if e.active(session):
+            acts.setdefault((e.node, e.kind), e)
+    return acts
 
 
 class TraceEvent(NamedTuple):
@@ -69,52 +80,42 @@ class Adversary:
     def __init__(self, faulty: Iterable[NodeId], scripts: Iterable[ScriptEntry]):
         self.faulty = frozenset(faulty)
         self.scripts = list(scripts)
-        # The scripts of a SHIA phase, in order: `quiet` reads only these.
-        self.stage_one = [e for e in self.scripts if CATALOG[e.kind] in ("commit", "offpath", "ack")]
         self.trace: list[TraceEvent] = []
-        self.session = -1
+        self.begin_session(-1)  # the resilient init runs before any session
 
     def begin_session(self, session: int) -> None:
         self.session = session
+        self.acts = acting(self.scripts, session)
 
     def action(self, node: NodeId, kind: str) -> ScriptEntry | None:
-        if node not in self.faulty:
-            return None
-        for entry in self.scripts:
-            if entry.node == node and entry.kind == kind and entry.active(self.session):
-                return entry
-        return None
+        return self.acts.get((node, kind))
 
-    def quiet(self, tree, session: int) -> dict[NodeId, int] | None:
-        """None when a script can alter a message of stage one over `tree`
-        in `session`; otherwise the reading each own-value forger reports.
+    def readings(self, values: dict[NodeId, int]) -> dict[NodeId, int]:
+        """The readings nodes report this session: `values`, with each
+        own-value forger's value in its place."""
+        forged = {n: e.params["value"] for (n, k), e in self.acts.items() if k == "own_value_forge"}
+        return {**values, **forged} if forged else values
 
-        Only an active script of a SHIA phase on a tree member can, and two
-        kinds never do.  `own_value_forge` changes the reading a forger folds
-        in, not the shape of a message, so the session succeeds with the
-        forged sum; a forger uses its first active entry, as `action` does.
+    def quiet(self, tree) -> bool:
+        """Whether no script can alter a message of stage one over `tree`
+        this session.
+
+        Only an active script of a SHIA phase on a tree member can, and
         `offpath_corrupt` acts where a node forwards a blob, never at a leaf.
         """
-        forged: dict[NodeId, int] = {}
         children = tree.children
-        for e in self.stage_one:
-            kids = children.get(e.node)
-            if kids is None or not e.active(session):
-                continue  # not a member, or idle in this session
-            if e.kind == "own_value_forge":
-                forged.setdefault(e.node, e.params["value"])
-            elif kids or e.kind != "offpath_corrupt":
-                return None
-        return forged
+        return not any(
+            node in children
+            and (CATALOG[kind] in ("commit", "ack") or CATALOG[kind] == "offpath" and children[node])
+            for node, kind in self.acts
+        )
 
     def fire(self, node: NodeId, kind: str) -> None:
-        if kind == "own_value_forge":
-            raise ProtocolViolation("own-value forgery is legal, never traced")
         self.trace.append(TraceEvent(self.session, node, CATALOG[kind], kind))
 
     def misbehaved(self, session: int) -> set[NodeId]:
         """Ground truth: nodes that actually deviated in `session`."""
-        return {e.node for e in self.trace if e.session == session}
+        return {e.node for e in self.events(session)}
 
     def events(self, session: int) -> list[TraceEvent]:
         return [e for e in self.trace if e.session == session]

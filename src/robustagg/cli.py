@@ -63,9 +63,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         topology = template.get("topology")
         if not isinstance(topology, dict) or topology.get("kind") not in ("chain", "geometric"):
             raise ConfigError("sweep needs a topology sized by n (chain or geometric)")
-        if template.get("sessions") == 0:
-            # A point reads its tree's shape off its first session.
-            raise ConfigError("sweep needs at least one session per point")
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         if len(set(sizes)) < len(sizes):
             raise ValueError("duplicate network size")
@@ -81,6 +78,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             scenario = Scenario.from_dict(_apply_overrides(cfg, args))
         except ConfigError as exc:
             print(f"config error at n={n}: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
+        if not scenario.sessions:
+            # A point reads its tree's shape off its first session.
+            print("config error: sweep needs at least one session per point", file=sys.stderr)
             return EXIT_PARSE_ERROR
         result = orchestrator.run_sessions(scenario)
         if result.disconnected:

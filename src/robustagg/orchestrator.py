@@ -169,13 +169,10 @@ def run_sessions(scenario: Scenario) -> RunResult:
     blacklist = result.blacklist
     bs_adj = None
     if scenario.atr_variant == "resilient":
-        adv.begin_session(-1)
         bs_adj = atr.atr_resilient_init(net, adv)
         result.setup_congestion = net.ledger.max_congestion()
-        net.ledger.reset()
         outcome = atr.atr_resilient_build(net, bs_adj, frozenset(), b"\x00" * wire.NONCE_LEN)
         tree = outcome.tree
-        net.ledger.reset()
     else:
         tree = atr.build_initial_tree(graph)
 
@@ -199,19 +196,16 @@ def run_sessions(scenario: Scenario) -> RunResult:
         net.ledger.reset()
 
         # Quiet: no script can alter a message, so stage one would run as an
-        # honest one does, charge by tree alone and succeed with the members'
-        # sum, each own-value forger's reading replaced by its forged one.
-        forged = adv.quiet(tree, i)
-        if forged is not None:
+        # honest one does, charge by tree alone and succeed with the sum of
+        # the members' readings.
+        if adv.quiet(tree):
             if record is None:
                 record = shia.honest_charges(tree, graph.flood_edges)
                 acked = dict.fromkeys(members, True)
             charge = net.ledger.charge
             for a, b, nbytes, phase in record:
                 charge(a, b, nbytes, phase)
-            value = sum(map(values.__getitem__, members))
-            for s, v in forged.items():
-                value += v - values[s]
+            value = sum(map(adv.readings(values).__getitem__, members))
             sres = shia.ShiaResult(
                 accepted=True, value=value, root_label=None, root_ok=True, agg_ack=None,
                 expected_ack=None, node_acks={}, acked=acked,

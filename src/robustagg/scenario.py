@@ -12,7 +12,7 @@ import math
 import random
 from typing import Any
 
-from .adversary import CATALOG, PARAMS, Adversary, ScriptEntry
+from .adversary import CATALOG, PARAMS, Adversary, ScriptEntry, acting
 from .crypto import BS_ID
 from .errors import ConfigError
 from .netmodel import NetworkGraph, edge_key
@@ -408,20 +408,17 @@ class Scenario:
         # in-range readings and accepted labels, whose |value| is at most
         # max|range| per count, and forged labels can add their counts and
         # values to any sum above them.  In a session, each node fires the
-        # first label_forge script active for it (Adversary.action).
+        # label_forge script `acting` picks for it.
         forges = [e for e in self.scripts if e.kind == "label_forge"]
         named = {t for e in forges for t in e.sessions or ()}
         for t in [*named, None]:  # None: a session that no script names
-            fired: dict[int, dict] = {}
-            for e in forges:
-                if e.active(t):
-                    fired.setdefault(e.node, e.params)
-            count = graph.n + sum(p.get("count", 0) for p in fired.values())
+            fired = [e.params for e in acting(forges, t).values()]
+            count = graph.n + sum(p.get("count", 0) for p in fired)
             if count > MAX_COUNT:
                 raise ConfigError(
                     f"sensors plus label_forge counts exceed the u16 label count limit {MAX_COUNT}"
                 )
-            forged = sum(abs(p.get("value", 0)) + abs(p.get("value_add", 0)) for p in fired.values())
+            forged = sum(abs(p.get("value", 0)) + abs(p.get("value_add", 0)) for p in fired)
             if max(abs(lo), abs(hi)) * count + forged > I64_MAX:
                 raise ConfigError("value_range and label_forge values overflow an i64 label sum")
 

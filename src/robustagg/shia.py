@@ -268,13 +268,15 @@ def run_shia(
 ) -> ShiaResult:
     """Execute one full aggregation session over `tree`.
 
-    `adv` supplies per-node deviations (see adversary.Adversary); passing a
-    no-op adversary yields the honest run.  Its hooks are consulted only at
-    the nodes in `adv.faulty`, since no other node can be scripted, and at
-    each of those in the order the phases visit the tree.
+    `adv` supplies the readings nodes report for the true `values` and the
+    per-node deviations (see adversary.Adversary); passing a no-op adversary
+    yields the honest run.  Its hooks are consulted only at the nodes in
+    `adv.faulty`, since no other node can be scripted, and at each of those
+    in the order the phases visit the tree.
     """
     m_lo, m_hi = value_range
     faulty = adv.faulty
+    values = adv.readings(values)
     children, parent = tree.children, tree.parent
 
     # --- query dissemination ---
@@ -292,12 +294,6 @@ def run_shia(
 
     for node in chain.from_iterable(tree.epochs):
         bad = node in faulty
-        own_val = values[node]
-        if bad:
-            forge_val = adv.action(node, "own_value_forge")
-            if forge_val is not None:
-                own_val = forge_val.params["value"]  # legal, never traced
-
         kept: list[NodeId] = []
         inputs: list[Label] = []
         for child in children[node]:
@@ -310,7 +306,7 @@ def run_shia(
             inputs.append(lab)
         if node in handoffs:
             inputs += handoffs[node]
-        inputs.append(leaf_label(node, own_val))
+        inputs.append(leaf_label(node, values[node]))
         label = inputs[0] if len(inputs) == 1 else internal_label(nonce, inputs)
         if kept:
             steps[node] = (kept, inputs, label)

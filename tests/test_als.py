@@ -319,6 +319,9 @@ def localization_cases(draw):
     for kind in kinds:
         at_parent = kind in ALS_KINDS and kind != "confirm_drop"
         node = draw(st.sampled_from(parents if at_parent else faulty))
+        others = [f for f in faulty if f != node]  # a switch targets another faulty node
+        if kind == "parent_switch" and not others:
+            continue
         if kind == "own_value_forge":
             params = {"value": draw(st.integers(0, 100))}
         elif kind == "label_forge":
@@ -333,7 +336,7 @@ def localization_cases(draw):
                 )
             )
         elif kind == "parent_switch":
-            params = {"target": draw(st.sampled_from(faulty))}
+            params = {"target": draw(st.sampled_from(others))}
         elif kind in ("confirm_tamper", "ack_report_forge"):
             params = draw(st.fixed_dictionaries({}, optional={"slot": st.integers(-20, 20)}))
         else:

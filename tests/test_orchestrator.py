@@ -134,6 +134,26 @@ class TestFaultyRuns:
         assert (first.verdict, first.value) == ("failure", None)
         assert result.audits()["all_pass"]
 
+    def test_a_salvaged_session_reports_the_forged_reading(self):
+        # Node 12 garbles the aggregated ack in session 1, so that session
+        # runs stage one, fails on the ack path only and is salvaged through
+        # ALS II.  Its value is the members' sum with node 7's true reading
+        # of 17 replaced by the 99 it forges in every session.
+        config = load_config(str(SCENARIOS / "grid_clean.json"))
+        config.update(sessions=6, accept_on_als2=True, adversary={
+            "faulty": [7, 12],
+            "scripts": [
+                {"node": 7, "kind": "own_value_forge", "params": {"value": 99}},
+                {"node": 12, "kind": "agg_ack_garble", "sessions": [1]},
+            ],
+        })
+        result = run(config)
+        salvaged = result.records[1]
+        assert salvaged.als2_ran and salvaged.marks and salvaged.tree.members >= {7, 12}
+        assert (sum(salvaged.values.values()), salvaged.values[7]) == (1049, 17)
+        assert (salvaged.verdict, salvaged.value) == ("success", 1049 - 17 + 99)
+        assert result.audits()["all_pass"]
+
     def test_run_on_a_shifted_value_range_passes_every_audit(self):
         # Readings lie in [200, 300], and node 7 forges 300 in every session:
         # each accepted sum sits far outside n_f * [0, 100] over the correct
@@ -392,7 +412,8 @@ def test_report_dict_is_json_ready_and_complete():
     assert d["totals"]["failures"] == 0
 
 
-SHIA_PHASES = ("commit", "offpath", "ack")
+# What stage one folds in or sends: the readings, then its three phases.
+SHIA_PHASES = ("reading", "commit", "offpath", "ack")
 SHIA_KINDS = sorted(k for k, phase in CATALOG.items() if phase in SHIA_PHASES)
 
 
@@ -544,9 +565,9 @@ def fuzzed_configs(draw) -> dict:
         "ack_report_forge": st.fixed_dictionaries({}, optional={"slot": st.integers(-3, 3)}),
         "nl_fake": st.fixed_dictionaries({}, optional={"add": ids, "remove": ids}),
     }
-    # Each node's first script deviates in one of stage one's phases, drawn
-    # evenly, so that quiet and scripted sessions alternate; the other two
-    # come from the whole catalog.
+    # Each node's first script acts in stage one, on its reading or in one
+    # of its phases, drawn evenly, so that quiet and scripted sessions
+    # alternate; the other two come from the whole catalog.
     scripts = []
     for node in faulty:
         phase = draw(st.sampled_from(SHIA_PHASES))
@@ -596,7 +617,7 @@ def observed_run(config: dict, skip_quiet: bool):
         mp.setattr(CongestionLedger, "reset", reset)
         mp.setattr(Scenario, "build_adversary", build)
         if not skip_quiet:
-            mp.setattr(Adversary, "quiet", lambda self, tree, session: None)
+            mp.setattr(Adversary, "quiet", lambda self, tree: False)
         scenario = Scenario.from_dict(config)
         try:
             outcome = cli.render_report(run_sessions(scenario))

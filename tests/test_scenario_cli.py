@@ -541,6 +541,16 @@ class TestCli:
         assert captured.err == "config error: sweep needs at least one session per point\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("sessions", [False, 0.0], ids=["false", "float"])
+    def test_sweep_names_a_non_integer_session_count(self, tmp_path, capsys, sessions):
+        # Zero-like values that are not integers fail validation, not the
+        # sweep's own session check.
+        cfg_path = write_config(tmp_path, base_config(sessions=sessions))
+        code = cli.main(["sweep", "--template", cfg_path, "--sizes", "24,40"])
+        assert code == cli.EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err == "config error at n=24: sessions must be an integer in 0..65536\n"
+
     @pytest.mark.parametrize(
         "topology",
         [

@@ -454,7 +454,10 @@ def shia_sessions(draw, kinds=SHIA_KINDS):
     faulty = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
     scripts = []
     for node in faulty:
+        others = [f for f in faulty if f != node]  # a switch targets another faulty node
         for kind in draw(st.lists(st.sampled_from(kinds), unique=True, max_size=3)):
+            if kind == "parent_switch" and not others:
+                continue
             if kind == "own_value_forge":
                 params = {"value": draw(st.integers(0, 100))}
             elif kind == "label_forge":
@@ -469,7 +472,7 @@ def shia_sessions(draw, kinds=SHIA_KINDS):
                     )
                 )
             elif kind == "parent_switch":
-                params = {"target": draw(st.sampled_from(faulty))}
+                params = {"target": draw(st.sampled_from(others))}
             else:
                 params = {}
             scripts.append(entry(node, kind, **params))

@@ -105,7 +105,6 @@ def test_src_imports_are_all_read():
 
 # Definitions kept although nothing in `src/robustagg` or `bench/` reads them.
 KEPT_UNREAD = {
-    "events": "Adversary.events: a session's ground truth, for the planned report and trace",
     "link_key": "KeyStore.link_key: link keys stay in the model; the link MAC is only charged",
     "node_views": "AtrOutcome.node_views: each node's view of a rebuild, acceptance criterion 8",
     "unreached": "AtrOutcome.unreached: the members a rebuild lost, acceptance criterion 8",
