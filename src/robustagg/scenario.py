@@ -323,6 +323,7 @@ class Scenario:
     seed: int
     sessions: int
     graph: NetworkGraph
+    sensor_ids: list[int]
     value_range: tuple[int, int]
     atr_variant: str
     accept_on_als2: bool
@@ -362,6 +363,7 @@ class Scenario:
         if not _is_int(self.sessions) or not 0 <= self.sessions <= MAX_SESSIONS:
             raise ConfigError(f"sessions must be an integer in 0..{MAX_SESSIONS}")
         graph = self.graph = build_graph(c["topology"], self.seed)
+        self.sensor_ids = sorted(graph.sensors)
         vr = c.get("value_range", [0, 100])
         if not (isinstance(vr, list) and len(vr) == 2 and all(_is_int(v) for v in vr)):
             raise ConfigError("value_range must be a list of two integers")
@@ -432,11 +434,12 @@ class Scenario:
         getrandbits = random.Random(f"values:{self.seed}:{session}").getrandbits
         # `rng.randint(lo, hi)` per sensor in id order, fixed ones too, by the
         # rejection loop CPython's `randint` runs, without its per-call
-        # checks.  `build_graph` numbers every topology's sensors 1..n.
+        # checks.  `build_graph` numbers every topology's sensors 1..n.  The
+        # keys are the graph's own id ints, which every session's record shares.
         width = hi - lo + 1
         k = width.bit_length()
         out = {}
-        for s in range(1, self.graph.n + 1):
+        for s in self.sensor_ids:
             r = getrandbits(k)
             while r >= width:
                 r = getrandbits(k)

@@ -15,12 +15,20 @@ from robustagg.scenario import Scenario, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
+SCENARIOS = ROOT / "scenarios"
+# Each config's golden sits at the same path under tests/golden/; long/
+# holds the long runs (README's table of pinned runs).
+CONFIGS = [
+    p.relative_to(SCENARIOS)
+    for pattern in ("*.json", "long/*.json")
+    for p in sorted(SCENARIOS.glob(pattern))
+]
 
 
-@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
-def test_report_matches_golden(path, tmp_path):
-    golden = (GOLDEN / path.name).read_text(encoding="utf-8")
+@pytest.mark.parametrize("rel", CONFIGS, ids=lambda p: p.with_suffix("").as_posix())
+def test_report_matches_golden(rel, tmp_path):
+    path = SCENARIOS / rel
+    golden = (GOLDEN / rel).read_text(encoding="utf-8")
     report = cli.render_report(orchestrator.run_sessions(Scenario.from_dict(load_config(str(path)))))
     assert report == golden
     out = tmp_path / "report.json"
@@ -28,9 +36,31 @@ def test_report_matches_golden(path, tmp_path):
     assert out.read_text(encoding="utf-8") == golden
 
 
+def test_edges_run_fires_the_hooks_no_other_pinned_run_fires(monkeypatch):
+    # A regenerated golden must not lose this coverage: the BS child drops
+    # its label (run_shia's return with no root label), and ALS I and ALS II
+    # each meet a forging or silent faulty node.
+    advs = []
+    real = Scenario.build_adversary
+    monkeypatch.setattr(Scenario, "build_adversary", lambda self: advs.append(real(self)) or advs[-1])
+    config = load_config(str(SCENARIOS / "long" / "edges23_localization_hooks.json"))
+    assert config["topology"]["kind"] == "edges"
+    result = orchestrator.run_sessions(Scenario.from_dict(config))
+    assert result.audits()["all_pass"] and not result.disconnected
+    (adv,) = advs
+    kinds = {e.kind for e in adv.trace}
+    assert {"label_drop", "confirm_tamper", "ack_report_forge", "report_drop"} <= kinds
+    assert any(
+        e.kind == "label_drop"
+        and e.node == result.records[e.session].tree.bs_child
+        and result.records[e.session].shia_result.root_label is None
+        for e in adv.trace
+    )
+
+
 def test_sweep_matches_golden(tmp_path):
     out = tmp_path / "sweep.json"
-    template = str(ROOT / "scenarios" / "sweep_template.json")
+    template = str(SCENARIOS / "sweep_template.json")
     code = cli.main(["sweep", "--template", template, "--sizes", "50,100,200,400", "--out", str(out)])
     assert code == cli.EXIT_OK
     table = json.loads(out.read_text(encoding="utf-8"))

@@ -23,6 +23,7 @@ from robustagg.scenario import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Two colluding faulty nodes announce a link between them that the grid
 # does not have.
@@ -194,7 +195,7 @@ class TestGeneration:
         ids=["grid", "chain", "geometric", "edges"],
     )
     def test_every_topology_numbers_its_sensors_1_to_n(self, topology):
-        # `values_for` draws for ids 1..n in order and sorts nothing.
+        # `values_for` draws one reading per sensor in id order, 1..n.
         sc = Scenario.from_dict(base_config(topology=topology))
         assert sc.graph.sensors == set(range(1, sc.graph.n + 1))
         assert list(sc.values_for(0)) == sorted(sc.graph.sensors)
@@ -369,6 +370,15 @@ class TestCli:
         cfg_path = write_config(tmp_path, base_config(atr="resilient"))
         assert cli.main(["run", "--config", cfg_path, "--atr", "basic"]) == cli.EXIT_OK
         assert len(graph_builds) == 1
+
+    def test_accept_on_als2_flag_writes_the_salvage_configs_report(self, tmp_path):
+        # The golden is pinned from a config that sets `accept_on_als2`; the
+        # flag must give the same bytes.
+        out = tmp_path / "report.json"
+        config = str(SCENARIOS / "geometric400_resilient.json")
+        assert cli.main(["run", "--config", config, "--accept-on-als2", "--out", str(out)]) == cli.EXIT_OK
+        golden = GOLDEN / "long" / "geometric400_resilient_salvage.json"
+        assert out.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
 
     def test_sweep_builds_one_graph_per_size(self, tmp_path, capsys, graph_builds):
         # The template's own n (24) is no sweep point and is never built.
