@@ -76,6 +76,7 @@ def als1_collect(
     """
     net.phase = phase = "als1"
     charge, faulty = net.ledger.charge, adv.faulty
+    children, parent, prefix = tree.children, tree.parent, wire.LEN_PREFIX
     bare = _bare_envelope(nonce)
     # The framed slot each sent confirmation fills in its parent's, keyed by
     # sender (each node has one parent); a child that sent none fills the
@@ -86,8 +87,12 @@ def als1_collect(
     for node in chain.from_iterable(tree.epochs):
         if not acked[node]:
             continue
-        kids = tree.children[node]
-        carried = [c for c in kids if c in slot]
+        kids = children[node]
+        if kids:
+            carried = [c for c in kids if c in slot]
+            size = bare + sum(map(slot.get, kids, placeholder))
+        else:
+            carried, size = [], bare
         if node in faulty:
             tamper = adv.action(node, "confirm_tamper") if kids else None
             if tamper is not None:
@@ -97,9 +102,8 @@ def als1_collect(
             if adv.action(node, "confirm_drop") is not None:
                 adv.fire(node, "confirm_drop")
                 continue
-        size = bare + sum(map(slot.get, kids, placeholder))
-        charge(node, tree.parent[node], size + LINK_OVERHEAD, phase)
-        slot[node] = wire.framed_size(size)
+        charge(node, parent[node], size + LINK_OVERHEAD, phase)
+        slot[node] = size + prefix  # `wire.framed_size(size)`
         intact[node] = carried
     return intact
 
@@ -113,14 +117,16 @@ def als1_process(tree: AggregationTree, intact: dict[NodeId, list[NodeId]]) -> l
 
     # Pre-order walk, children in tree order: the stack holds them reversed,
     # each with whether its parent carried its confirmation intact.
+    children = tree.children
     stack: list[tuple[NodeId, NodeId, bool]] = [(b, BS_ID, True)]
     while stack:
         node, parent, ok = stack.pop()
         if not ok:
             marks.append(mark(node, parent, "structural"))
             continue
-        carried = intact[node]
-        stack.extend((c, node, c in carried) for c in reversed(tree.children[node]))
+        kids, carried = children[node], intact[node]
+        whole = len(carried) == len(kids)  # every child's slot intact
+        stack += [(c, node, whole or c in carried) for c in reversed(kids)]
     return marks
 
 
@@ -155,6 +161,7 @@ def als2_collect(
     """
     net.phase = phase = "als2"
     charge, faulty, children = net.ledger.charge, adv.faulty, tree.children
+    parent, prefix = tree.parent, wire.LEN_PREFIX
     bare = _bare_envelope(nonce)
     ack_field = wire.framed_size(wire.ACK_LEN)
     # Each child's framed nested-report slot in its parent's report, keyed
@@ -179,8 +186,8 @@ def als2_collect(
                 adv.fire(node, "report_drop")
                 continue
         size = bare + sum(map(slot.get, kids, placeholder)) + ack_field * len(kids)
-        charge(node, tree.parent[node], size + LINK_OVERHEAD, phase)
-        slot[node] = wire.framed_size(size)
+        charge(node, parent[node], size + LINK_OVERHEAD, phase)
+        slot[node] = size + prefix  # `wire.framed_size(size)`
         reported[node] = acks
     return reported
 

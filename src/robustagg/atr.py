@@ -65,28 +65,34 @@ def build_initial_tree(graph: NetworkGraph) -> AggregationTree:
 
 
 # One framed (child, parent) field of the distributed tree: the 4-byte length
-# prefix, whose value is always 4, then the two u16 ids.
+# prefix, whose value is always 4, then the two u16 ids.  All of a tree's
+# pairs pack, and unpack, as one run of u16s, four per pair: the prefix's
+# two halves, then the ids.
 _PAIR = struct.Struct(">IHH")
 _PAIR_LEN = 2 * wire.NODE_ID_LEN
 
 
 def _serialize_tree(nonce: bytes, parent: dict[NodeId, NodeId]) -> bytes:
-    pairs = [_PAIR.pack(_PAIR_LEN, c, p) for c, p in sorted(parent.items())]
-    return wire.frame(nonce) + b"".join(pairs)
+    kids = sorted(parent)
+    flat = [0, _PAIR_LEN] * (2 * len(kids))  # (0, length, child, parent) per pair
+    flat[2::4] = kids
+    flat[3::4] = map(parent.__getitem__, kids)
+    return wire.frame(nonce) + struct.pack(f">{len(flat)}H", *flat)
 
 
 def _parse_tree(payload: bytes) -> dict[NodeId, NodeId]:
     if not payload:
         return {}  # no nonce field and no pair: an empty tree
     _, pairs = wire.split_field(payload)
-    if len(pairs) % _PAIR.size:
+    count, extra = divmod(len(pairs), _PAIR.size)
+    if extra:
         raise FrameError("truncated tree pair")
-    out = {}
-    for length, c, p in _PAIR.iter_unpack(pairs):
-        if length != _PAIR_LEN:
-            raise FrameError(f"tree pair of {length} bytes, expected {_PAIR_LEN}")
-        out[c] = p
-    return out
+    flat = struct.unpack(f">{4 * count}H", pairs)
+    if flat[0::4].count(0) != count or flat[1::4].count(_PAIR_LEN) != count:
+        for length, _, _ in _PAIR.iter_unpack(pairs):
+            if length != _PAIR_LEN:
+                raise FrameError(f"tree pair of {length} bytes, expected {_PAIR_LEN}")
+    return dict(zip(flat[2::4], flat[3::4]))
 
 
 def _distribute(net: Network, nonce: bytes, tree: AggregationTree) -> AtrOutcome:

@@ -9,9 +9,7 @@ upward, compared by the BS against the expected combination).
 from __future__ import annotations
 
 import struct
-from functools import reduce
 from itertools import chain
-from operator import xor
 
 from . import crypto, wire
 from .adversary import garble
@@ -30,6 +28,8 @@ _INTERNAL_LAYOUT = struct.Struct(f">BIHIqI{wire.DIGEST_LEN}s")
 _SUMS_LAYOUT = struct.Struct(">IHIq")
 # Each hashed input label's length prefix, indexed by `Label.leaf`.
 _INPUT_PREFIX = (wire.u32(_INTERNAL_LAYOUT.size), wire.u32(_LEAF_LAYOUT.size))
+# A leaf label's commitment, the node id as `wire.u16` packs it.
+_pack_id = struct.Struct(">H").pack
 
 
 class Label:
@@ -90,7 +90,7 @@ class Label:
 
 
 def leaf_label(node: NodeId, value: int) -> Label:
-    commit = wire.u16(node)
+    commit = _pack_id(node)
     raw = _LEAF_LAYOUT.pack(
         _LEAF, wire.COUNT_LEN, 1, wire.VALUE_LEN, value, wire.NODE_ID_LEN, commit
     )
@@ -129,24 +129,29 @@ class Offpath:
     """An off-path blob as a chain of steps; a session keeps one per blob.
 
     A non-empty blob is its first step framed ahead of the blob `above`:
-    `slot`, where the recomputing node's label goes, and `others`, the
-    sender's other inputs.  The empty blob, which the BS child gets, has no
-    step and `above` None.  `len()` is the blob's byte length, which is all
-    the link charge reads.  The bytes (`raw`, `bytes()`) are kept when the
-    blob was parsed and otherwise built by `offpath_to_bytes` on first use,
-    so an honest check phase builds none.  A step that arrived unaltered
-    keeps the label its sender held at `slot` (`held`) and the root the
-    sender's own fold implies (`root`), so a walk that reaches `held` stops.
+    `inputs`, the sender's input list, and `slot`, where the recomputing
+    node's label goes in it.  A built step shares its sender's list with
+    its siblings' steps; a parsed step has a placeholder at `slot`, last if
+    a junk slot lies past the other inputs.  No step mutates `inputs`.
+    `others`, the inputs but the one at `slot`, is a read-only view of the
+    sender's other inputs, which the step's bytes frame.  The empty blob,
+    which the BS child gets, has no step and `above` None.  `len()` is the
+    blob's byte length, which is all the link charge reads.  The bytes
+    (`raw`, `bytes()`) are kept when the blob was parsed and otherwise built
+    by `offpath_to_bytes` on first use, so an honest check phase builds
+    none.  A step that arrived unaltered keeps the label its sender held at
+    `slot` (`held`) and the root the sender's own fold implies (`root`), so
+    a walk that reaches `held` stops.
     """
 
-    __slots__ = ("size", "slot", "above", "others", "held", "root", "_raw")
+    __slots__ = ("size", "slot", "above", "inputs", "held", "root", "_raw")
 
     def __init__(
         self,
         size: int,
         slot: int = 0,
         above: "Offpath | None" = None,
-        others: tuple[Label, ...] = (),
+        inputs: list[Label | None] | tuple[()] = (),
         held: Label | None = None,
         root: Label | None = None,
         raw: bytes | None = None,
@@ -154,13 +159,18 @@ class Offpath:
         self.size = size
         self.slot = slot
         self.above = above
-        self.others = others
+        self.inputs = inputs
         self.held = held
         self.root = root
         self._raw = raw
 
     def __len__(self) -> int:
         return self.size
+
+    @property
+    def others(self) -> tuple[Label, ...]:
+        inputs, slot = self.inputs, self.slot
+        return (*inputs[:slot], *inputs[slot + 1 :])
 
     @property
     def raw(self) -> bytes:
@@ -190,19 +200,23 @@ def offpath_to_bytes(slot: int, others: list[bytes], above: bytes) -> bytes:
 
 def offpath_from_bytes(data: bytes) -> Offpath:
     """Parse an off-path blob, every step of it.  Raises FrameError on junk."""
-    walked: list[tuple[bytes, int, tuple[Label, ...]]] = []
+    walked: list[tuple[bytes, int, list[Label | None]]] = []
     rest = data
     while rest:
         step, tail = wire.split_field(rest)
         fields = wire.unframe(step)
         if not fields:
             raise FrameError("empty off-path step")
-        slot = wire.read_u16(fields[0])
-        walked.append((rest, slot, tuple(Label.from_bytes(f) for f in fields[1:])))
+        inputs: list[Label | None] = [Label.from_bytes(f) for f in fields[1:]]
+        # The placeholder for the recomputing node's label; a junk slot past
+        # the other inputs puts it last.
+        slot = min(wire.read_u16(fields[0]), len(inputs))
+        inputs.insert(slot, None)
+        walked.append((rest, slot, inputs))
         rest = tail
     path = Offpath(0, raw=b"")
-    for raw, slot, others in reversed(walked):
-        path = Offpath(len(raw), slot, path, others, raw=raw)
+    for raw, slot, inputs in reversed(walked):
+        path = Offpath(len(raw), slot, path, inputs, raw=raw)
     return path
 
 
@@ -216,7 +230,9 @@ def recompute_root(own: Label, path: Offpath, nonce: bytes) -> Label:
     while path.above is not None:
         if path.held is not None and cur.raw == path.held.raw:
             return path.root
-        cur = internal_label(nonce, [*path.others[: path.slot], cur, *path.others[path.slot :]])
+        inputs = path.inputs.copy()
+        inputs[path.slot] = cur
+        cur = internal_label(nonce, inputs)
         path = path.above
     return cur
 
@@ -291,27 +307,31 @@ def run_shia(
     # Each node that accepted a child: those children, its inputs (their
     # labels first, in order) and its label before any forgery.
     steps: dict[NodeId, tuple[list[NodeId], list[Label], Label]] = {}
+    send = net.send_link
 
     for node in chain.from_iterable(tree.epochs):
-        bad = node in faulty
-        kept: list[NodeId] = []
-        inputs: list[Label] = []
-        for child in children[node]:
-            lab = sent.get(child)
-            if lab is None:
-                continue  # silent child: exclude its subtree
-            if lab.count < 1 or not (m_lo * lab.count <= lab.value <= m_hi * lab.count):
-                continue  # implausible label: treat as silent
-            kept.append(child)
-            inputs.append(lab)
-        if node in handoffs:
-            inputs += handoffs[node]
-        inputs.append(leaf_label(node, values[node]))
-        label = inputs[0] if len(inputs) == 1 else internal_label(nonce, inputs)
-        if kept:
-            steps[node] = (kept, inputs, label)
+        kids = children[node]
+        if not kids and node not in handoffs:
+            label = leaf_label(node, values[node])  # its inputs are its own leaf label
+        else:
+            kept: list[NodeId] = []
+            inputs: list[Label] = []
+            for child in kids:
+                lab = sent.get(child)
+                if lab is None:
+                    continue  # silent child: exclude its subtree
+                if lab.count < 1 or not (m_lo * lab.count <= lab.value <= m_hi * lab.count):
+                    continue  # implausible label: treat as silent
+                kept.append(child)
+                inputs.append(lab)
+            if node in handoffs:
+                inputs += handoffs[node]
+            inputs.append(leaf_label(node, values[node]))
+            label = inputs[0] if len(inputs) == 1 else internal_label(nonce, inputs)
+            if kept:
+                steps[node] = (kept, inputs, label)
 
-        if bad:
+        if node in faulty:
             act = adv.action(node, "label_forge")
             if act is not None:
                 p = act.params
@@ -336,7 +356,7 @@ def run_shia(
                     handoffs.setdefault(target, []).append(label)
                 adv.fire(node, "parent_switch")
                 continue
-        net.send_link(node, parent[node], label.raw)
+        send(node, parent[node], label.raw)
         sent[node] = label
 
     b = tree.bs_child
@@ -345,9 +365,14 @@ def run_shia(
     # ALS II read it.  Acks fold as 128-bit ints; the ack phase makes bytes
     # only for an ack that is sent.
     bs_key = net.keys.bs_key
-    node_acks = {s: crypto.node_ack(bs_key(s), nonce) for s in parent}
-    ack_ints = {s: int.from_bytes(a, "big") for s, a in node_acks.items()}
-    expected = reduce(xor, ack_ints.values(), 0).to_bytes(wire.ACK_LEN, "big")
+    node_acks: dict[NodeId, bytes] = {}
+    ack_ints: dict[NodeId, int] = {}
+    total = 0  # the XOR of every member's ack
+    for s in parent:
+        ack = node_acks[s] = crypto.node_ack(bs_key(s), nonce)
+        ack_ints[s] = own = int.from_bytes(ack, "big")
+        total ^= own
+    expected = total.to_bytes(wire.ACK_LEN, "big")
 
     if root_label is None:
         return ShiaResult(
@@ -396,13 +421,13 @@ def run_shia(
             root = mine if fold is sent[node] else recompute_root(fold, above, nonce)
         for idx, child in enumerate(kids):
             held = labels[idx]
-            others = (*labels[:idx], *labels[idx + 1 :])
-            built = Offpath(size - wire.LEN_PREFIX - len(held.raw), idx, above, others, held, root)
+            # Every child's step shares the node's input list.
+            built = Offpath(size - wire.LEN_PREFIX - len(held.raw), idx, above, labels, held, root)
             msg = built
             if corrupt is not None:
                 msg = garble(built.raw)
                 adv.fire(node, "offpath_corrupt")
-            delivered = net.send_link(node, child, msg)
+            delivered = send(node, child, msg)
             if delivered is built:
                 # Unaltered (`garble` always makes new bytes): the step is
                 # the labels the sender holds, no bytes and no parse.
@@ -442,7 +467,7 @@ def run_shia(
             up = garble(crypto.ZERO_ACK if up is None else up)
             acc = int.from_bytes(up, "big")
         if up is not None:
-            net.send_link(node, parent[node], up)
+            send(node, parent[node], up)
             acks_up[node] = up
             folds[node] = acc
 

@@ -58,6 +58,31 @@ def test_edges_run_fires_the_hooks_no_other_pinned_run_fires(monkeypatch):
     )
 
 
+# Script entries a pinned run keeps that never fire, each with its reason.
+# `own_value_forge` is a reading, never a traced deviation, so it is not
+# listed.
+SILENT = {
+    ("geometric400_resilient.json", 333, "ack_report_forge"): "a leaf of session 2's tree; ALS II skips leaves",
+    ("long/geometric400_resilient_salvage.json", 333, "ack_report_forge"): "as in geometric400_resilient.json",
+    ("long/grid_clean_quiet.json", 17, "offpath_corrupt"): "a leaf never forwards a blob, which the config pins",
+}
+
+
+@pytest.mark.parametrize("rel", CONFIGS, ids=lambda p: p.with_suffix("").as_posix())
+def test_every_pinned_script_fires(rel, monkeypatch):
+    # A config whose script never acts pins less than its README row says.
+    advs = []
+    real = Scenario.build_adversary
+    monkeypatch.setattr(Scenario, "build_adversary", lambda self: advs.append(real(self)) or advs[-1])
+    scenario = Scenario.from_dict(load_config(str(SCENARIOS / rel)))
+    orchestrator.run_sessions(scenario)
+    (adv,) = advs
+    fired = {(e.node, e.kind) for e in adv.trace}
+    scripted = {(e.node, e.kind) for e in scenario.scripts if e.kind != "own_value_forge"}
+    silent = {(node, kind) for (path, node, kind) in SILENT if path == rel.as_posix()}
+    assert scripted - fired == silent
+
+
 def test_sweep_matches_golden(tmp_path):
     out = tmp_path / "sweep.json"
     template = str(SCENARIOS / "sweep_template.json")
