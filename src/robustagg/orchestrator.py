@@ -28,8 +28,10 @@ FAILURE_COST_C2 = 4.0
 
 class SessionRecord:
     """One session: what the report shows of it, and the engine-side facts
-    oracles and audits read (its tree, the true readings, who misbehaved,
-    stage one's result, the rebuild's outcome), which it never shows."""
+    oracles and audits read (its tree, the sum of its correct members' true
+    readings, who misbehaved, stage one's result, the rebuild's outcome),
+    which it never shows.  It keeps no per-node readings, so a run's
+    history grows by a constant per session, not by n."""
 
     def __init__(
         self,
@@ -44,7 +46,7 @@ class SessionRecord:
         tree: AggregationTree,
         tree_degree: int,
         als2_ran: bool,
-        values: dict[NodeId, int],
+        correct_sum: int,
         misbehaved: set[NodeId],
         shia_result: shia.ShiaResult,
         atr_outcome: atr.AtrOutcome | None,
@@ -60,7 +62,7 @@ class SessionRecord:
         self.tree = tree
         self.tree_degree = tree_degree  # O(n) to compute, so once per tree
         self.als2_ran = als2_ran
-        self.values = values
+        self.correct_sum = correct_sum
         self.misbehaved = misbehaved
         self.shia_result = shia_result
         self.atr_outcome = atr_outcome
@@ -147,11 +149,9 @@ def security_audit(
     contribution per faulty tree node."""
     if rec.verdict != "success" or rec.value is None:
         return False
-    members = rec.tree.members
-    n_f = len(faulty & members)
-    correct_sum = sum(map(rec.values.__getitem__, members - faulty))
+    n_f = len(faulty & rec.tree.members)
     lo, hi = value_range
-    slack = rec.value - correct_sum
+    slack = rec.value - rec.correct_sum
     return n_f * lo <= slack <= n_f * hi
 
 
@@ -190,6 +190,7 @@ def run_sessions(scenario: Scenario) -> RunResult:
             checked, record = tree, None
             delta = tree.max_degree()
             members = tree.members
+            correct = list(members - scenario.faulty)
         adv.begin_session(i)
         nonce = crypto.mac(nonce_key, b"session" + wire.u16(i))[: wire.NONCE_LEN]
         values = scenario.values_for(i)
@@ -255,7 +256,7 @@ def run_sessions(scenario: Scenario) -> RunResult:
                 tree=tree,
                 tree_degree=delta,
                 als2_ran=als2_ran,
-                values=values,
+                correct_sum=sum(map(values.__getitem__, correct)),
                 misbehaved=adv.misbehaved(i),
                 shia_result=sres,
                 atr_outcome=atr_outcome,

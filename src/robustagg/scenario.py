@@ -317,7 +317,7 @@ def load_config(path: str) -> dict:
 
 
 class Scenario:
-    """A scenario config; equal to another exactly when their configs are."""
+    """A scenario config and what validate() parses from it."""
 
     # Parsed once by validate(); every run of this scenario shares them read-only.
     seed: int
@@ -333,14 +333,6 @@ class Scenario:
 
     def __init__(self, config: dict) -> None:
         self.config = config
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.config == other.config
-
-    def __repr__(self) -> str:
-        return f"Scenario(config={self.config!r})"
 
     @classmethod
     def from_dict(cls, config: dict) -> "Scenario":

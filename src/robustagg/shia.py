@@ -38,8 +38,9 @@ class Label:
     Leaf-format labels carry the node id in the commitment slot; internal
     labels carry a digest chaining the child labels.  `raw` is the label's
     wire serialization, made once: the layout is canonical, so a parsed
-    label keeps the bytes it was parsed from, and two labels are equal, and
-    hash alike, exactly when their bytes are.  Labels are never mutated.
+    label keeps the bytes it was parsed from, and two labels carry the same
+    fields exactly when their `raw` bytes are equal.  Labels are never
+    mutated.
     """
 
     __slots__ = ("count", "value", "commit", "leaf", "raw")
@@ -50,17 +51,6 @@ class Label:
         self.commit = commit
         self.leaf = leaf
         self.raw = raw or self.to_bytes()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Label):
-            return NotImplemented
-        return self.raw == other.raw
-
-    def __hash__(self) -> int:
-        return hash(self.raw)
-
-    def __repr__(self) -> str:
-        return f"Label({self.count}, {self.value}, {self.commit!r}, leaf={self.leaf})"
 
     def to_bytes(self) -> bytes:
         if self.leaf:
@@ -136,9 +126,9 @@ class Offpath:
     `others`, the inputs but the one at `slot`, is a read-only view of the
     sender's other inputs, which the step's bytes frame.  The empty blob,
     which the BS child gets, has no step and `above` None.  `len()` is the
-    blob's byte length, which is all the link charge reads.  The bytes
-    (`raw`, `bytes()`) are kept when the blob was parsed and otherwise built
-    by `offpath_to_bytes` on first use, so an honest check phase builds
+    blob's byte length, which is all the link charge reads.  The bytes,
+    `raw`, are kept when the blob was parsed and otherwise built by
+    `offpath_to_bytes` on first use, so an honest check phase builds
     none.  A step that arrived unaltered keeps the label its sender held at
     `slot` (`held`) and the root the sender's own fold implies (`root`), so
     a walk that reaches `held` stops.
@@ -186,9 +176,6 @@ class Offpath:
                 others = [l.raw for l in path.others]
                 path._raw = offpath_to_bytes(path.slot, others, path.above._raw)
         return self._raw
-
-    def __bytes__(self) -> bytes:
-        return self.raw
 
 
 def offpath_to_bytes(slot: int, others: list[bytes], above: bytes) -> bytes:
@@ -238,7 +225,7 @@ def recompute_root(own: Label, path: Offpath, nonce: bytes) -> Label:
 
 
 class ShiaResult:
-    """One session's stage-one outcome; equal when every field is."""
+    """One session's stage-one outcome."""
 
     def __init__(
         self,
@@ -264,14 +251,6 @@ class ShiaResult:
         self.acked = acked
         # The aggregated ack each node sent its parent, keyed by sender.
         self.acks_up = {} if acks_up is None else acks_up
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return f"ShiaResult({vars(self)})"
 
 
 def run_shia(

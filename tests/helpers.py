@@ -229,6 +229,21 @@ class PathStep:
     others: tuple[shia.Label, ...]
 
 
+def step_raws(steps) -> list[tuple[int, list[bytes]]]:
+    """Each step (a `PathStep` or a `shia.Offpath`) as its slot and its other
+    inputs' bytes: equal exactly when the steps carry the same labels in the
+    same places."""
+    return [(s.slot, [l.raw for l in s.others]) for s in steps]
+
+
+def result_fields(sres: shia.ShiaResult) -> dict:
+    """A stage-one result's fields, with its root label as its bytes."""
+    fields = dict(vars(sres))
+    if sres.root_label is not None:
+        fields["root_label"] = sres.root_label.raw
+    return fields
+
+
 def oracle_offpath_to_bytes(steps: list[PathStep]) -> bytes:
     return oracle_frame(
         *[oracle_frame(struct.pack(">H", s.slot), *[l.to_bytes() for l in s.others]) for s in steps]

@@ -149,11 +149,26 @@ class TestFaultyRuns:
                 {"node": 12, "kind": "agg_ack_garble", "sessions": [1]},
             ],
         })
-        result = run(config)
+        scenario = Scenario.from_dict(config)
+        result = run_sessions(scenario)
         salvaged = result.records[1]
         assert salvaged.als2_ran and salvaged.marks and salvaged.tree.members >= {7, 12}
-        assert (sum(salvaged.values.values()), salvaged.values[7]) == (1049, 17)
+        values = scenario.values_for(1)
+        assert (sum(values.values()), values[7]) == (1049, 17)
         assert (salvaged.verdict, salvaged.value) == ("success", 1049 - 17 + 99)
+        assert result.audits()["all_pass"]
+
+    @pytest.mark.parametrize("name", ["long/grid_clean_forger_salvage", "geometric400_resilient"])
+    def test_each_record_keeps_its_correct_members_true_sum(self, name):
+        # The security audit reads this sum alone.  Both runs adopt new
+        # trees after failures, and the first salvages a session with node
+        # 7's forged reading in its value, which the sum must leave out.
+        scenario = Scenario.from_dict(load_config(str(SCENARIOS / f"{name}.json")))
+        result = run_sessions(scenario)
+        assert len({id(rec.tree) for rec in result.records}) > 1
+        for i, rec in enumerate(result.records):
+            values = scenario.values_for(i)
+            assert rec.correct_sum == sum(values[s] for s in rec.tree.members - scenario.faulty)
         assert result.audits()["all_pass"]
 
     def test_run_on_a_shifted_value_range_passes_every_audit(self):
@@ -258,31 +273,31 @@ class TestFaultyRuns:
 
 
 class TestSecurityAudit:
-    def make(self, value, values):
+    # Nodes 1, 2 and 3 read 10, 20 and 30.
+    def make(self, value, correct_sum):
         return SessionRecord(
             index=0, nonce="", verdict="success", value=value, marks=[],
             blacklist_after=[], max_congestion=0, phase_congestion={},
             tree=AggregationTree({1: 0, 2: 1, 3: 1}), tree_degree=3, als2_ran=False,
-            values=values, misbehaved=set(), shia_result=None, atr_outcome=None,
+            correct_sum=correct_sum, misbehaved=set(), shia_result=None, atr_outcome=None,
         )
 
     def test_exact_sum_passes_with_no_faults(self):
-        rec = self.make(60, {1: 10, 2: 20, 3: 30})
+        rec = self.make(60, 10 + 20 + 30)
         assert security_audit(rec, frozenset(), (0, 100))
 
     def test_any_drift_fails_with_no_faults(self):
-        rec = self.make(61, {1: 10, 2: 20, 3: 30})
+        rec = self.make(61, 10 + 20 + 30)
         assert not security_audit(rec, frozenset(), (0, 100))
 
     def test_faulty_node_gets_one_in_range_contribution(self):
-        values = {1: 10, 2: 20, 3: 30}
-        faulty = frozenset({1, 2})
-        assert security_audit(self.make(30 + 100, values), faulty, (0, 100))  # slack 100 <= 2*100
-        assert not security_audit(self.make(30 + 201, values), faulty, (0, 100))  # over bound
-        assert not security_audit(self.make(30 - 1, values), faulty, (0, 100))  # below bound
+        faulty = frozenset({1, 2})  # node 3's 30 is the correct sum
+        assert security_audit(self.make(30 + 100, 30), faulty, (0, 100))  # slack 100 <= 2*100
+        assert not security_audit(self.make(30 + 201, 30), faulty, (0, 100))  # over bound
+        assert not security_audit(self.make(30 - 1, 30), faulty, (0, 100))  # below bound
         # The same slacks against 2*[200, 300]: only 400..600 is in range.
-        assert not security_audit(self.make(30 + 100, values), faulty, (200, 300))
-        assert security_audit(self.make(30 + 400, values), faulty, (200, 300))
+        assert not security_audit(self.make(30 + 100, 30), faulty, (200, 300))
+        assert security_audit(self.make(30 + 400, 30), faulty, (200, 300))
 
 
 # Node 1 neighbours the BS and three children: Δ = 4.
@@ -294,7 +309,6 @@ def audited_result(verdicts, faulty, blacklist=(), value_range=(0, 100)):
     on AUDIT_TREE, every node reading 10, and each success accepting the
     members' sum."""
     tree = AggregationTree(AUDIT_TREE)
-    values = {s: 10 for s in tree.members}
     config = grid_config(
         sessions=len(verdicts), value_range=list(value_range), adversary={"faulty": sorted(faulty)}
     )
@@ -304,10 +318,11 @@ def audited_result(verdicts, faulty, blacklist=(), value_range=(0, 100)):
         result.records.append(
             SessionRecord(
                 index=i, nonce="", verdict=verdict,
-                value=sum(values.values()) if verdict == "success" else None, marks=[],
+                value=10 * len(tree.members) if verdict == "success" else None, marks=[],
                 blacklist_after=sorted(blacklist), max_congestion=0, phase_congestion={},
                 tree=tree, tree_degree=tree.max_degree(), als2_ran=False,
-                values=values, misbehaved=set(), shia_result=None, atr_outcome=None,
+                correct_sum=10 * len(tree.members - faulty), misbehaved=set(), shia_result=None,
+                atr_outcome=None,
             )
         )
     return result
@@ -430,27 +445,29 @@ def retained_bytes(config: dict) -> int:
 
 
 def test_each_extra_session_retains_a_bounded_history():
-    # n = 500 geometric, basic ATR, a forger in session 0 and a garbled
-    # aggregated ack in session 2.  Each session's record keeps its readings
-    # in a dict keyed by sensor id.  Keyed by the graph's own id ints, a
-    # session retained 19.1-19.8 KB under Python 3.10 to 3.13; keyed by a
-    # fresh int per id, as every id above 256 is, 25.9-27.6 KB.
-    config = {
-        "seed": 42,
-        "topology": {"kind": "geometric", "n": 500, "d_max": 6},
-        "value_range": [0, 100],
-        "atr": "basic",
-        "adversary": {
-            "faulty": [7, 23],
-            "scripts": [
-                {"node": 7, "kind": "label_forge", "params": {"value": 10**7}, "sessions": [0]},
-                {"node": 23, "kind": "agg_ack_garble", "sessions": [2]},
-            ],
-        },
-    }
-    short = retained_bytes({**config, "sessions": 10})
-    long = retained_bytes({**config, "sessions": 60})
-    assert (long - short) / 50 < 22_000
+    # Geometric, basic ATR, a forger in session 0 and a garbled aggregated
+    # ack in session 2, so every extra session is quiet.  A record keeps the
+    # sum of its correct members' readings, not the readings, and shares its
+    # tree with the other sessions on it, so what a session retains does not
+    # grow with n: about 1.3 KB at both sizes.  With a readings dict per
+    # record it was 19.8 KB at n = 500 and 75.1 KB at n = 2000.
+    for n in (500, 2000):
+        config = {
+            "seed": 42,
+            "topology": {"kind": "geometric", "n": n, "d_max": 6},
+            "value_range": [0, 100],
+            "atr": "basic",
+            "adversary": {
+                "faulty": [7, 23],
+                "scripts": [
+                    {"node": 7, "kind": "label_forge", "params": {"value": 10**7}, "sessions": [0]},
+                    {"node": 23, "kind": "agg_ack_garble", "sessions": [2]},
+                ],
+            },
+        }
+        short = retained_bytes({**config, "sessions": 10})
+        long = retained_bytes({**config, "sessions": 60})
+        assert (long - short) / 50 < 4_000, n
 
 
 # What stage one folds in or sends: the readings, then its three phases.

@@ -144,12 +144,13 @@ class TestGeneration:
         assert all(0 <= v <= 100 for v in one.values())
         assert sc.values_for(1) != one  # fresh draw per session
 
-    def test_scenarios_compare_by_config_alone(self):
-        a, b = Scenario.from_dict(base_config()), Scenario.from_dict(base_config())
-        assert a.graph is not b.graph
-        assert a == b
-        assert a == Scenario(base_config())  # never validated, so no graph
-        assert a != Scenario.from_dict(base_config(seed=100))
+    def test_validation_keeps_the_config_as_given(self):
+        # Each scenario parses its own graph from its own copy of the config,
+        # and validation adds and changes nothing in it.
+        config = base_config()
+        a, b = Scenario.from_dict(config), Scenario.from_dict(config)
+        assert a.graph is not b.graph and a.config is not config
+        assert a.config == b.config == base_config()
 
     def test_fixed_values_override_draws(self):
         sc = Scenario.from_dict(base_config(fixed_values={"3": 77}))

@@ -3,9 +3,10 @@ what it executes.
 
 One subprocess blocks numpy (the last third-party import the package had),
 then runs a scenario and a two-size sweep through the CLI.  Another runs a
-scenario and checks which costly stdlib modules it loaded.  Two more scan
-the package's source: for imports that nothing reads, and for definitions
-that no run path or bench script reads.
+scenario and checks which costly stdlib modules it loaded.  Three more scan
+the package's source: for imports that nothing reads, for definitions that
+no run path or bench script reads, and for dunder methods without a
+run-path reason.
 """
 
 import ast
@@ -141,3 +142,27 @@ def test_src_definitions_are_all_read():
     ]
     assert unread == []
     assert set(KEPT_UNREAD) <= set(defined)  # an entry whose definition is gone goes too
+
+
+# Every dunder method `src/robustagg` defines, other than `__init__`, with
+# the run path that calls it.
+RUN_PATH_DUNDERS = {
+    "Offpath.__len__": "the link charge reads len() of a payload, an unbuilt blob's too",
+}
+
+
+def test_src_dunders_all_have_a_run_path_reason():
+    # The interpreter calls a dunder implicitly, so the read scan above
+    # skips them; an `__eq__`, `__hash__` or `__repr__` that only tests call
+    # would go unnoticed there.
+    defined = set()
+    for path in sorted((ROOT / "src" / "robustagg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = [(None, tree)] + [(n.name, n) for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for owner, node in owners:
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+                    continue
+                if fn.name.startswith("__") and fn.name.endswith("__"):
+                    defined.add(f"{owner}.{fn.name}" if owner else fn.name)
+    assert defined == set(RUN_PATH_DUNDERS)
