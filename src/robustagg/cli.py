@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import orchestrator
-from .errors import ConfigError, ProtocolViolation, UnlocalizableFailure
+from .errors import ConfigError, RobustAggError
 from .scenario import SCHEMA, Scenario, load_config, read_json_object
 
 EXIT_OK = 0
@@ -20,8 +20,12 @@ EXIT_PARSE_ERROR = 2
 EXIT_DISCONNECTED = 3
 
 
+def render(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def render_report(result: orchestrator.RunResult) -> str:
-    return json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
+    return render(result.to_dict())
 
 
 def _apply_overrides(scenario_dict: dict, args: argparse.Namespace) -> dict:
@@ -49,26 +53,26 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = Scenario.from_dict(_apply_overrides(load_config(args.config), args))
     result = orchestrator.run_sessions(scenario)
-    _emit(render_report(result), args.out)
+    report = result.to_dict()
+    _emit(render(report), args.out)
     if result.disconnected:
         print("run truncated: exclusions disconnected the network", file=sys.stderr)
         return EXIT_DISCONNECTED
-    return EXIT_OK if result.audits()["all_pass"] else EXIT_AUDIT_FAIL
+    return EXIT_OK if report["audits"]["all_pass"] else EXIT_AUDIT_FAIL
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # Each point validates its own config; the template's n is never built.
+    template = load_config(args.template)
+    topology = template.get("topology")
+    if not isinstance(topology, dict) or topology.get("kind") not in ("chain", "geometric"):
+        raise ConfigError("sweep needs a topology sized by n (chain or geometric)")
     try:
-        # Each point validates its own config; the template's n is never built.
-        template = load_config(args.template)
-        topology = template.get("topology")
-        if not isinstance(topology, dict) or topology.get("kind") not in ("chain", "geometric"):
-            raise ConfigError("sweep needs a topology sized by n (chain or geometric)")
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        if len(set(sizes)) < len(sizes):
-            raise ValueError("duplicate network size")
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if len(set(sizes)) < len(sizes):
+        raise ConfigError("duplicate network size")
     if not sizes:
         return EXIT_OK
     points = []
@@ -77,12 +81,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             scenario = Scenario.from_dict(_apply_overrides(cfg, args))
         except ConfigError as exc:
-            print(f"config error at n={n}: {exc}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
+            raise ConfigError(f"at n={n}: {exc}") from exc
         if not scenario.sessions:
             # A point reads its tree's shape off its first session.
-            print("config error: sweep needs at least one session per point", file=sys.stderr)
-            return EXIT_PARSE_ERROR
+            raise ConfigError("sweep needs at least one session per point")
         result = orchestrator.run_sessions(scenario)
         if result.disconnected:
             print(f"n={n}: disconnected", file=sys.stderr)
@@ -100,37 +102,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             }
         )
     audit = orchestrator.cost_audit(points) if len(points) >= 2 else {"pass": True}
-    table = {"schema": SCHEMA, "points": points, "cost_audit": audit}
-    _emit(json.dumps(table, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(render({"schema": SCHEMA, "points": points, "cost_audit": audit}), args.out)
     return EXIT_OK if audit["pass"] else EXIT_AUDIT_FAIL
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        original, data = read_json_object(args.report)
-    except ConfigError as exc:
-        print(f"cannot read report: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    original, data = read_json_object(args.report)
     if data.get("schema") != SCHEMA:
-        print(
+        raise ConfigError(
             f"refusing replay: report schema {data.get('schema')!r} does not "
-            f"match this build ({SCHEMA})",
-            file=sys.stderr,
+            f"match this build ({SCHEMA})"
         )
-        return EXIT_PARSE_ERROR
     if "config" not in data or "config_hash" not in data:
-        print("refusing replay: report carries no embedded config/seed", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    try:
-        scenario = Scenario.from_dict(data["config"])
-    except ConfigError as exc:
-        print(f"embedded config invalid: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        raise ConfigError("refusing replay: report carries no embedded config/seed")
+    scenario = Scenario.from_dict(data["config"])
     if scenario.hash() != data["config_hash"]:
-        print("refusing replay: embedded config does not match its hash", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    regenerated = render_report(orchestrator.run_sessions(scenario))
-    if regenerated == original:
+        raise ConfigError("refusing replay: embedded config does not match its hash")
+    if render_report(orchestrator.run_sessions(scenario)) == original:
         print("verified: replay reproduces the report byte-for-byte")
         return EXIT_OK
     print("divergent: replay does not reproduce the report", file=sys.stderr)
@@ -168,15 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Typed errors raised mid-run end the command before any report is written.
+    # Every error ends here, as one stderr line, before any report is written.
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (ProtocolViolation, UnlocalizableFailure) as exc:
-        # A broken protocol invariant, or a failed session that no one was
-        # marked for: a guarantee the audit checks has failed.
+    except RobustAggError as exc:
+        # A broken protocol invariant or frame, or a failed session that no
+        # one was marked for: a guarantee the audit checks has failed.
         print(f"audit failed: {exc}", file=sys.stderr)
         return EXIT_AUDIT_FAIL
 

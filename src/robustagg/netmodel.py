@@ -64,7 +64,6 @@ class NetworkGraph:
         self.sensors = set(sensors)
         # Each edge as (lower id, higher id), as `edge_key` orders it.
         self.edges = {(a, b) if a < b else (b, a) for a, b in edges}
-        self.d_max = d_max
         adj: dict[NodeId, list[NodeId]] = {n: [] for n in sensors}
         adj[BS_ID] = []
         self._adj = adj

@@ -112,7 +112,7 @@ class RunResult:
         )
         # Stability: once no faulty node is left in the tree, nothing fails.
         stable = not any(
-            rec.verdict == "failure" and not (self.faulty & rec.tree.members)
+            rec.verdict == "failure" and not any(f in rec.tree.parent for f in self.faulty)
             for rec in self.records
         )
         out = {
@@ -149,7 +149,7 @@ def security_audit(
     contribution per faulty tree node."""
     if rec.verdict != "success" or rec.value is None:
         return False
-    n_f = len(faulty & rec.tree.members)
+    n_f = sum(f in rec.tree.parent for f in faulty)
     lo, hi = value_range
     slack = rec.value - rec.correct_sum
     return n_f * lo <= slack <= n_f * hi

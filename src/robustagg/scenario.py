@@ -64,8 +64,6 @@ def _geometric_graph(n: int, d_max: int, seed: int) -> NetworkGraph:
     A nearest-neighbor backbone guarantees connectivity without retries;
     extra short links are added while both endpoints stay under the bound.
     """
-    if n < 1:
-        raise ConfigError("geometric topology needs n >= 1")
     if d_max < 2:
         raise ConfigError("geometric topology needs d_max >= 2")
     rng = random.Random(f"topo:{seed}:{n}:{d_max}")
@@ -208,9 +206,13 @@ def build_graph(topology: dict, seed: int) -> NetworkGraph:
     _check_keys(topology, TOPOLOGY_KEYS[kind], f"{kind} topology")
     if kind == "grid":
         rows, cols = _size(topology, "rows"), _size(topology, "cols")
+        if rows < 1 or cols < 1:
+            raise ConfigError("grid topology needs rows >= 1 and cols >= 1")
         n = rows * cols
     else:
         n = _size(topology, "n")
+        if n < 1:
+            raise ConfigError(f"{kind} topology needs n >= 1")
     if n > MAX_SENSORS:  # node ids are packed as u16
         raise ConfigError(f"{n} sensors exceed the u16 node id limit {MAX_SENSORS}")
     if kind == "grid":

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import random
 from pathlib import Path
@@ -11,7 +13,7 @@ from helpers import oracle_geometric_graph, oracle_onepass_geometric_graph
 from robustagg import cli, orchestrator, scenario
 from robustagg.adversary import ScriptEntry
 from robustagg.crypto import BS_ID
-from robustagg.errors import ConfigError, ProtocolViolation
+from robustagg.errors import ConfigError, FrameError, ProtocolViolation, UnlocalizableFailure
 from robustagg.scenario import (
     SCHEMA,
     Scenario,
@@ -494,8 +496,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "error, code, prefix",
         [(ConfigError, cli.EXIT_PARSE_ERROR, "config error"),
-         (ProtocolViolation, cli.EXIT_AUDIT_FAIL, "audit failed")],
-        ids=["config_error", "protocol_violation"],
+         (ProtocolViolation, cli.EXIT_AUDIT_FAIL, "audit failed"),
+         (FrameError, cli.EXIT_AUDIT_FAIL, "audit failed"),
+         (UnlocalizableFailure, cli.EXIT_AUDIT_FAIL, "audit failed")],
+        ids=["config_error", "protocol_violation", "frame_error", "unlocalizable_failure"],
     )
     def test_typed_error_mid_run_is_one_line_and_no_report(
         self, tmp_path, capsys, monkeypatch, command, error, code, prefix
@@ -560,7 +564,7 @@ class TestCli:
         code = cli.main(["sweep", "--template", cfg_path, "--sizes", "24,40"])
         assert code == cli.EXIT_PARSE_ERROR
         err = capsys.readouterr().err
-        assert err == "config error at n=24: sessions must be an integer in 0..65536\n"
+        assert err == "config error: at n=24: sessions must be an integer in 0..65536\n"
 
     @pytest.mark.parametrize(
         "topology",
@@ -576,12 +580,37 @@ class TestCli:
         assert code == cli.EXIT_PARSE_ERROR
         assert "sized by n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_geometric_without_sensors_is_a_config_error(self, tmp_path, capsys, n):
-        topology = {"kind": "geometric", "n": n, "d_max": 6}
+    @pytest.mark.parametrize(
+        "topology, needs",
+        [
+            ({"kind": "geometric", "n": 0, "d_max": 6}, "geometric topology needs n >= 1"),
+            ({"kind": "geometric", "n": -3, "d_max": 6}, "geometric topology needs n >= 1"),
+            ({"kind": "grid", "rows": 0, "cols": 5}, "grid topology needs rows >= 1 and cols >= 1"),
+            ({"kind": "grid", "rows": -1, "cols": -5}, "grid topology needs rows >= 1 and cols >= 1"),
+            ({"kind": "chain", "n": 0}, "chain topology needs n >= 1"),
+            ({"kind": "chain", "n": -3}, "chain topology needs n >= 1"),
+            ({"kind": "edges", "n": 0, "edges": []}, "edges topology needs n >= 1"),
+        ],
+        ids=["0", "-3", "grid_0x5", "grid_-1x-5", "chain_0", "chain_-3", "edges_0"],
+    )
+    def test_geometric_without_sensors_is_a_config_error(self, tmp_path, capsys, topology, needs):
+        # Every kind checks its size once, before any graph is built.
         cfg_path = write_config(tmp_path, base_config(topology=topology))
         assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_PARSE_ERROR
-        assert "n >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {needs}\n"
+
+    def test_run_computes_its_audits_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        audits = orchestrator.RunResult.audits
+
+        def counted(self):
+            calls.append(self)
+            return audits(self)
+
+        monkeypatch.setattr(orchestrator.RunResult, "audits", counted)
+        cfg_path = write_config(tmp_path, base_config())
+        assert cli.main(["run", "--config", cfg_path]) == cli.EXIT_OK
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "field, value",
@@ -945,6 +974,13 @@ def _mutate(data, value):
     return value
 
 
+def assert_one_stderr_line(code, err):
+    """A command's stderr is empty or one line, and an exit 2 says why."""
+    assert err == "" or (err.endswith("\n") and err.count("\n") == 1), err
+    if code == cli.EXIT_PARSE_ERROR:
+        assert err.startswith("config error: "), err
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -955,9 +991,11 @@ def fuzz_dir(tmp_path_factory):
 def test_mutated_configs_end_in_an_exit_code(fuzz_dir, data):
     path = fuzz_dir / "mutated.json"
     path.write_text(json.dumps(_mutate(data, data.draw(st.sampled_from(FUZZ_BASES)))))
-    code = cli.main(["run", "--config", str(path), "--out", str(fuzz_dir / "report.json")])
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["run", "--config", str(path), "--out", str(fuzz_dir / "report.json")])
     # Exit 1 stays possible while some failed sessions mark no one.
     assert code in (cli.EXIT_OK, cli.EXIT_AUDIT_FAIL, cli.EXIT_PARSE_ERROR, cli.EXIT_DISCONNECTED)
+    assert_one_stderr_line(code, err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -983,4 +1021,7 @@ def test_tampered_reports_are_refused_or_divergent(fuzz_dir, genuine_report, dat
         assume(raw != genuine_report)
     path = fuzz_dir / "tampered.json"
     path.write_bytes(raw)
-    assert cli.main(["replay", "--report", str(path)]) in (cli.EXIT_AUDIT_FAIL, cli.EXIT_PARSE_ERROR)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["replay", "--report", str(path)])
+    assert code in (cli.EXIT_AUDIT_FAIL, cli.EXIT_PARSE_ERROR)
+    assert_one_stderr_line(code, err.getvalue())
