@@ -18,7 +18,7 @@ CATALOG: dict[str, str] = {
     "label_forge": "commit",
     "label_drop": "commit",
     "parent_switch": "commit",
-    "offpath_corrupt": "offpath",
+    "offpath_corrupt": "offpath",  # the child gets junk of the blob's size, no path
     "ack_drop": "ack",
     "ack_garble": "ack",
     "agg_ack_garble": "ack",
@@ -121,6 +121,7 @@ class Adversary:
         return [e for e in self.trace if e.session == session]
 
 
-def garble(data: bytes) -> bytes:
-    """Flip one bit of `data`; an empty blob becomes one junk byte."""
-    return bytes([data[0] ^ 0x01]) + data[1:] if data else b"\xff"
+def garble(ack: bytes) -> bytes:
+    """A 16-byte ack with the low bit of its first byte flipped: what the
+    `ack_garble`, `agg_ack_garble` and `ack_report_forge` hooks send."""
+    return bytes([ack[0] ^ 0x01]) + ack[1:]

@@ -201,8 +201,8 @@ class Network:
         """Hop-authenticated neighbor send; returns the payload the receiver gets.
 
         The payload is `bytes` or a sized stand-in whose `len()` is its wire
-        length (an unbuilt off-path blob); the receiver gets the same object
-        back, so a caller detects tampering by identity.  The link MAC is
+        length (an off-path blob); the receiver gets what `send_link`
+        returns, here the payload itself.  The link MAC is
         charged, not computed: the sender always holds the link key, so the
         tag would always verify.  The charge is the framed envelope of the
         payload and a 16-byte tag.  The link is not checked here: tree-phase

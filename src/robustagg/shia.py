@@ -118,33 +118,26 @@ _STEP_OVERHEAD = wire.LEN_PREFIX + wire.framed_size(len(wire.u16(0)))
 class Offpath:
     """An off-path blob as a chain of steps; a session keeps one per blob.
 
-    A non-empty blob is its first step framed ahead of the blob `above`:
-    `inputs`, the sender's input list, and `slot`, where the recomputing
-    node's label goes in it.  A built step shares its sender's list with
-    its siblings' steps; a parsed step has a placeholder at `slot`, last if
-    a junk slot lies past the other inputs.  No step mutates `inputs`.
-    `others`, the inputs but the one at `slot`, is a read-only view of the
-    sender's other inputs, which the step's bytes frame.  The empty blob,
-    which the BS child gets, has no step and `above` None.  `len()` is the
-    blob's byte length, which is all the link charge reads.  The bytes,
-    `raw`, are kept when the blob was parsed and otherwise built by
-    `offpath_to_bytes` on first use, so an honest check phase builds
-    none.  A step that arrived unaltered keeps the label its sender held at
-    `slot` (`held`) and the root the sender's own fold implies (`root`), so
-    a walk that reaches `held` stops.
+    A non-empty blob is its first step ahead of the blob `above`: `inputs`,
+    the sender's input list, and `slot`, where the recomputing node's label
+    goes in it.  Siblings' steps share their sender's list, and no step
+    mutates it.  The empty blob, which the BS child gets, has no step and
+    `above` None.  `len()` is the blob's byte length on the wire, all the
+    link charge reads; its bytes are never built.  A step its sender built
+    keeps the label the sender held at `slot` (`held`) and the root the
+    sender's own fold implies (`root`), so a walk that reaches `held` stops.
     """
 
-    __slots__ = ("size", "slot", "above", "inputs", "held", "root", "_raw")
+    __slots__ = ("size", "slot", "above", "inputs", "held", "root")
 
     def __init__(
         self,
         size: int,
         slot: int = 0,
         above: "Offpath | None" = None,
-        inputs: list[Label | None] | tuple[()] = (),
+        inputs: list[Label] | tuple[()] = (),
         held: Label | None = None,
         root: Label | None = None,
-        raw: bytes | None = None,
     ):
         self.size = size
         self.slot = slot
@@ -152,59 +145,9 @@ class Offpath:
         self.inputs = inputs
         self.held = held
         self.root = root
-        self._raw = raw
 
     def __len__(self) -> int:
         return self.size
-
-    @property
-    def others(self) -> tuple[Label, ...]:
-        inputs, slot = self.inputs, self.slot
-        return (*inputs[:slot], *inputs[slot + 1 :])
-
-    @property
-    def raw(self) -> bytes:
-        if self._raw is None:
-            # Build the unbuilt blobs on the way up first, top-down, without
-            # recursing: a tree can be deeper than the recursion limit.
-            unbuilt = []
-            path = self
-            while path._raw is None:
-                unbuilt.append(path)
-                path = path.above
-            for path in reversed(unbuilt):
-                others = [l.raw for l in path.others]
-                path._raw = offpath_to_bytes(path.slot, others, path.above._raw)
-        return self._raw
-
-
-def offpath_to_bytes(slot: int, others: list[bytes], above: bytes) -> bytes:
-    """The blob for the child whose label sits at `slot`: one step framed
-    ahead of the blob the node received (`frame` concatenates).  The one
-    builder of blob bytes; `Offpath.raw` calls it."""
-    return wire.frame(wire.frame(wire.u16(slot), *others)) + above
-
-
-def offpath_from_bytes(data: bytes) -> Offpath:
-    """Parse an off-path blob, every step of it.  Raises FrameError on junk."""
-    walked: list[tuple[bytes, int, list[Label | None]]] = []
-    rest = data
-    while rest:
-        step, tail = wire.split_field(rest)
-        fields = wire.unframe(step)
-        if not fields:
-            raise FrameError("empty off-path step")
-        inputs: list[Label | None] = [Label.from_bytes(f) for f in fields[1:]]
-        # The placeholder for the recomputing node's label; a junk slot past
-        # the other inputs puts it last.
-        slot = min(wire.read_u16(fields[0]), len(inputs))
-        inputs.insert(slot, None)
-        walked.append((rest, slot, inputs))
-        rest = tail
-    path = Offpath(0, raw=b"")
-    for raw, slot, inputs in reversed(walked):
-        path = Offpath(len(raw), slot, path, inputs, raw=raw)
-    return path
 
 
 def recompute_root(own: Label, path: Offpath, nonce: bytes) -> Label:
@@ -376,7 +319,7 @@ def run_shia(
     # A node that got a path is one whose label its parent kept.
     net.phase = "check"
     net.bs_broadcast(wire.frame(nonce, root_label.raw))
-    offpath: dict[NodeId, Offpath] = {b: Offpath(0, raw=b"")}  # nodes that got one
+    offpath: dict[NodeId, Offpath] = {b: Offpath(0)}  # nodes that got one
     matched: set[NodeId] = set()  # nodes whose label the root commits to
     for node in chain.from_iterable(reversed(tree.epochs)):
         above = offpath.get(node)
@@ -393,29 +336,21 @@ def run_shia(
         size = _STEP_OVERHEAD + len(above) + wire.LEN_PREFIX * len(labels)
         for l in labels:
             size += len(l.raw)
-        corrupt = adv.action(node, "offpath_corrupt") if node in faulty else None
+        corrupt = node in faulty and adv.action(node, "offpath_corrupt") is not None
         root = None
-        if corrupt is None:
+        if not corrupt:
             # The root the node's own fold implies; a forger walks it anew.
             root = mine if fold is sent[node] else recompute_root(fold, above, nonce)
         for idx, child in enumerate(kids):
             held = labels[idx]
             # Every child's step shares the node's input list.
             built = Offpath(size - wire.LEN_PREFIX - len(held.raw), idx, above, labels, held, root)
-            msg = built
-            if corrupt is not None:
-                msg = garble(built.raw)
+            delivered = send(node, child, built)
+            if corrupt:
+                # Junk of the blob's size: the child has no path to check.
                 adv.fire(node, "offpath_corrupt")
-            delivered = send(node, child, msg)
-            if delivered is built:
-                # Unaltered (`garble` always makes new bytes): the step is
-                # the labels the sender holds, no bytes and no parse.
-                offpath[child] = built
-                continue
-            try:
-                offpath[child] = offpath_from_bytes(delivered)
-            except FrameError:
-                pass  # junk: the child has no path to check
+            else:
+                offpath[child] = delivered
 
     # --- acknowledgement aggregation ---
     net.phase = "ack"

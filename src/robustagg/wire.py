@@ -28,20 +28,8 @@ def u16(x: int) -> bytes:
     return _U16.pack(x)
 
 
-def read_u16(b: bytes) -> int:
-    if len(b) != NODE_ID_LEN:
-        raise FrameError(f"expected {NODE_ID_LEN} bytes, got {len(b)}")
-    return _U16.unpack(b)[0]
-
-
 def i64(x: int) -> bytes:
     return _I64.pack(x)
-
-
-def read_i64(b: bytes) -> int:
-    if len(b) != VALUE_LEN:
-        raise FrameError(f"expected {VALUE_LEN} bytes, got {len(b)}")
-    return _I64.unpack(b)[0]
 
 
 def u32(x: int) -> bytes:

@@ -144,6 +144,20 @@ def oracle_frame(*fields: bytes) -> bytes:
     return b"".join(struct.pack(">I", len(f)) + f for f in fields)
 
 
+def read_u16(b: bytes) -> int:
+    """A u16 field; raises FrameError unless it is exactly 2 bytes."""
+    if len(b) != 2:
+        raise FrameError(f"expected 2 bytes, got {len(b)}")
+    return struct.unpack(">H", b)[0]
+
+
+def read_i64(b: bytes) -> int:
+    """An i64 field; raises FrameError unless it is exactly 8 bytes."""
+    if len(b) != 8:
+        raise FrameError(f"expected 8 bytes, got {len(b)}")
+    return struct.unpack(">q", b)[0]
+
+
 def oracle_link_charge(payload: bytes) -> int:
     """Bytes of one hop-authenticated send: the payload framed with a 16-byte tag."""
     return len(oracle_frame(payload, b"\0" * 16))
@@ -215,10 +229,11 @@ def oracle_label_from_bytes(data: bytes) -> tuple[int, int, bytes, bool]:
     expect = wire.NODE_ID_LEN if leaf else wire.DIGEST_LEN
     if len(commit) != expect:
         raise FrameError("bad commitment length")
-    return wire.read_u16(count_b), wire.read_i64(value_b), commit, leaf
+    return read_u16(count_b), read_i64(value_b), commit, leaf
 
 
-# --- off-path reference: parse every step of every blob, hash every level ---
+# --- off-path reference: every step of every blob as its labels, every level
+# hashed; a blob's size is the length of its frame ---
 
 
 @dataclass(frozen=True)
@@ -229,10 +244,20 @@ class PathStep:
     others: tuple[shia.Label, ...]
 
 
-def step_raws(steps) -> list[tuple[int, list[bytes]]]:
-    """Each step (a `PathStep` or a `shia.Offpath`) as its slot and its other
-    inputs' bytes: equal exactly when the steps carry the same labels in the
-    same places."""
+def path_steps(path: shia.Offpath) -> list[PathStep]:
+    """The steps of a `shia.Offpath`, bottom-up, each without the slot the
+    recomputing node's label takes."""
+    steps = []
+    while path.above is not None:
+        inputs, slot = path.inputs, path.slot
+        steps.append(PathStep(slot, tuple(inputs[:slot]) + tuple(inputs[slot + 1 :])))
+        path = path.above
+    return steps
+
+
+def step_raws(steps: list[PathStep]) -> list[tuple[int, list[bytes]]]:
+    """Each step as its slot and its other inputs' bytes: equal exactly when
+    the steps carry the same labels in the same places."""
     return [(s.slot, [l.raw for l in s.others]) for s in steps]
 
 
@@ -248,17 +273,6 @@ def oracle_offpath_to_bytes(steps: list[PathStep]) -> bytes:
     return oracle_frame(
         *[oracle_frame(struct.pack(">H", s.slot), *[l.to_bytes() for l in s.others]) for s in steps]
     )
-
-
-def oracle_offpath_from_bytes(data: bytes) -> list[PathStep]:
-    steps = []
-    for raw in wire.unframe(data):
-        fields = wire.unframe(raw)
-        if not fields:
-            raise FrameError("empty off-path step")
-        slot = wire.read_u16(fields[0])
-        steps.append(PathStep(slot, tuple(shia.Label.from_bytes(f) for f in fields[1:])))
-    return steps
 
 
 def oracle_recompute_root(own: shia.Label, steps: list[PathStep], nonce: bytes) -> shia.Label:
@@ -460,7 +474,7 @@ def oracle_parse_tree(payload: bytes) -> dict[NodeId, NodeId]:
     fields = wire.unframe(payload)
     out = {}
     for pair in fields[1:]:
-        out[wire.read_u16(pair[:2])] = wire.read_u16(pair[2:])
+        out[read_u16(pair[:2])] = read_u16(pair[2:])
     return out
 
 
@@ -564,14 +578,14 @@ def oracle_atr_basic(net: Network, blacklist: frozenset[NodeId], nonce: bytes, a
         try:
             env = AuthEnvelope.from_bytes(raw)
             fields = wire.unframe(env.payload)
-            node = wire.read_u16(fields[1])
+            node = read_u16(fields[1])
         except (FrameError, IndexError):
             continue
         if node in claims or node in blacklist or node not in graph.sensors:
             continue
         if not auth_verify(net.keys.bs_key(node), env) or fields[0] != nonce:
             continue
-        claims[node] = [wire.read_u16(f) for f in fields[2:]]
+        claims[node] = [read_u16(f) for f in fields[2:]]
 
     # b is always kept (the BS handed it the TE itself); below it, a node
     # joins only if its parent claimed it and its own response arrived.
@@ -651,7 +665,7 @@ def oracle_atr_resilient_init(
         list_bytes += blob.size
         if oracle.verify(s, blob):
             fields = wire.unframe(blob.payload)
-            announced[s] = {wire.read_u16(f) for f in fields[1:]}
+            announced[s] = {read_u16(f) for f in fields[1:]}
     for a, c in graph.flood_edges:
         net.ledger.charge(a, c, list_bytes, net.phase)
     edges: set[tuple[NodeId, NodeId]] = set()

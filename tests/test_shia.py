@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustagg import als, atr, crypto, shia, wire
-from robustagg.adversary import Adversary, garble
+from robustagg.adversary import Adversary, TraceEvent, garble
 from robustagg.crypto import BS_ID
 from robustagg.errors import FrameError, ProtocolViolation
 from robustagg.netmodel import AggregationTree, Network, NetworkGraph
@@ -21,11 +21,11 @@ from helpers import (
     oracle_label_from_bytes,
     oracle_label_to_bytes,
     oracle_leaf_bytes,
-    oracle_offpath_from_bytes,
     oracle_offpath_to_bytes,
     oracle_recompute_root,
     oracle_root,
     oracle_xor,
+    path_steps,
     recorded_charges,
     result_fields,
     run_session,
@@ -93,8 +93,6 @@ class TestLabels:
             bad = b"\x00" + wire.frame(*fields)
             with pytest.raises(FrameError):
                 shia.Label.from_bytes(bad)
-            with pytest.raises(FrameError):
-                shia.offpath_from_bytes(wire.frame(wire.frame(wire.u16(0), bad)))
 
     def test_recompute_root_walks_sibling_steps(self):
         a, b, c = shia.leaf_label(1, 1), shia.leaf_label(2, 2), shia.leaf_label(3, 3)
@@ -102,15 +100,23 @@ class TestLabels:
         root = shia.internal_label(NONCE, [mid, c])
         steps = [PathStep(0, (b,)), PathStep(0, (c,))]
         assert oracle_recompute_root(a, steps, NONCE).raw == root.raw
-        # The BS child gets the empty blob; each node prepends one step.
-        top = shia.offpath_to_bytes(0, [c.to_bytes()], b"")
-        blob = shia.offpath_to_bytes(0, [b.to_bytes()], top)
-        assert blob == oracle_offpath_to_bytes(steps)
-        assert step_raws(oracle_offpath_from_bytes(blob)) == step_raws(steps)
-        path = shia.offpath_from_bytes(blob)
-        assert (path.raw, path.slot, [l.raw for l in path.others]) == (blob, 0, [b.raw])
-        assert path.above.raw == top and path.above.above.raw == b""
+        # The BS child gets the empty blob; each node puts one step ahead of
+        # the blob it got.  The label at `slot` is the sender's; the walk
+        # folds the recomputing node's own in its place.
+        top = shia.Offpath(0, 0, shia.Offpath(0), [mid, c])
+        path = shia.Offpath(0, 0, top, [a, b])
+        assert step_raws(path_steps(path)) == step_raws(steps)
         assert shia.recompute_root(a, path, NONCE).raw == root.raw
+        lie = shia.leaf_label(1, 2)
+        assert shia.recompute_root(lie, path, NONCE).raw != root.raw
+        # A sibling label swapped in a step: a well-formed path to another root.
+        forged = shia.Offpath(0, 0, top, [a, lie])
+        assert shia.recompute_root(a, forged, NONCE).raw != root.raw
+        # A step that carries its sender's root ends the walk when the fold
+        # reaches the label the sender held, and only then.
+        stop = shia.Offpath(0, 0, top, [a, b], held=a, root=c)
+        assert shia.recompute_root(a, stop, NONCE) is c
+        assert shia.recompute_root(lie, stop, NONCE).raw == oracle_recompute_root(lie, steps, NONCE).raw
 
 
 # --- the one-struct label codec against the general frame path ---
@@ -361,83 +367,6 @@ def test_parent_switch_routes_label_through_accomplice():
     assert als.marked(marks) == {4, 2}
 
 
-# --- off-path parsing and root recomputation against the oracle ---
-
-small_labels = st.one_of(
-    st.builds(shia.leaf_label, st.integers(1, 9), st.integers(-50, 50)),
-    st.builds(
-        lambda c, v, d: shia.Label(c, v, d, leaf=False),
-        st.integers(1, 40),
-        st.integers(-500, 500),
-        st.binary(min_size=32, max_size=32),
-    ),
-)
-
-
-@st.composite
-def offpath_cases(draw):
-    """(blob, own label) pairs over one random tree, plus damaged blobs.
-
-    Blobs follow the honest layout, so they share suffixes and a child's
-    first step folds its honest label into its parent's.  Own labels are
-    honest, another node's, or random, so memo entries meet many labels.
-    """
-    n = draw(st.integers(1, 9))
-    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
-    kids = {i: [c for c in range(n) if parent[c] == i] for i in range(n)}
-    values = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
-    labels: dict[int, shia.Label] = {}
-    inputs: dict[int, list[shia.Label]] = {}
-    for i in reversed(range(n)):  # children have larger ids than parents
-        inputs[i] = [labels[c] for c in kids[i]] + [shia.leaf_label(i + 1, values[i])]
-        labels[i] = inputs[i][0] if len(inputs[i]) == 1 else shia.internal_label(NONCE, inputs[i])
-    chains: dict[int, list[PathStep]] = {0: []}
-    for i in range(1, n):
-        p = parent[i]
-        idx = kids[p].index(i)
-        chains[i] = [PathStep(idx, tuple(inputs[p][:idx] + inputs[p][idx + 1 :]))] + chains[p]
-    blobs = [oracle_offpath_to_bytes(chains[i]) for i in range(n)]
-    own_choices = st.one_of(st.sampled_from(list(labels.values())), small_labels)
-    cases = [(blob, draw(st.one_of(st.just(labels[i]), own_choices))) for i, blob in enumerate(blobs)]
-    for blob in draw(st.lists(st.sampled_from(blobs), max_size=6)):
-        kind = draw(st.sampled_from(["garble", "truncate", "forged", "short", "long"]))
-        if kind in ("garble", "truncate") and not blob:
-            continue
-        if kind == "garble":
-            pos = draw(st.integers(0, len(blob) - 1))
-            mask = draw(st.integers(1, 255))
-            damaged = blob[:pos] + bytes([blob[pos] ^ mask]) + blob[pos + 1 :]
-        elif kind == "truncate":
-            damaged = blob[: draw(st.integers(0, len(blob) - 1))]
-        elif kind == "forged":
-            step = PathStep(draw(st.integers(0, 3)), (draw(small_labels),))
-            damaged = oracle_offpath_to_bytes([step]) + blob
-        else:  # a label frame with 2 or 4 fields in an otherwise valid step
-            fields = [wire.u16(1), wire.i64(7)] + ([] if kind == "short" else [wire.u16(3), b"z"])
-            bad = b"\x00" + wire.frame(*fields)
-            damaged = wire.frame(wire.frame(wire.u16(0), bad)) + blob
-        cases.append((damaged, draw(own_choices)))
-    return draw(st.permutations(cases))
-
-
-@settings(max_examples=150, deadline=None)
-@given(offpath_cases())
-def test_parsed_offpath_matches_oracle(cases):
-    for blob, own in cases:
-        try:
-            ref = oracle_offpath_from_bytes(blob)
-        except FrameError:
-            ref = None
-        try:
-            path = shia.offpath_from_bytes(blob)
-        except FrameError:
-            path = None
-        assert (path is None) == (ref is None)
-        if path is not None:
-            assert path.raw == blob
-            assert shia.recompute_root(own, path, NONCE).raw == oracle_recompute_root(own, ref, NONCE).raw
-
-
 SHIA_KINDS = (
     "own_value_forge", "label_forge", "label_drop", "parent_switch",
     "offpath_corrupt", "ack_drop", "ack_garble", "agg_ack_garble",
@@ -480,33 +409,37 @@ def shia_sessions(draw, kinds=SHIA_KINDS):
     return parent, values, frozenset(faulty), scripts
 
 
-def _check_steps(path, nonce, recompute):
-    """Every step handed to recompute_root is the parse of its own bytes,
-    and a step that carries its sender's root is the root that the held
-    label folds into through the parsed steps."""
-    ref = shia.offpath_from_bytes(path.raw)
-    while path.above is not None:
-        assert step_raws([path]) == step_raws([ref]) and path.raw == ref.raw
-        assert len(path) == len(path.raw) and len(ref) == len(ref.raw)
+def _check_steps(path, nonce):
+    """Every step handed to recompute_root is as long as the frame of its
+    steps, and a step that carries its sender's root is the root that the
+    held label folds into through the steps above it."""
+    steps = path_steps(path)
+    for i in range(len(steps)):
+        assert len(path) == len(oracle_offpath_to_bytes(steps[i:]))
         if path.held is not None:
-            assert recompute(path.held, ref, nonce).raw == path.root.raw
-        path, ref = path.above, ref.above
-    assert ref.above is None
+            assert path.inputs[path.slot] is path.held
+            assert oracle_recompute_root(path.held, steps[i:], nonce).raw == path.root.raw
+        path = path.above
+    assert len(path) == 0
 
 
 @settings(max_examples=300, deadline=None)
 @given(shia_sessions())
-def test_fast_check_phase_matches_parsing_every_blob(case):
-    # The check phase builds an unaltered blob's step from the sender's
-    # labels and reuses the root the sender's fold implies.  Handing each
-    # child a fresh copy of the blob's bytes forces a parse and a hash per
-    # step.
+def test_fast_check_phase_matches_walking_every_step(case):
+    # The check phase hands each child the step its sender built and reuses
+    # the root the sender's fold implies.  Handing each child a fresh copy
+    # of its steps, without `held` and `root`, forces a hash per step.
     parent, values, faulty, scripts = case
     real = shia.recompute_root
 
     def checked(own, path, nonce):
-        _check_steps(path, nonce, real)
+        _check_steps(path, nonce)
         return real(own, path, nonce)
+
+    def fresh(path):
+        if path.above is None:
+            return shia.Offpath(0)
+        return shia.Offpath(len(path), path.slot, fresh(path.above), list(path.inputs))
 
     runs = []
     for copy in (False, True):
@@ -516,7 +449,7 @@ def test_fast_check_phase_matches_parsing_every_blob(case):
 
             def copying(frm, to, p):
                 p = send(frm, to, p)  # bytes, or an off-path blob
-                return bytes(bytearray(getattr(p, "raw", p)))
+                return fresh(p) if isinstance(p, shia.Offpath) else p
 
             net.send_link = copying
         adv = Adversary(faulty, scripts)
@@ -564,52 +497,28 @@ def test_honest_grid_session_hashes_linearly(monkeypatch):
     assert calls == sum(1 for s in tree.members if tree.children.get(s))
 
 
-def test_honest_grid_session_builds_no_blob(monkeypatch):
-    # Every blob arrives as its sender made it, so the check phase charges
-    # each blob's length and builds none of their bytes.
-    _, calls = honest_grid_session(monkeypatch, shia, "offpath_to_bytes")
-    assert calls == 0
-
-
-@pytest.mark.parametrize("node, built", [(1, 2), (3, 3)])
-def test_tampering_node_builds_the_blobs_it_garbles(monkeypatch, node, built):
-    # `garble` reads bytes, so a tampering node builds one blob per accepted
-    # child, plus each unbuilt blob it holds on its own path as their
-    # suffix (node 3 builds the one node 1 sent it).  Each child receives
-    # the garbled frame of its steps.
+@pytest.mark.parametrize("node, cut", [(1, {2, 3, 4, 5, 6, 7}), (3, {6, 7})])
+def test_offpath_corrupt_costs_the_honest_blob_and_delivers_no_path(node, cut):
+    # A corrupted blob is junk of the size the honest blob has: each edge
+    # down from the corrupter is charged what an honest session charges it.
+    # Its children get no path to check, so they forward none, and they and
+    # their subtrees hold their acks.
     net, tree = net_for_tree(BINARY)
-    values = {s: 10 for s in tree.members}
-    calls = []
-    real = shia.offpath_to_bytes
-    monkeypatch.setattr(shia, "offpath_to_bytes", lambda *a: calls.append(1) or real(*a))
-    labels, got = {}, {}
-    send = net.send_link
-
-    def recording(frm, to, payload):
-        if net.phase == "commit":
-            labels[frm] = shia.Label.from_bytes(payload)
-        elif net.phase == "check" and frm == node:
-            got[to] = payload
-        return send(frm, to, payload)
-
-    net.send_link = recording
     adv = Adversary({node}, [entry(node, "offpath_corrupt")])
     adv.begin_session(0)
-    shia.run_shia(net, tree, values, adv, NONCE, (0, 100))
-
-    def steps(child):
-        out = []
-        while child != tree.bs_child:
-            up = tree.parent[child]
-            kids = tree.children[up]
-            inputs = [labels[k] for k in kids] + [shia.leaf_label(up, values[up])]
-            idx = kids.index(child)
-            out.append(PathStep(idx, tuple(inputs[:idx] + inputs[idx + 1 :])))
-            child = up
-        return out
-
-    assert len(calls) == built
-    assert got == {c: garble(oracle_offpath_to_bytes(steps(c))) for c in tree.children[node]}
+    values = {s: 10 for s in tree.members}
+    sres, record = recorded_charges(net, tree, values, adv, NONCE, (0, 100))
+    check = {(a, b): nbytes for (a, b, phase), nbytes in record.items() if phase == "check"}
+    honest = shia.honest_charges(tree, net.graph.flood_edges)
+    honest = {(a, b): nbytes for a, b, nbytes, phase in honest if phase == "check"}
+    assert list(check) == list(honest)
+    flood = wire.framed_size(wire.NONCE_LEN, len(sres.root_label.raw))
+    for (a, b), nbytes in check.items():
+        sender = a if tree.parent[b] == a else b
+        assert nbytes == (flood if sender in cut else honest[(a, b)]), (a, b)
+    assert sres.acked == {s: s not in cut for s in tree.members}
+    kids = len(tree.children[node])
+    assert adv.trace == [TraceEvent(0, node, "offpath", "offpath_corrupt")] * kids
 
 
 def test_honest_grid_session_macs_each_ack_once(monkeypatch):
@@ -749,10 +658,9 @@ def test_hooks_run_at_faulty_nodes_in_the_per_node_order(scripts):
 
 def test_tampered_path_sees_each_step_as_its_sender_held_it(monkeypatch):
     # 2 forges its label, so it walks its own fold up through 1's step once,
-    # by hashing 1's others, for 4 and 5; 3 garbles its blobs, so their
-    # bytes are built from them.  Every path handed to recompute_root
-    # carries, at each step, the sender's inputs but the recomputing node's
-    # own, in the bytes as well.
+    # by hashing 1's others, for 4 and 5; 3 corrupts its blobs, so 6 and 7
+    # get no path.  Every path handed to recompute_root carries, at each
+    # step, the sender's inputs but the recomputing node's own.
     net, tree = net_for_tree(BINARY)
     values = {s: 10 for s in tree.members}
     labels = {}
@@ -768,11 +676,7 @@ def test_tampered_path_sees_each_step_as_its_sender_held_it(monkeypatch):
     real = shia.recompute_root
 
     def watching(own, path, nonce):
-        steps, step = [], path
-        while step.above is not None:
-            steps.append(PathStep(step.slot, step.others))
-            step = step.above
-        seen.append((own, steps, path.raw))
+        seen.append((own, path_steps(path)))
         return real(own, path, nonce)
 
     monkeypatch.setattr(shia, "recompute_root", watching)
@@ -796,14 +700,13 @@ def test_tampered_path_sees_each_step_as_its_sender_held_it(monkeypatch):
     # 2's label before its forgery, the one walk a forger adds.
     fold = shia.internal_label(NONCE, [labels[4], labels[5], shia.leaf_label(2, values[2])])
     checked, folds = set(), 0
-    for own, steps, raw in seen:
+    for own, steps in seen:
         if own.raw == fold.raw:
             node, folds = 2, folds + 1
         else:
             node = node_of[own.raw]
             checked.add(node)
         assert step_raws(steps) == step_raws(sent_steps(node)), node
-        assert raw == oracle_offpath_to_bytes(steps), node
     assert folds == 1
     assert checked == {1, 2, 3, 4, 5}  # 6 and 7 got junk
     assert sres.acked == {1: True, 2: True, 3: True, 4: False, 5: False, 6: False, 7: False}
@@ -821,7 +724,7 @@ def test_a_forger_walks_its_own_fold_once(monkeypatch, scripts, hashes, walks):
     # The commit phase folds at 1, 2 and 3.  A forger whose blobs go out
     # unaltered walks its label before the forgery up once for all its
     # children: one hash per level above it, and one root recomputation
-    # besides each member's own.  A forger that also garbles its blobs
+    # besides each member's own.  A forger that also corrupts its blobs
     # walks nothing for them, and 4 and 5 get junk, so no path to check.
     net, tree = net_for_tree(BINARY)
     hashed, walked = [], []
@@ -841,33 +744,33 @@ def test_a_forger_walks_its_own_fold_once(monkeypatch, scripts, hashes, walks):
     [(1, 2, {2, 4, 5}), (2, 4, {4})],
     ids=["into_subtree", "into_leaf"],
 )
-def test_substituted_sibling_label_withholds_the_subtree_acks(monkeypatch, frm, to, withheld):
+def test_substituted_sibling_label_withholds_the_subtree_acks(frm, to, withheld):
     # An off-path forger's attack: a well-formed blob whose first step
     # carries a sibling label other than the one the sender folded.  The
-    # receiver parses it, folds its own label through the lie into a root
-    # the BS never broadcast, and hands that root to its subtree, so none
-    # of them acks; every other member does, and the session fails.
+    # receiver folds its own label through the lie into a root the BS never
+    # broadcast, and hands that root to its subtree, so none of them acks;
+    # every other member does, and the session fails.
     net, tree = net_for_tree(BINARY)
     send = net.send_link
-    parses = []
-    real_parse = shia.offpath_from_bytes
-    monkeypatch.setattr(shia, "offpath_from_bytes", lambda b: parses.append(b) or real_parse(b))
+    substituted = []
 
     def substituting(f, t, payload):
+        payload = send(f, t, payload)
         if net.phase == "check" and (f, t) == (frm, to):
-            sibling, *rest = payload.others
-            lie = shia.Label(sibling.count, sibling.value + 1, sibling.commit, sibling.leaf)
-            others = [lie.raw] + [l.raw for l in rest]
-            payload = shia.offpath_to_bytes(payload.slot, others, payload.above.raw)
-            steps = oracle_offpath_from_bytes(payload)  # well-formed
-            assert [l.raw for l in steps[0].others] == others
-        return send(f, t, payload)
+            # A fresh step, without the sender's `held` and `root`.
+            inputs = list(payload.inputs)
+            sib = 1 if payload.slot == 0 else 0
+            lab = inputs[sib]
+            inputs[sib] = shia.Label(lab.count, lab.value + 1, lab.commit, lab.leaf)
+            payload = shia.Offpath(len(payload), payload.slot, payload.above, inputs)
+            substituted.append(payload)
+        return payload
 
     net.send_link = substituting
     adv = Adversary(frozenset(), [])
     adv.begin_session(0)
     sres = shia.run_shia(net, tree, {s: 10 for s in tree.members}, adv, NONCE, (0, 100))
-    assert len(parses) == 1
+    assert len(substituted) == 1
     assert sres.acked == {s: s not in withheld for s in tree.members}
     assert sres.root_ok and sres.value == 70 and not sres.accepted
 

@@ -6,10 +6,12 @@ then runs a scenario and a two-size sweep through the CLI.  Another runs a
 scenario and checks which costly stdlib modules it loaded.  Three more scan
 the package's source: for imports that nothing reads, for definitions that
 no run path or bench script reads, and for dunder methods without a
-run-path reason.
+run-path reason.  A last one checks that every function the benchmark's
+tracer wraps still exists.
 """
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -109,7 +111,6 @@ KEPT_UNREAD = {
     "link_key": "KeyStore.link_key: link keys stay in the model; the link MAC is only charged",
     "node_views": "AtrOutcome.node_views: each node's view of a rebuild, acceptance criterion 8",
     "unreached": "AtrOutcome.unreached: the members a rebuild lost, acceptance criterion 8",
-    "read_i64": "wire.read_i64: the i64 reader of the reference codec in tests/helpers.py",
 }
 
 
@@ -147,7 +148,7 @@ def test_src_definitions_are_all_read():
 # Every dunder method `src/robustagg` defines, other than `__init__`, with
 # the run path that calls it.
 RUN_PATH_DUNDERS = {
-    "Offpath.__len__": "the link charge reads len() of a payload, an unbuilt blob's too",
+    "Offpath.__len__": "the link charge reads len() of a payload, an off-path blob's too",
 }
 
 
@@ -166,3 +167,30 @@ def test_src_dunders_all_have_a_run_path_reason():
                 if fn.name.startswith("__") and fn.name.endswith("__"):
                     defined.add(f"{owner}.{fn.name}" if owner else fn.name)
     assert defined == set(RUN_PATH_DUNDERS)
+
+
+# Benchmark wrappers whose target `src/robustagg` no longer defines: the
+# tracer lists each under `missing` and its metrics read zero.
+MISSING_TRACE_TARGETS = {
+    "shia.offpath_to_bytes": "the off-path byte codec is gone; the benchmark drops the wrapper",
+    "shia.offpath_from_bytes": "the off-path byte codec is gone; the benchmark drops the wrapper",
+}
+
+
+def test_every_traced_target_exists():
+    # `bench/run.py --trace` only warns about a target it cannot wrap, and
+    # that target's per-layer metrics silently read zero.
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    tables = {
+        node.targets[0].id: node.value.elts
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    missing = set()
+    for row in tables["SPAN_TARGETS"] + tables["COUNT_TARGETS"]:
+        owner, attr = row.elts[0].value, row.elts[1].value
+        module, _, cls = owner.partition(".")
+        obj = importlib.import_module(f"robustagg.{module}")
+        if not hasattr(getattr(obj, cls) if cls else obj, attr):
+            missing.add(f"{owner}.{attr}")
+    assert missing == set(MISSING_TRACE_TARGETS)
