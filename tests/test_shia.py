@@ -367,6 +367,76 @@ def test_parent_switch_routes_label_through_accomplice():
     assert als.marked(marks) == {4, 2}
 
 
+# --- root recomputation along off-path chains against the oracle ---
+
+small_labels = st.one_of(
+    st.builds(shia.leaf_label, st.integers(1, 9), st.integers(-50, 50)),
+    st.builds(
+        lambda c, v, d: shia.Label(c, v, d, leaf=False),
+        st.integers(1, 40),
+        st.integers(-500, 500),
+        st.binary(min_size=32, max_size=32),
+    ),
+)
+
+
+@st.composite
+def offpath_cases(draw):
+    """(path, own label) pairs over one random tree, plus altered paths.
+
+    Paths are built as the check phase builds them: siblings' steps share
+    their sender's input list and each step keeps the label its sender held
+    and the root its sender's fold implies.  Own labels are honest, another
+    node's, or random, so walks stop early, late or never.  Altered paths
+    put a forged step ahead of an honest one, or swap a sibling label into
+    a fresh step that carries no `held` or `root`.
+    """
+    n = draw(st.integers(1, 9))
+    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    kids = {i: [c for c in range(n) if parent[c] == i] for i in range(n)}
+    values = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    labels: dict[int, shia.Label] = {}
+    inputs: dict[int, list[shia.Label]] = {}
+    for i in reversed(range(n)):  # children have larger ids than parents
+        inputs[i] = [labels[c] for c in kids[i]] + [shia.leaf_label(i + 1, values[i])]
+        labels[i] = inputs[i][0] if len(inputs[i]) == 1 else shia.internal_label(NONCE, inputs[i])
+    paths: dict[int, shia.Offpath] = {0: shia.Offpath(0)}
+    for i in range(1, n):
+        p = parent[i]
+        idx = kids[p].index(i)
+        root = shia.recompute_root(labels[p], paths[p], NONCE)
+        size = len(oracle_offpath_to_bytes(path_steps(shia.Offpath(0, idx, paths[p], inputs[p]))))
+        paths[i] = shia.Offpath(size, idx, paths[p], inputs[p], labels[i], root)
+    own_choices = st.one_of(st.sampled_from(list(labels.values())), small_labels)
+    cases = [(paths[i], draw(st.one_of(st.just(labels[i]), own_choices))) for i in range(n)]
+    for path in draw(st.lists(st.sampled_from(list(paths.values())), max_size=6)):
+        if draw(st.booleans()) or path.above is None:
+            step = [draw(small_labels) for _ in range(draw(st.integers(1, 3)))]
+            slot = draw(st.integers(0, len(step) - 1))
+            altered = shia.Offpath(0, slot, path, step)
+        else:
+            swapped = list(path.inputs)
+            sib = draw(st.integers(0, len(swapped) - 1))
+            swapped[sib] = draw(small_labels)
+            altered = shia.Offpath(0, path.slot, path.above, swapped)
+        altered.size = len(oracle_offpath_to_bytes(path_steps(altered)))
+        cases.append((altered, draw(own_choices)))
+    return draw(st.permutations(cases))
+
+
+@settings(max_examples=150, deadline=None)
+@given(offpath_cases())
+def test_parsed_offpath_matches_oracle(cases):
+    # Each path is read step by step as the oracle reads the frame of its
+    # steps: the same root for every own label, the shortcut through a
+    # sender's `root` included, and the length of that frame.
+    for path, own in cases:
+        steps = path_steps(path)
+        assert len(path) == len(oracle_offpath_to_bytes(steps))
+        got = shia.recompute_root(own, path, NONCE)
+        assert got.raw == oracle_recompute_root(own, steps, NONCE).raw
+
+
 SHIA_KINDS = (
     "own_value_forge", "label_forge", "label_drop", "parent_switch",
     "offpath_corrupt", "ack_drop", "ack_garble", "agg_ack_garble",
@@ -495,6 +565,14 @@ def test_honest_grid_session_hashes_linearly(monkeypatch):
     # commit phase's folds, and none more.
     tree, calls = honest_grid_session(monkeypatch, shia, "internal_label")
     assert calls == sum(1 for s in tree.members if tree.children.get(s))
+
+
+def test_honest_grid_session_builds_no_blob(monkeypatch):
+    # Every blob arrives as its sender made it, so the check phase charges
+    # each blob's length and frames none of their bytes: the session frames
+    # the two BS broadcasts and nothing else.
+    _, calls = honest_grid_session(monkeypatch, wire, "frame")
+    assert calls == 2
 
 
 @pytest.mark.parametrize("node, cut", [(1, {2, 3, 4, 5, 6, 7}), (3, {6, 7})])

@@ -49,6 +49,14 @@ def test_unframe_rejects_overrunning_field():
             parse(struct.pack(">I", 10) + b"short")
 
 
+def test_read_u16_rejects_wrong_length():
+    # The oracles' readers take a fixed-width field or nothing.
+    with pytest.raises(FrameError):
+        read_u16(b"\x01")
+    with pytest.raises(FrameError):
+        read_i64(b"\x01" * 4)
+
+
 def test_empty_frame_is_empty():
     assert wire.frame() == b""
     assert wire.unframe(b"") == []
