@@ -96,19 +96,26 @@ class Adversary:
         forged = {n: e.params["value"] for (n, k), e in self.acts.items() if k == "own_value_forge"}
         return {**values, **forged} if forged else values
 
-    def quiet(self, tree) -> bool:
-        """Whether no script can alter a message of stage one over `tree`
-        this session.
+    def first_altered_phase(self, tree) -> str | None:
+        """The first phase of stage one over `tree` that a script can alter
+        this session: "commit", "ack", or None when none can (a quiet
+        session).
 
         Only an active script of a SHIA phase on a tree member can, and
         `offpath_corrupt` acts where a node forwards a blob, never at a leaf.
+        A forwarded blob carries commit-phase labels, so it counts as
+        "commit".
         """
         children = tree.children
-        return not any(
-            node in children
-            and (CATALOG[kind] in ("commit", "ack") or CATALOG[kind] == "offpath" and children[node])
-            for node, kind in self.acts
-        )
+        first = None
+        for node, kind in self.acts:
+            if node in children:
+                phase = CATALOG[kind]
+                if phase == "commit" or phase == "offpath" and children[node]:
+                    return "commit"
+                if phase == "ack":
+                    first = "ack"
+        return first
 
     def fire(self, node: NodeId, kind: str) -> None:
         self.trace.append(TraceEvent(self.session, node, CATALOG[kind], kind))

@@ -177,9 +177,9 @@ def run_sessions(scenario: Scenario) -> RunResult:
         tree = atr.build_initial_tree(graph)
 
     checked = None  # the last tree checked against the graph
-    # A quiet session's charges on `checked`, one row per (edge, phase), and
-    # its all-acked map, made when one first needs them and shared read-only
-    # by the tree's quiet sessions.
+    # An honest session's charges on `checked`, one row per (edge, phase),
+    # and a quiet session's all-acked map, made when a session first needs
+    # them and shared read-only by the tree's sessions.
     record: list[tuple[NodeId, NodeId, int, str]] | None = None
     for i in range(scenario.sessions):
         if tree is None:
@@ -196,23 +196,36 @@ def run_sessions(scenario: Scenario) -> RunResult:
         values = scenario.values_for(i)
         net.ledger.reset()
 
-        # Quiet: no script can alter a message, so stage one would run as an
-        # honest one does, charge by tree alone and succeed with the sum of
-        # the members' readings.
-        if adv.quiet(tree):
+        # Stage one runs from the first phase a script can alter.  Up to it,
+        # it runs as an honest one does: it charges by tree alone, every
+        # member's label reaches the root, and the root holds the sum of the
+        # members' readings.  A quiet session (none) succeeds with that sum.
+        first = adv.first_altered_phase(tree)
+        if first == "commit":
+            sres = shia.run_shia(net, tree, values, adv, nonce, scenario.value_range)
+        else:
             if record is None:
                 record = shia.honest_charges(tree, graph.flood_edges)
                 acked = dict.fromkeys(members, True)
             charge = net.ledger.charge
-            for a, b, nbytes, phase in record:
+            # The ack rows, one per member, come last.
+            for a, b, nbytes, phase in record if first is None else record[: -len(members)]:
                 charge(a, b, nbytes, phase)
             value = sum(map(adv.readings(values).__getitem__, members))
-            sres = shia.ShiaResult(
-                accepted=True, value=value, root_label=None, root_ok=True, agg_ack=None,
-                expected_ack=None, node_acks={}, acked=acked,
-            )
-        else:
-            sres = shia.run_shia(net, tree, values, adv, nonce, scenario.value_range)
+            if first is None:
+                sres = shia.ShiaResult(
+                    accepted=True, value=value, root_label=None, root_ok=True, agg_ack=None,
+                    expected_ack=None, node_acks={}, acked=acked,
+                )
+            else:  # every member's label matched the root: only acks can fail
+                node_acks, ack_ints, expected = shia.member_acks(net, members, nonce)
+                released, acks_up = shia.ack_phase(net, tree, members, node_acks, ack_ints, adv)
+                agg_ack = acks_up.get(tree.bs_child)
+                sres = shia.ShiaResult(
+                    accepted=agg_ack == expected, value=value, root_label=None, root_ok=True,
+                    agg_ack=agg_ack, expected_ack=expected, node_acks=node_acks,
+                    acked=released, acks_up=acks_up,
+                )
         marks: list[als.Mark] = []
         als2_ran = False
         atr_outcome: atr.AtrOutcome | None = None

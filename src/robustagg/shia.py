@@ -9,6 +9,7 @@ upward, compared by the BS against the expected combination).
 from __future__ import annotations
 
 import struct
+from collections.abc import Container, Iterable
 from itertools import chain
 
 from . import crypto, wire
@@ -168,7 +169,13 @@ def recompute_root(own: Label, path: Offpath, nonce: bytes) -> Label:
 
 
 class ShiaResult:
-    """One session's stage-one outcome."""
+    """One session's stage-one outcome.
+
+    `root_label` is the label the BS received, None when none arrived or
+    when stage one was not simulated up to the ack phase: a quiet session's
+    result, and one whose stage one started at the ack phase, take their
+    root from the tree's honest record.
+    """
 
     def __init__(
         self,
@@ -283,18 +290,7 @@ def run_shia(
 
     b = tree.bs_child
     root_label = sent.get(b)
-    # Each member's ack, MACed once: the BS's expectation, the ack phase and
-    # ALS II read it.  Acks fold as 128-bit ints; the ack phase makes bytes
-    # only for an ack that is sent.
-    bs_key = net.keys.bs_key
-    node_acks: dict[NodeId, bytes] = {}
-    ack_ints: dict[NodeId, int] = {}
-    total = 0  # the XOR of every member's ack
-    for s in parent:
-        ack = node_acks[s] = crypto.node_ack(bs_key(s), nonce)
-        ack_ints[s] = own = int.from_bytes(ack, "big")
-        total ^= own
-    expected = total.to_bytes(wire.ACK_LEN, "big")
+    node_acks, ack_ints, expected = member_acks(net, parent, nonce)
 
     if root_label is None:
         return ShiaResult(
@@ -353,6 +349,48 @@ def run_shia(
                 offpath[child] = delivered
 
     # --- acknowledgement aggregation ---
+    acked, acks_up = ack_phase(net, tree, matched, node_acks, ack_ints, adv)
+    agg_ack = acks_up.get(b)
+    return ShiaResult(
+        accepted=root_ok and agg_ack == expected,
+        value=root_label.value,
+        root_label=root_label,
+        root_ok=root_ok,
+        agg_ack=agg_ack,
+        expected_ack=expected,
+        node_acks=node_acks,
+        acked=acked,
+        acks_up=acks_up,
+    )
+
+
+def member_acks(net: Network, members: Iterable[NodeId], nonce: bytes):
+    """Each member's ack, MACed once, as bytes and as a 128-bit int, and the
+    bytes of their XOR, which the BS expects: the ack phase and ALS II read
+    them.  The ack phase folds the ints, making bytes only for an ack it
+    sends; `ack_phase` takes both maps.
+    """
+    bs_key = net.keys.bs_key
+    node_acks: dict[NodeId, bytes] = {}
+    ack_ints: dict[NodeId, int] = {}
+    total = 0
+    for s in members:
+        ack = node_acks[s] = crypto.node_ack(bs_key(s), nonce)
+        ack_ints[s] = own = int.from_bytes(ack, "big")
+        total ^= own
+    return node_acks, ack_ints, total.to_bytes(wire.ACK_LEN, "big")
+
+
+def ack_phase(
+    net: Network, tree: AggregationTree, matched: Container[NodeId], node_acks, ack_ints, adv
+) -> tuple[dict[NodeId, bool], dict[NodeId, bytes]]:
+    """Stage one's ack phase: whether each member released its ack (those
+    whose label the root commits to, in `matched`, do) and the aggregated
+    ack each node sent its parent, keyed by sender.
+    """
+    faulty = adv.faulty
+    children, parent = tree.children, tree.parent
+    send = net.send_link
     net.phase = "ack"
     acked: dict[NodeId, bool] = {}
     acks_up: dict[NodeId, bytes] = {}
@@ -384,19 +422,7 @@ def run_shia(
             send(node, parent[node], up)
             acks_up[node] = up
             folds[node] = acc
-
-    agg_ack = acks_up.get(b)
-    return ShiaResult(
-        accepted=root_ok and agg_ack == expected,
-        value=root_label.value,
-        root_label=root_label,
-        root_ok=root_ok,
-        agg_ack=agg_ack,
-        expected_ack=expected,
-        node_acks=node_acks,
-        acked=acked,
-        acks_up=acks_up,
-    )
+    return acked, acks_up
 
 
 def honest_charges(
@@ -411,7 +437,8 @@ def honest_charges(
     blob plus one step framing the parent's other inputs.  `flood_edges`
     carry the two BS broadcasts; the check phase's flood and blob bytes on
     one edge share its row.  Rows come in the order `run_shia` first charges
-    their (edge, phase).
+    their (edge, phase), so the ack rows, one per member, come last: a
+    session that simulates only the ack phase charges every row before them.
     """
     children, parent, epochs = tree.children, tree.parent, tree.epochs
     label = {s: _INTERNAL_LAYOUT.size if children[s] else _LEAF_LAYOUT.size for s in parent}

@@ -499,13 +499,22 @@ def test_a_run_registers_its_ids_in_one_call_per_kind(monkeypatch, name):
 class TestQuietSessions:
     # A quiet session (no active script on a tree member can alter a stage-one
     # message) runs no stage one: it is charged from the record
-    # `shia.honest_charges` computes from its tree.  On the 4x5 grid's tree
-    # node 7 forwards to its child 12, and node 17 is a leaf.
+    # `shia.honest_charges` computes from its tree.  A session whose only
+    # such scripts are ack kinds takes all but the record's ack rows and runs
+    # only the ack phase.  On the 4x5 grid's tree node 7 forwards to its
+    # child 12, and node 17 is a leaf.
 
     @pytest.mark.parametrize("kind", SHIA_KINDS)
     def test_stage_one_runs_in_exactly_the_scripted_session(self, monkeypatch, kind):
-        # Own-value forgery alters no message, so no session runs stage one.
+        # Own-value forgery alters no message, so no session runs stage one;
+        # an ack kind alters none before the ack phase, so its session runs
+        # that phase alone.
         calls = count_calls(monkeypatch, shia, "run_shia")
+        acks = []  # the session of each ack phase, in or out of `run_shia`
+        real_ack_phase = shia.ack_phase
+        monkeypatch.setattr(
+            shia, "ack_phase", lambda *a: acks.append(a[-1].session) or real_ack_phase(*a)
+        )
         params = {
             "own_value_forge": {"value": 55},
             "label_forge": {"value_add": 7},
@@ -517,7 +526,25 @@ class TestQuietSessions:
         }
         result = run(grid_config(sessions=4, adversary=adversary))
         ran = [nonce.hex() for _, _, _, _, nonce, _ in calls]
-        assert ran == ([] if kind == "own_value_forge" else [result.records[2].nonce])
+        full = kind != "own_value_forge" and CATALOG[kind] != "ack"
+        assert ran == ([result.records[2].nonce] if full else [])
+        assert acks == ([] if kind == "own_value_forge" else [2])
+
+    def test_an_ack_only_session_builds_no_label_and_macs_each_ack_once(self, monkeypatch):
+        # Node 7 garbles the aggregated ack it sends in session 2.  The
+        # commit and check phases come from the tree's record, so no label
+        # is built, and each member's ack is MACed once, for the ack phase.
+        internal = count_calls(monkeypatch, shia, "internal_label")
+        leaves = count_calls(monkeypatch, shia, "leaf_label")
+        acks = count_calls(monkeypatch, crypto, "node_ack")
+        adversary = {
+            "faulty": [7],
+            "scripts": [{"node": 7, "kind": "agg_ack_garble", "sessions": [2]}],
+        }
+        result = run(grid_config(sessions=4, adversary=adversary))
+        assert [r.verdict for r in result.records] == ["success", "success", "failure", "success"]
+        assert (len(internal), len(leaves)) == (0, 0)
+        assert len(acks) == len(result.records[2].tree.members)
 
     @pytest.mark.parametrize("node, scripted", [(17, []), (7, [2])], ids=["leaf", "internal"])
     def test_offpath_corruption_runs_stage_one_only_where_a_node_forwards(
@@ -583,16 +610,16 @@ class TestQuietSessions:
         assert [msg for _, msg in derived] == [b"master3", b"nonce3"]
 
     def test_faulty_grid_derives_only_the_bs_keys_stage_one_reads(self, monkeypatch):
-        runs = count_calls(monkeypatch, shia, "run_shia")
+        # Stage one MACs acks in full runs and in ack-only sessions alike.
+        macs = count_calls(monkeypatch, shia, "member_acks")
         derivations = count_calls(monkeypatch, crypto, "mac_long")
         result = run_sessions(Scenario.from_dict(load_config(str(SCENARIOS / "grid30_faulty.json"))))
-        trees = [tree for _, tree, *_ in runs]
         derived = [msg for _, msg in derivations]
-        assert result.failures > 0 and trees
+        assert result.failures > 0 and macs
         bs_nodes = [int.from_bytes(m[2:], "big") for m in derived if m.startswith(b"bs")]
         # Each key once, for exactly the members whose ack stage one MACs.
         assert len(bs_nodes) == len(set(bs_nodes))
-        assert set(bs_nodes) == set().union(*(t.members for t in trees))
+        assert set(bs_nodes) == set().union(*(members for _, members, _ in macs))
         assert not [m for m in derived if m.startswith(b"link")]
 
 
@@ -675,7 +702,7 @@ def observed_run(config: dict, skip_quiet: bool):
         mp.setattr(CongestionLedger, "reset", reset)
         mp.setattr(Scenario, "build_adversary", build)
         if not skip_quiet:
-            mp.setattr(Adversary, "quiet", lambda self, tree: False)
+            mp.setattr(Adversary, "first_altered_phase", lambda self, tree: "commit")
         scenario = Scenario.from_dict(config)
         try:
             outcome = cli.render_report(run_sessions(scenario))

@@ -39,9 +39,9 @@ LABEL_FORGES = [
 PLAIN_KINDS = sorted(
     k for k in CATALOG if k not in ("own_value_forge", "label_forge", "parent_switch", "nl_fake")
 )
-# Kinds that leave stage one unrun: own-value forgery always, off-path
-# corruption at a leaf.
-QUIET_KINDS = ("own_value_forge", "offpath_corrupt")
+# Kinds that leave stage one unrun, or run from its ack phase: own-value
+# forgery always, off-path corruption at a leaf, and the ack kinds.
+QUIET_KINDS = ("own_value_forge", "offpath_corrupt", "ack_drop", "ack_garble", "agg_ack_garble")
 
 
 def connected_graphs() -> list[list[list[int]]]:
@@ -180,14 +180,14 @@ def test_the_unlocalized_class_is_listed(outcomes):
 
 
 def test_quiet_kinds_report_what_a_full_stage_one_reports(outcomes, monkeypatch):
-    # The oracle runs stage one in every session.
-    monkeypatch.setattr(Adversary, "quiet", lambda self, tree: False)
+    # The oracle runs stage one in full in every session.
+    monkeypatch.setattr(Adversary, "first_altered_phase", lambda self, tree: "commit")
     checked = 0
     for case, _, report, *_ in outcomes:
         if case[4] in QUIET_KINDS:
             assert cli.render_report(run_sessions(Scenario.from_dict(make(case)))) == report, case
             checked += 1
-    assert checked == 2 * len(GRAPHS) * 2 * (3 + 6)
+    assert checked == 5 * len(GRAPHS) * 2 * (3 + 6)
 
 
 def test_every_mark_holds_a_node_that_misbehaved(outcomes):
